@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +19,7 @@ from typing import Optional
 from .arith import is_square, kronecker, primes_up_to
 from .errors import VerificationError
 from .ellsurf import SurfaceModel, good_prime, rank20_effective, trace_ap
-from .heckecm import CMRule, ap_h1, match_twist, twist_discriminant
+from .heckecm import CMRule, ap_h1, cubic_shape_holds, match_twist
 from .models import TABLE_ROWS
 from .mwheights import (
     gram_denominator_bound,
@@ -126,29 +125,6 @@ def _geom_for_prime(model: SurfaceModel, p: int):
         return p, "error", f"{exc.code}: {exc.message}", None
 
 
-def _cubic_shape_holds(p: int, ap: int) -> bool:
-    plus = 2 * p + ap
-    minus = 2 * p - ap
-    return (
-        plus >= 0
-        and is_square(plus)
-        and minus % 3 == 0
-        and is_square(minus // 3)
-    )
-
-
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is None or workers <= 1:
-        return 1
-    cap = os.environ.get("P20_THREADS")
-    if cap:
-        try:
-            workers = min(workers, max(1, int(cap)))
-        except ValueError:
-            pass
-    return workers
-
-
 def verify_surface(
     model: SurfaceModel,
     rule: Optional[CMRule] = None,
@@ -172,9 +148,8 @@ def verify_surface(
             "PRECONDITION", f"rule field d_K={rule.d_K} does not match d={model.d}"
         )
     primes = list(primes_up_to(pmax))
-    nworkers = _worker_count(workers)
-    if nworkers > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+    if workers is not None and workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             geo = list(pool.map(functools.partial(_geom_for_prime, model), primes))
     else:
         geo = [_geom_for_prime(model, p) for p in primes]
@@ -183,22 +158,19 @@ def verify_surface(
     ok_pairs = [(p, ap) for p, status, _, ap in geo if status == "ok"]
     verdict = match_twist(ok_pairs, rule)
 
-    base_rule = CMRule(rule.d_K)
+    # delta is set only for a quadratic twist; matches_base and no_match
+    # compare against the base newform
+    hecke_rule = CMRule(rule.d_K, verdict.delta)
     rows = []
     for p, status, reason, ap in geo:
         if status != "ok":
             rows.append(VerifyRow(p=p, status=status, reason=reason))
             continue
-        if verdict.kind == "quadratic_twist":
-            ap_hecke = ap_h1(base_rule, p) * kronecker(
-                twist_discriminant(verdict.delta), p
-            )
-            matched = ap == ap_hecke
-        elif verdict.kind == "cubic_class":
-            matched = _cubic_shape_holds(p, ap)
+        if verdict.kind == "cubic_class":
+            matched = cubic_shape_holds(p, ap)
             ap_hecke = ap if matched else None
-        else:  # matches_base or no_match: compare against the base newform
-            ap_hecke = ap_h1(base_rule, p)
+        else:
+            ap_hecke = ap_h1(hecke_rule, p)
             matched = ap == ap_hecke
         two_p_minus_ap = 2 * p - ap
         M_squared = M = certificate = None
@@ -324,17 +296,13 @@ def classify_h1(bound: int) -> list[int]:
 def classify_two_torsion(bound: int) -> list[int]:
     """All negative discriminants with |d| <= bound and Cl(d) of exponent <= 2.
 
-    A reduced form is its own inverse exactly when b = 0, a = b, or a = c, so
-    the class group is (Z/2)^g precisely when every reduced form looks so.
-    The squaring-based test on FormClassGroup stays as the independent check.
+    That is the case precisely when every reduced form is ambiguous.  The
+    squaring-based test on FormClassGroup stays as the independent check.
     """
     buckets = reduced_forms_up_to(bound)
-    out = []
-    for d in sorted(buckets, key=abs):
-        forms = buckets[d]
-        if all(f.b == 0 or f.a == f.b or f.a == f.c for f in forms):
-            out.append(d)
-    return out
+    return [
+        d for d in sorted(buckets, key=abs) if all(f.is_ambiguous() for f in buckets[d])
+    ]
 
 
 # ---------------------------------------------------------------- table check
@@ -387,10 +355,6 @@ def table_check() -> dict:
 # ---------------------------------------------------------------- serialization
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 def row_to_json(row: VerifyRow) -> dict:
     obj = {"p": row.p, "status": row.status}
     if row.reason is not None:
@@ -403,9 +367,9 @@ def row_to_json(row: VerifyRow) -> dict:
             "ap_hecke": row.ap_hecke,
             "match": row.match,
             "two_p_minus_ap": row.two_p_minus_ap,
-            "M_squared": _fraction_str(row.M_squared) if row.M_squared is not None else None,
+            "M_squared": str(row.M_squared) if row.M_squared is not None else None,
             "M": row.M,
-            "certificate": [_fraction_str(c) for c in row.certificate]
+            "certificate": [str(c) for c in row.certificate]
             if row.certificate is not None
             else None,
         }
@@ -423,5 +387,5 @@ def report_to_json(report: VerifyReport) -> dict:
         "twist_delta": report.twist_delta,
         "rows": [row_to_json(r) for r in report.rows],
         "verdicts": report.verdicts,
-        "yp_gcd": _fraction_str(report.yp_gcd) if report.yp_gcd is not None else None,
+        "yp_gcd": str(report.yp_gcd) if report.yp_gcd is not None else None,
     }

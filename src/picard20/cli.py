@@ -26,6 +26,7 @@ from .atverify import (
 )
 from .polys import pdeg
 from .ellsurf import (
+    _INF,
     classify_fibers,
     model_from_json,
     surface_count,
@@ -35,7 +36,13 @@ from .ellsurf import (
 from .errors import VerificationError
 from .heckecm import CMRule, ap_h1, split_type
 from .models import REGISTRY, get_model
-from .mwheights import compute_PO, config_from_model, height, ns_discriminant
+from .mwheights import (
+    compute_PO,
+    config_from_model,
+    contribution,
+    height,
+    ns_discriminant,
+)
 from .qforms import FormClassGroup, fundamental_decomposition
 
 _JSON_INT_LIMIT = 2**53
@@ -61,9 +68,14 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(obj) -> int:
-    sys.stdout.write(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n")
-    return 0
+def _emit(obj, out: str | None = None, code: int = 0) -> int:
+    """Write obj as JSON to stdout and, when out is given, to that file too."""
+    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stdout.write(text)
+    return code
 
 
 def _load_model(spec: str, delta: int = 1):
@@ -148,8 +160,8 @@ def _cmd_fibers(args) -> int:
             "place": f.place,
             "degree": pdeg(f.poly) if f.poly is not None else 1,
             "type": f.kodaira_type,
-            "v_c4": None if f.vc4 >= 10**9 else f.vc4,
-            "v_c6": None if f.vc6 >= 10**9 else f.vc6,
+            "v_c4": None if f.vc4 >= _INF else f.vc4,
+            "v_c6": None if f.vc6 >= _INF else f.vc6,
             "v_delta": f.vdelta,
             "components": f.component_count,
             "euler": f.euler_number,
@@ -168,13 +180,8 @@ def _cmd_fibers(args) -> int:
 def _cmd_verify(args) -> int:
     model = _load_model(args.model, args.delta)
     d_K, _ = fundamental_decomposition(model.d)
-    report = report_to_json(
-        verify_surface(model, CMRule(d_K), args.pmax, workers=args.workers)
-    )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n")
-    return _emit(report)
+    report = verify_surface(model, CMRule(d_K), args.pmax, workers=args.workers)
+    return _emit(report_to_json(report), args.out)
 
 
 def _cmd_height(args) -> int:
@@ -189,7 +196,7 @@ def _cmd_height(args) -> int:
     pole_order = compute_PO(section, model)
     places = dict(config.fiber_places)
     corrections = [
-        [place, index, _contr_string(places[place], index)]
+        [place, index, contribution(places[place], index)]
         for place, index in section.component_hits
     ]
     return _emit(
@@ -202,12 +209,6 @@ def _cmd_height(args) -> int:
             "height": height(section, config, pole_order),
         }
     )
-
-
-def _contr_string(symbol: str, index: int) -> Fraction:
-    from .mwheights import contribution
-
-    return contribution(symbol, index)
 
 
 def _cmd_nsdisc(args) -> int:
@@ -326,15 +327,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except VerificationError as exc:
-        sys.stdout.write(
-            json.dumps(
-                {"error": {"code": exc.code, "message": exc.message}},
-                sort_keys=True,
-                indent=2,
-            )
-            + "\n"
-        )
-        return 1
+        return _emit({"error": {"code": exc.code, "message": exc.message}}, code=1)
 
 
 if __name__ == "__main__":

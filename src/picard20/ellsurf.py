@@ -36,6 +36,7 @@ from .polys import (
     is_squarefree_mod,
     trailing_zeros,
     valuation,
+    valuation_mod,
 )
 
 INFINITY = "t=oo"
@@ -58,47 +59,58 @@ def place_label(f: Optional[Poly]) -> str:
 # ---------------------------------------------------------------- Kodaira types
 
 
-def kodaira_component_count(symbol: str) -> int:
-    """Number of irreducible components of the fiber."""
-    fixed = {"II": 1, "III": 2, "IV": 3, "IV*": 7, "III*": 8, "II*": 9}
-    if symbol in fixed:
-        return fixed[symbol]
-    n = _star_index(symbol)
-    if n is not None:
-        return n + 5
-    n = _cycle_index(symbol)
-    if n is not None:
-        return n
-    raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
+class Kodaira(NamedTuple):
+    """Invariants of one Kodaira fiber type.
+
+    family is "I" for I_n, "I*" for I_b*, and the symbol itself for the
+    additive types II, III, IV, IV*, III*, II*; n is the n of I_n or the b of
+    I_b*, and 0 otherwise.  root_rank and root_disc describe the root lattice
+    (A_{n-1} for I_n, D_{b+4} for I_b*, ...).  root_disc is also the order of
+    the component group, so the simple components are indexed
+    0 .. root_disc - 1; exponent, the exponent of that group, bounds the
+    denominators of heights.  correction is the height correction at a
+    non-identity simple component of III, IV, IV* and III*, and None for
+    every other type.
+    """
+
+    family: str
+    n: int
+    components: int
+    euler: int
+    root_rank: int
+    root_disc: int
+    exponent: int
+    correction: Optional[Fraction]
 
 
-def kodaira_euler_number(symbol: str) -> int:
-    """Euler number of the fiber; these sum to 24 on a K3 surface."""
-    fixed = {"II": 2, "III": 3, "IV": 4, "IV*": 8, "III*": 9, "II*": 10}
-    if symbol in fixed:
-        return fixed[symbol]
-    n = _star_index(symbol)
-    if n is not None:
-        return n + 6
-    n = _cycle_index(symbol)
-    if n is not None:
-        return n
-    raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
+# components, Euler number, root discriminant (the component group is cyclic
+# of that order), height correction
+_ADDITIVE = {
+    "II": (1, 2, 1, None),
+    "III": (2, 3, 2, Fraction(1, 2)),
+    "IV": (3, 4, 3, Fraction(2, 3)),
+    "IV*": (7, 8, 3, Fraction(4, 3)),
+    "III*": (8, 9, 2, Fraction(3, 2)),
+    "II*": (9, 10, 1, None),
+}
 
 
-def _cycle_index(symbol: str) -> Optional[int]:
-    """n for I_n, None otherwise."""
-    if symbol.startswith("I") and not symbol.endswith("*") and symbol[1:].isdigit():
+def kodaira(symbol: str) -> Kodaira:
+    """The invariants of a Kodaira symbol such as "I5", "I0*" or "IV*".
+
+    The Euler numbers of the singular fibers sum to 24 on a K3 surface.  I0 is
+    a smooth fiber, not a Kodaira type here.
+    """
+    if symbol in _ADDITIVE:
+        components, euler, disc, correction = _ADDITIVE[symbol]
+        return Kodaira(symbol, 0, components, euler, components - 1, disc, disc, correction)
+    if symbol.startswith("I") and symbol.endswith("*") and symbol[1:-1].isdecimal():
+        b = int(symbol[1:-1])
+        return Kodaira("I*", b, b + 5, b + 6, b + 4, 4, 2 if b % 2 == 0 else 4, None)
+    if symbol.startswith("I") and symbol[1:].isdecimal() and int(symbol[1:]) >= 1:
         n = int(symbol[1:])
-        return n if n >= 1 else None
-    return None
-
-
-def _star_index(symbol: str) -> Optional[int]:
-    """n for I_n*, None otherwise."""
-    if symbol.startswith("I") and symbol.endswith("*") and symbol[1:-1].isdigit():
-        return int(symbol[1:-1])
-    return None
+        return Kodaira("I", n, n, n, n - 1, n, n, None)
+    raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
 
 
 def _kodaira_from_valuations(v4: int, v6: int, vd: int, place: str) -> str:
@@ -310,49 +322,30 @@ def _delta_factorization(model: SurfaceModel):
     return factor_int_poly(discriminant(model))
 
 
+def _fiber_datum(place: str, poly: Optional[Poly], v4: int, v6: int, vd: int) -> FiberDatum:
+    sym = _kodaira_from_valuations(v4, v6, vd, place)
+    k = kodaira(sym)
+    return FiberDatum(place, poly, sym, v4, v6, vd, k.components, k.euler)
+
+
 @functools.lru_cache(maxsize=None)
 def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
     """Singular fibers of the model, finite places first, t=oo last."""
     c4, c6 = c_invariants(model)
     _, factors = _delta_factorization(model)
-    data = []
-    euler = 0
-    for f, m in factors:
-        v4 = _valuation_or_inf(c4, f)
-        v6 = _valuation_or_inf(c6, f)
-        sym = _kodaira_from_valuations(v4, v6, m, place_label(f))
-        datum = FiberDatum(
-            place=place_label(f),
-            poly=f,
-            kodaira_type=sym,
-            vc4=v4,
-            vc6=v6,
-            vdelta=m,
-            component_count=kodaira_component_count(sym),
-            euler_number=kodaira_euler_number(sym),
-        )
-        data.append(datum)
-        euler += datum.euler_number * pdeg(f)
+    data = [
+        _fiber_datum(place_label(f), f, _valuation_or_inf(c4, f), _valuation_or_inf(c6, f), m)
+        for f, m in factors
+    ]
+    euler = sum(F.euler_number * pdeg(F.poly) for F in data)
     chart = infinity_chart(model)
     c4i, c6i = c_invariants(chart)
-    di = discriminant(chart)
-    v4 = trailing_zeros(c4i) if c4i else _INF
-    v6 = trailing_zeros(c6i) if c6i else _INF
-    vd = trailing_zeros(di)
+    vd = trailing_zeros(discriminant(chart))
     if vd > 0:
-        sym = _kodaira_from_valuations(v4, v6, vd, INFINITY)
-        datum = FiberDatum(
-            place=INFINITY,
-            poly=None,
-            kodaira_type=sym,
-            vc4=v4,
-            vc6=v6,
-            vdelta=vd,
-            component_count=kodaira_component_count(sym),
-            euler_number=kodaira_euler_number(sym),
-        )
-        data.append(datum)
-        euler += datum.euler_number
+        v4 = trailing_zeros(c4i) if c4i else _INF
+        v6 = trailing_zeros(c6i) if c6i else _INF
+        data.append(_fiber_datum(INFINITY, None, v4, v6, vd))
+        euler += data[-1].euler_number
     if euler != 24:
         raise VerificationError(
             "NOT_K3", f"Euler numbers of {model.name} sum to {euler}, not 24"
@@ -361,18 +354,6 @@ def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
 
 
 # ---------------------------------------------------------------- good primes
-
-
-def _valuation_and_quotient_mod(f: Poly, g: Poly, p: int):
-    fb = pmod(f, p)
-    v = 0
-    while fb:
-        q, r = pdivmod_mod(fb, g, p)
-        if r:
-            break
-        fb = q
-        v += 1
-    return v, fb
 
 
 def good_prime(model: SurfaceModel, p: int) -> bool:
@@ -411,7 +392,7 @@ def good_prime(model: SurfaceModel, p: int) -> bool:
                 continue  # identically zero matches any p
             if not pmod(poly, p):
                 return False
-            v, q = _valuation_and_quotient_mod(poly, fb, p)
+            v, q = valuation_mod(poly, fb, p)
             if v != v_char0:
                 return False
             # per-root match: the quotient may share no factor with fb
@@ -517,7 +498,7 @@ def _cycle_count(ctx: _CountingContext, side: _ChartData, t0: int, datum: FiberD
     # I_n, n >= 2: the smooth model has an n-cycle of rational curves over the
     # node; all components rational iff the node's tangent cone splits over F_p
     p = ctx.p
-    n = _cycle_index(datum.kodaira_type)
+    n = kodaira(datum.kodaira_type).n
     b2v = peval_mod(side.b2, t0, p)
     b4v = peval_mod(side.b4, t0, p)
     b6v = peval_mod(side.b6, t0, p)
@@ -571,13 +552,11 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         # smooth model = Weierstrass model here; both nodal cases are exact
         return _charsum_count(ctx, side, t0v)
     sym = datum.kodaira_type
-    if sym == "II":
-        return p + 1
-    if sym == "III*":
-        return 8 * p + 1
-    if sym == "II*":
-        return 9 * p + 1
-    if _cycle_index(sym) is not None:
+    if sym in ("II", "III*", "II*"):
+        # a graph symmetry that fixes the identity component is trivial here,
+        # so Frobenius fixes every component
+        return datum.component_count * p + 1
+    if kodaira(sym).family == "I":
         return _cycle_count(ctx, side, t0v, datum)
     if sym == "I0*":
         return _star_count(ctx, side, t0v, datum)

@@ -3,19 +3,16 @@
 For an imaginary quadratic field of class number one the Hecke character of
 infinity-type 2 gives a newform whose coefficient at a split prime p is
 a_p = 2(x^2 - D'y^2) where p = x^2 + D'y^2 with x, y in (1/2)N. The constant
-D' normalizes away the extra units for d_K = -3 and -4. Two-torsion class
-groups contribute only the magnitude |a_p| = 2x from p^2 = x^2 + D y^2; the
-sign is fixed later by the Artin-Tate side.
+D' normalizes away the extra units for d_K = -3 and -4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .arith import cornacchia, is_prime, is_square, kronecker, squarefree_part
 from .errors import VerificationError
-from .qforms import FormClassGroup, class_number
+from .qforms import class_number
 
 __all__ = [
     "SPLIT",
@@ -26,8 +23,7 @@ __all__ = [
     "is_fundamental_discriminant",
     "split_type",
     "ap_h1",
-    "ap_two_torsion",
-    "twist_quadratic",
+    "cubic_shape_holds",
     "twist_discriminant",
     "match_twist",
 ]
@@ -51,9 +47,10 @@ def is_fundamental_discriminant(d: int) -> bool:
 
 @dataclass(frozen=True)
 class CMRule:
-    """CM field data: fundamental discriminant d_K, the form constant D,
-    and the level constant D_prime. twist, when set, is the squarefree
-    integer of a quadratic twist; None means the untwisted normalization.
+    """CM field data: fundamental discriminant d_K of class number one, the
+    form constant D, and the level constant D_prime. twist, when set, is the
+    squarefree integer of a quadratic twist; None means the untwisted
+    normalization.
     """
 
     d_K: int
@@ -69,6 +66,10 @@ class CMRule:
                 raise VerificationError(
                     "PRECONDITION", f"twist {self.twist} is not squarefree"
                 )
+        if class_number(self.d_K) != 1:
+            raise VerificationError(
+                "PRECONDITION", f"class number of {self.d_K} is not one"
+            )
 
     @property
     def D(self) -> int:
@@ -91,18 +92,14 @@ def split_type(d_K: int, p: int) -> str:
 
 
 def ap_h1(rule: CMRule, p: int) -> int:
-    """Coefficient a_p of the untwisted newform for class number one d_K.
+    """Coefficient a_p of the newform of the rule.
 
     Split p: solve 4p = X^2 + D'Y^2 (odd d_K; realizes x = X/2, y = Y/2)
     or p = x^2 + D'y^2 (even d_K, where the normalization forces integral
-    x, y) and return 2(x^2 - D'y^2). Inert p gives 0.
+    x, y) and return 2(x^2 - D'y^2). Inert p gives 0. A twist by delta
+    multiplies the result by kronecker(delta*, p), delta* the discriminant
+    of Q(sqrt(delta)).
     """
-    if rule.twist is not None:
-        raise VerificationError("PRECONDITION", "ap_h1 needs the untwisted rule")
-    if class_number(rule.d_K) != 1:
-        raise VerificationError(
-            "PRECONDITION", f"class number of {rule.d_K} is not one"
-        )
     st = split_type(rule.d_K, p)
     if st == RAMIFIED or rule.D_prime % p == 0:
         raise VerificationError("PRECONDITION", f"p = {p} is not unramified")
@@ -126,32 +123,17 @@ def ap_h1(rule: CMRule, p: int) -> int:
         X, Y = sol
         ap = (X * X - Dp * Y * Y) // 2
     assert abs(ap) <= 2 * p
+    if rule.twist is not None:
+        ap *= kronecker(twist_discriminant(rule.twist), p)
     return ap
 
 
-def ap_two_torsion(d_K: int, p: int) -> tuple[int, Fraction]:
-    """Magnitude data (2x, y) with p^2 = x^2 + D y^2, x, y in (1/2)N,
-    for two-torsion class groups. The trivial split (x, y) = (p, 0) is
-    excluded; the sign of a_p = +-2x is not determined here.
-    """
-    if d_K in (-3, -4):
-        raise VerificationError("PRECONDITION", "extra units: use ap_h1 route")
-    rule = CMRule(d_K)
-    if not FormClassGroup(d_K).is_two_torsion():
-        raise VerificationError(
-            "PRECONDITION", f"class group of {d_K} is not two-torsion"
-        )
-    if split_type(d_K, p) != SPLIT:
-        raise VerificationError("PRECONDITION", f"p = {p} does not split")
-    D = rule.D
-    sol = cornacchia(D, 4 * p * p)
-    if sol is None or sol[1] == 0:
-        raise VerificationError(
-            "NO_REPRESENTATION",
-            f"4*{p}^2 = X^2 + {D}Y^2 has no nontrivial solution",
-        )
-    X, Y = sol
-    return X, Fraction(Y, 2)
+def cubic_shape_holds(p: int, ap: int) -> bool:
+    """Whether 2p + a_p and (2p - a_p)/3 are both squares of integers, the
+    shape of a_p for every cubic twist of the d_K = -3 newform."""
+    plus = 2 * p + ap
+    minus = 2 * p - ap
+    return plus >= 0 and is_square(plus) and minus % 3 == 0 and is_square(minus // 3)
 
 
 def twist_discriminant(delta: int) -> int:
@@ -159,16 +141,6 @@ def twist_discriminant(delta: int) -> int:
     if delta == 0 or squarefree_part(delta) != delta:
         raise VerificationError("PRECONDITION", f"{delta} is not squarefree")
     return delta if delta % 4 == 1 else 4 * delta
-
-
-def twist_quadratic(
-    ap_sequence: list[tuple[int, int]], delta: int
-) -> list[tuple[int, int]]:
-    """Twist prime-indexed coefficients: a_p -> a_p * kronecker(delta*, p)."""
-    if delta == 1:
-        return list(ap_sequence)
-    dstar = twist_discriminant(delta)
-    return [(p, ap * kronecker(dstar, p)) for p, ap in ap_sequence]
 
 
 @dataclass(frozen=True)
@@ -236,14 +208,7 @@ def match_twist(
 
     if rule.d_K == -3:
         for p, ap in rows:
-            plus = 2 * p + ap
-            minus = 2 * p - ap
-            if not (
-                plus >= 0
-                and is_square(plus)
-                and minus % 3 == 0
-                and is_square(minus // 3)
-            ):
+            if not cubic_shape_holds(p, ap):
                 return TwistVerdict("no_match", failing_prime=p)
         return TwistVerdict("cubic_class")
 

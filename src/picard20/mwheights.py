@@ -15,55 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import VerificationError
-from .ellsurf import (
-    SectionData,
-    SurfaceModel,
-    _cycle_index,
-    _star_index,
-    classify_fibers,
-)
+from .ellsurf import SectionData, SurfaceModel, classify_fibers, kodaira
 from .polys import factor_int_poly, pdeg, valuation
-
-
-def root_disc(symbol: str) -> int:
-    """Discriminant of the root lattice of the fiber (A_{n-1} for I_n, etc.)."""
-    fixed = {"II": 1, "III": 2, "IV": 3, "IV*": 3, "III*": 2, "II*": 1}
-    if symbol in fixed:
-        return fixed[symbol]
-    if _star_index(symbol) is not None:
-        return 4
-    n = _cycle_index(symbol)
-    if n is not None:
-        return n
-    raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
-
-
-def root_rank(symbol: str) -> int:
-    """Rank of the root lattice of the fiber."""
-    fixed = {"II": 0, "III": 1, "IV": 2, "IV*": 6, "III*": 7, "II*": 8}
-    if symbol in fixed:
-        return fixed[symbol]
-    n = _star_index(symbol)
-    if n is not None:
-        return n + 4
-    n = _cycle_index(symbol)
-    if n is not None:
-        return n - 1
-    raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
-
-
-def component_exponent(symbol: str) -> int:
-    """Exponent of the component group; bounds denominators of heights."""
-    fixed = {"II": 1, "III": 2, "IV": 3, "IV*": 3, "III*": 2, "II*": 1}
-    if symbol in fixed:
-        return fixed[symbol]
-    n = _star_index(symbol)
-    if n is not None:
-        return 2 if n % 2 == 0 else 4
-    n = _cycle_index(symbol)
-    if n is not None:
-        return n
-    raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
 
 
 def contribution(symbol: str, index: int) -> Fraction:
@@ -73,29 +26,16 @@ def contribution(symbol: str, index: int) -> Fraction:
     around the cycle; for I_b* index 1 is the near component and 2, 3 the far
     ones.  II and II* only have the identity component.
     """
-    n = _cycle_index(symbol)
-    if n is not None:
-        if not 0 <= index < n:
-            raise VerificationError("PRECONDITION", f"I{n} has no component {index}")
-        return Fraction(index * (n - index), n)
-    b = _star_index(symbol)
-    if b is not None:
-        if index == 0:
-            return Fraction(0)
-        if index == 1:
-            return Fraction(1)
-        if index in (2, 3):
-            return 1 + Fraction(b, 4)
-        raise VerificationError("PRECONDITION", f"{symbol} has no component {index}")
-    simple = {"II": 1, "III": 2, "IV": 3, "IV*": 3, "III*": 2, "II*": 1}
-    if symbol not in simple:
-        raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
-    if not 0 <= index < simple[symbol]:
+    k = kodaira(symbol)
+    if not 0 <= index < k.root_disc:
         raise VerificationError("PRECONDITION", f"{symbol} has no component {index}")
     if index == 0:
         return Fraction(0)
-    value = {"III": Fraction(1, 2), "IV": Fraction(2, 3), "IV*": Fraction(4, 3), "III*": Fraction(3, 2)}
-    return value[symbol]
+    if k.family == "I":
+        return Fraction(index * (k.n - index), k.n)
+    if k.family == "I*":
+        return Fraction(1) if index == 1 else 1 + Fraction(k.n, 4)
+    return k.correction
 
 
 @dataclass(frozen=True)
@@ -127,18 +67,16 @@ class ConfigLattice:
     def root_discs(self) -> tuple:
         out = []
         for sym, mult in self.fibers:
-            out.extend([root_disc(sym)] * mult)
+            out.extend([kodaira(sym).root_disc] * mult)
         return tuple(out)
 
     @property
     def euler_sum(self) -> int:
-        from .ellsurf import kodaira_euler_number
-
-        return sum(kodaira_euler_number(sym) * mult for sym, mult in self.fibers)
+        return sum(kodaira(sym).euler * mult for sym, mult in self.fibers)
 
     @property
     def root_rank_sum(self) -> int:
-        return sum(root_rank(sym) * mult for sym, mult in self.fibers)
+        return sum(kodaira(sym).root_rank * mult for sym, mult in self.fibers)
 
 
 def _det(gram: tuple) -> Fraction:
@@ -284,6 +222,6 @@ def required_gram_determinant(d: int, config: ConfigLattice) -> Fraction:
 def gram_denominator_bound(config: ConfigLattice) -> int:
     bound = 1
     for sym, _ in config.fibers:
-        e = component_exponent(sym)
+        e = kodaira(sym).exponent
         bound = bound * e // math.gcd(bound, e)
     return (2 * bound) ** max(config.mw_rank, 1)

@@ -8,7 +8,6 @@ reduction mod p.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import VerificationError
@@ -28,12 +27,8 @@ __all__ = [
     "peval",
     "pderiv",
     "pdivmod",
-    "pdiv_exact",
     "valuation",
-    "content",
-    "primitive_part",
     "reciprocal",
-    "to_int_poly",
     "poly_str",
     "factor_int_poly",
     "pmod",
@@ -125,13 +120,6 @@ def pdivmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
     return ptrim(quo), ptrim(rem)
 
 
-def pdiv_exact(f: Poly, g: Poly) -> Poly:
-    q, r = pdivmod(f, g)
-    if r:
-        raise VerificationError("PRECONDITION", "polynomial division not exact")
-    return q
-
-
 def valuation(f: Poly, g: Poly) -> int:
     """Largest k with g^k dividing f over Q; f must be nonzero."""
     if not f:
@@ -147,24 +135,6 @@ def valuation(f: Poly, g: Poly) -> int:
         v += 1
 
 
-def content(f: Poly) -> int:
-    """Signed content of an integer polynomial: gcd of coefficients, with
-    the sign of the leading coefficient. 0 for the zero polynomial."""
-    if not f:
-        return 0
-    g = 0
-    for a in f:
-        g = math.gcd(g, a)
-    return g if f[-1] > 0 else -g
-
-
-def primitive_part(f: Poly) -> Poly:
-    c = content(f)
-    if c == 0:
-        return ()
-    return tuple(a // c for a in f)
-
-
 def reciprocal(f: Poly, weight: int) -> Poly:
     """s^weight * f(1/s) as a polynomial in s; requires deg(f) <= weight."""
     if pdeg(f) > weight:
@@ -174,16 +144,6 @@ def reciprocal(f: Poly, weight: int) -> Poly:
     out = [0] * (weight + 1)
     for i, a in enumerate(f):
         out[weight - i] = a
-    return ptrim(out)
-
-
-def to_int_poly(f: Poly) -> Poly:
-    out = []
-    for a in f:
-        fa = Fraction(a)
-        if fa.denominator != 1:
-            raise VerificationError("PRECONDITION", "non-integral coefficient")
-        out.append(int(fa))
     return ptrim(out)
 
 
@@ -285,7 +245,8 @@ def is_squarefree_mod(f: Poly, p: int) -> bool:
     return pdeg(pgcd_mod(fb, pderiv(fb), p)) == 0
 
 
-def valuation_mod(f: Poly, g: Poly, p: int) -> int:
+def valuation_mod(f: Poly, g: Poly, p: int) -> tuple[int, Poly]:
+    """(k, q) with g^k exactly dividing f mod p and q = f / g^k mod p."""
     fb, gb = pmod(f, p), pmod(g, p)
     if not fb:
         raise VerificationError("PRECONDITION", "valuation of zero mod p")
@@ -295,7 +256,7 @@ def valuation_mod(f: Poly, g: Poly, p: int) -> int:
     while True:
         q, r = pdivmod_mod(fb, gb, p)
         if r:
-            return v
+            return v, fb
         fb = q
         v += 1
 

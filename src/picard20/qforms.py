@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
-from .arith import is_prime, kronecker, primes_up_to, squarefree_part
+from .arith import primes_up_to, squarefree_part
 from .errors import VerificationError
 
 __all__ = [
@@ -25,9 +23,7 @@ __all__ = [
     "form_power",
     "FormClassGroup",
     "class_number",
-    "is_two_torsion",
     "represented_primes",
-    "form_to_tau",
     "is_valid_discriminant",
     "fundamental_decomposition",
 ]
@@ -60,6 +56,10 @@ class QuadForm:
         if (abs(b) == a or a == c) and b < 0:
             return False
         return True
+
+    def is_ambiguous(self) -> bool:
+        """Whether this reduced form is its own inverse class: b = 0, a = b or a = c."""
+        return self.b == 0 or self.a == self.b or self.a == self.c
 
     def inverse(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c)
@@ -233,16 +233,6 @@ def class_number(d: int) -> int:
     return len(enumerate_reduced(d))
 
 
-def is_two_torsion(d: int) -> bool:
-    """True iff every class of discriminant d squares to the principal class.
-
-    Decided by actually squaring every reduced form; the ambiguous-form count
-    is kept out of this path so it can serve as an independent check.
-    """
-    e = reduce_form(principal_form(d))
-    return all(compose(f, f) == e for f in enumerate_reduced(d))
-
-
 class FormClassGroup:
     """The class group of primitive forms of discriminant d."""
 
@@ -323,15 +313,16 @@ class FormClassGroup:
         return factors
 
     def is_two_torsion(self) -> bool:
+        """Whether every class squares to the identity, decided by squaring.
+
+        The ambiguous-form count stays out of this path, so the two can
+        check each other.
+        """
         return all(compose(f, f) == self.identity for f in self.reduced_forms)
 
     def ambiguous_count(self) -> int:
-        """Number of reduced forms with b = 0, a = b, or a = c."""
-        return sum(
-            1
-            for f in self.reduced_forms
-            if f.b == 0 or f.a == f.b or f.a == f.c
-        )
+        """Number of ambiguous reduced forms."""
+        return sum(1 for f in self.reduced_forms if f.is_ambiguous())
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -406,13 +397,6 @@ def represented_primes(f: QuadForm, bound: int) -> list[int]:
             if val <= bound:
                 hit[val] = 1
     return [p for p in primes_up_to(bound) if hit[p]]
-
-
-def form_to_tau(f: QuadForm) -> tuple[int, int, int]:
-    """Upper half-plane CM point of the form: tau = (-b + sqrt(d)) / (2a),
-    returned as the triple (-b, 2a, d)."""
-    _check_definite(f)
-    return (-f.b, 2 * f.a, f.disc)
 
 
 def fundamental_decomposition(d: int) -> tuple[int, int]:

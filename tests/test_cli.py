@@ -47,6 +47,30 @@ class TestClassify:
         assert "note" in blob
 
 
+class TestAp:
+    def test_twist_scales_base_rows(self, capsys):
+        from picard20.arith import kronecker
+
+        code, base = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "30")
+        code2, twisted = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "30", "--twist", "5")
+        assert (code, code2) == (0, 0)
+        assert twisted["twist"] == 5
+        want = [
+            [p, kind, None if ap is None else ap * kronecker(20, p)]
+            for p, kind, ap in base["rows"]
+        ]
+        assert twisted["rows"] == want != base["rows"]
+
+    def test_class_number_checked_before_any_prime(self, capsys):
+        # no prime up to 5 splits in Q(sqrt(-5)), yet the field is refused
+        code, blob = run_cli(capsys, "ap", "--dK", "-20", "--pmax", "5")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "class number of -20 is not one",
+        }
+
+
 class TestCount:
     def test_d19_at_5(self, capsys):
         code, blob = run_cli(capsys, "count", "--model", "d19", "--p", "5")

@@ -18,11 +18,11 @@ GOLDEN = {
     "ap --dK -163 --pmax 200": (0, "560293d0ca082f035e80aed951b016172c3d3480e90fac1f09b23d5d9a374bfd"),
     "ap --dK -19 --pmax 200": (0, "28058a3641f1f7739cd506d1c73f5c27608782462e91082d3577a3e0ffcd4d0d"),
     "ap --dK -20 --pmax 30": (1, "789b150011a24030fc1ddc67d1844c56e6e2fa3dc124dcc4f13001ee50baf5a0"),
-    "ap --dK -20 --pmax 5": (0, "e2c5b1d4bbec3fba0c5c6cf0d3c8a56bd64f116fca39f53d52d8b18fafca2d7e"),
+    "ap --dK -20 --pmax 5": (1, "789b150011a24030fc1ddc67d1844c56e6e2fa3dc124dcc4f13001ee50baf5a0"),
     "ap --dK -3 --pmax 200": (0, "8cc69f2db0201ba928e001b1bd2890f5401a585aa73073b17639004eead24fa3"),
     "ap --dK -4 --pmax 1000": (0, "acc86622c981203c400291c37c6c57c7756e4444ebf25017cb013a8401d4714d"),
     "ap --dK -4 --pmax 200": (0, "d03efc6c926da5fb8fe1f7dbc12d059217c8e85f7ee42f547d9406e3ee7686ce"),
-    "ap --dK -4 --pmax 30 --twist 5": (1, "02f974ce9040a941df2cb608ed1f3450fe8ca50ddb01af9fe406044e398ddac1"),
+    "ap --dK -4 --pmax 30 --twist 5": (0, "dc7279aced5217000d7906ac1ad8280f9e5516570abee22a08fc1c7cee2cefe1"),
     "ap --dK -43 --pmax 200": (0, "6a7ee78daaa2c79e33c2281f310069013690e32fe20737b43033b02bfd9351c1"),
     "ap --dK -67 --pmax 200": (0, "414c867d61914ad81423e38ca9cd06144a0c2e4bd9ba226d0418ca8156fd1496"),
     "ap --dK -7 --pmax 200": (0, "37ff4f59baedbbbbd8ebb5937830854415d9fa3ca10bd76239918d1c4e8826f7"),

@@ -11,12 +11,11 @@ from picard20.errors import VerificationError
 from picard20.heckecm import (
     CMRule,
     ap_h1,
-    ap_two_torsion,
+    cubic_shape_holds,
     is_fundamental_discriminant,
     match_twist,
     split_type,
     twist_discriminant,
-    twist_quadratic,
 )
 
 FROZEN_STREAMS = {
@@ -88,8 +87,12 @@ def test_ramified_primes_rejected():
 
 
 def test_ap_h1_requires_class_number_one():
-    with pytest.raises(VerificationError):
-        ap_h1(CMRule(-23), 5)
+    # the rule itself refuses the field, before any prime is asked for
+    for dK in (-20, -23):
+        with pytest.raises(VerificationError) as err:
+            CMRule(dK)
+        assert err.value.code == "PRECONDITION"
+        assert err.value.message == f"class number of {dK} is not one"
 
 
 def test_fundamental_discriminants():
@@ -108,25 +111,33 @@ def test_twist_discriminant():
         twist_discriminant(12)
 
 
+def twisted_stream(dK, delta):
+    rule = CMRule(dK, delta)
+    return [(p, ap_h1(rule, p)) for p, _ in FROZEN_STREAMS[dK]]
+
+
 def test_twist_involution():
     # deltas coprime to every prime in the stream, else the row is zeroed
     base = FROZEN_STREAMS[-4]
     for delta in (3, -1, 2, -11):
-        twisted = twist_quadratic(base, delta)
-        assert twist_quadratic(twisted, delta) == base
+        twisted = twisted_stream(-4, delta)
+        dstar = twist_discriminant(delta)
+        assert [(p, ap * kronecker(dstar, p)) for p, ap in twisted] == base
 
 
-def test_ap_two_torsion_magnitudes():
-    # |a_p| from the norm equation p^2 = x^2 + D y^2 with y > 0
-    X, y = ap_two_torsion(-20, 3)  # 3 splits: 3^2 = 2^2 + 5, so (2x, y) = (4, 1)
-    assert (X, y) == (4, 1)
-    assert X * X + 4 * 5 * y * y == 4 * 9
-    with pytest.raises(VerificationError):
-        ap_two_torsion(-20, 13)  # inert
-    with pytest.raises(VerificationError):
-        ap_two_torsion(-3, 7)  # extra units excluded
-    with pytest.raises(VerificationError):
-        ap_two_torsion(-23, 59)  # class group is Z/3
+def test_twisted_rule_scales_by_character():
+    for dK in H1_FIELDS:
+        base, rule = CMRule(dK), CMRule(dK, -7)
+        for p in primes_up_to(200):
+            if p <= 3 or split_type(dK, p) == "ramified":
+                continue
+            assert ap_h1(rule, p) == ap_h1(base, p) * kronecker(-7, p), (dK, p)
+
+
+def test_cubic_shape():
+    for p, ap in FROZEN_STREAMS[-3]:
+        assert cubic_shape_holds(p, ap)
+        assert not cubic_shape_holds(p, ap + 1)
 
 
 class TestMatchTwist:
@@ -136,7 +147,7 @@ class TestMatchTwist:
 
     def test_quadratic_twist_recovers_delta(self):
         for delta in (3, -1, 7, -11):
-            twisted = twist_quadratic(FROZEN_STREAMS[-4], delta)
+            twisted = twisted_stream(-4, delta)
             verdict = match_twist(twisted, CMRule(-4))
             if all(kronecker(twist_discriminant(delta), p) == 1
                    for p, _ in FROZEN_STREAMS[-4]):

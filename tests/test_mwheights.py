@@ -8,7 +8,6 @@ from picard20.errors import VerificationError
 from picard20.models import REGISTRY, TABLE_ROWS, get_model
 from picard20.mwheights import (
     ConfigLattice,
-    component_exponent,
     compute_PO,
     config_from_model,
     contribution,
@@ -16,10 +15,8 @@ from picard20.mwheights import (
     height,
     ns_discriminant,
     required_gram_determinant,
-    root_disc,
-    root_rank,
 )
-from picard20.ellsurf import SectionData
+from picard20.ellsurf import SectionData, kodaira
 
 
 class TestContribution:
@@ -67,14 +64,21 @@ class TestContribution:
 
 
 def test_root_data():
-    assert root_disc("I19") == 19 and root_rank("I19") == 18
-    assert root_disc("III*") == 2 and root_rank("III*") == 7
-    assert root_disc("II*") == 1 and root_rank("II*") == 8
-    assert root_disc("IV") == 3 and root_rank("IV") == 2
-    assert root_disc("I0*") == 4 and root_rank("I0*") == 4
-    assert root_disc("I2*") == 4 and root_rank("I2*") == 6
-    assert component_exponent("I9") == 9
-    assert component_exponent("III*") == 2
+    assert kodaira("I19").root_disc == 19 and kodaira("I19").root_rank == 18
+    assert kodaira("III*").root_disc == 2 and kodaira("III*").root_rank == 7
+    assert kodaira("II*").root_disc == 1 and kodaira("II*").root_rank == 8
+    assert kodaira("IV").root_disc == 3 and kodaira("IV").root_rank == 2
+    assert kodaira("I0*").root_disc == 4 and kodaira("I0*").root_rank == 4
+    assert kodaira("I2*").root_disc == 4 and kodaira("I2*").root_rank == 6
+    assert kodaira("I9").exponent == 9
+    assert kodaira("III*").exponent == 2
+    assert kodaira("I1*").exponent == 4 and kodaira("I2*").exponent == 2
+    for sym in ("I0", "I", "I*", "V", "I-1", "i3"):
+        with pytest.raises(VerificationError) as err:
+            kodaira(sym)
+        assert err.value.code == "PRECONDITION"
+        with pytest.raises(VerificationError):
+            contribution(sym, 0)
 
 
 class TestHeights:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from picard20.errors import VerificationError
 from picard20.polys import (
-    content,
     factor_int_poly,
     is_squarefree_mod,
     pdeg,
@@ -87,11 +86,6 @@ def test_trailing_zeros():
         trailing_zeros(())
 
 
-def test_content_sign_follows_leading_coefficient():
-    assert content((2, 4, -6)) == -2
-    assert content((-3, 6)) == 3
-
-
 @given(coeffs)
 @settings(deadline=None)
 def test_factor_product_reconstructs(f):
@@ -149,8 +143,8 @@ def test_is_squarefree_mod():
 def test_valuation_mod():
     p = 5
     f = pmod(pmul(ppow((0, 1), 2), (3, 1)), p)  # t^2 (t + 3) mod 5
-    assert valuation_mod(f, (0, 1), p) == 2
-    assert valuation_mod(f, (3, 1), p) == 1
+    assert valuation_mod(f, (0, 1), p) == (2, (3, 1))
+    assert valuation_mod(f, (3, 1), p) == (1, (0, 0, 1))
 
 
 def test_pscale_and_psub():

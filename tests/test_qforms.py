@@ -17,9 +17,7 @@ from picard20.qforms import (
     compose,
     enumerate_reduced,
     form_power,
-    form_to_tau,
     fundamental_decomposition,
-    is_two_torsion,
     principal_form,
     reduce_form,
     reduced_forms_up_to,
@@ -161,7 +159,8 @@ def test_two_torsion_iff_every_class_ambiguous():
             continue
         group = FormClassGroup(d)
         assert group.is_two_torsion() == (group.ambiguous_count() == group.h), d
-        assert is_two_torsion(d) == group.is_two_torsion()
+        for f in group.reduced_forms:
+            assert f.is_ambiguous() == (reduce_form(f.inverse()) == f), (d, f)
 
 
 def test_bucket_enumeration_matches_per_discriminant():
@@ -220,13 +219,6 @@ def test_represented_primes_splits_by_class():
     split = {p for p in primes_up_to(5000) if kronecker(-20, p) == 1}
     assert (r1 | r2) >= split
     assert not (r1 & r2 & split)
-
-
-def test_form_to_tau_upper_half_plane():
-    for d in (-23, -47):
-        for f in enumerate_reduced(d):
-            b, a2, d2 = form_to_tau(f)
-            assert a2 == 2 * f.a and b == -f.b and d2 == d
 
 
 def test_invalid_discriminants_rejected():

@@ -116,6 +116,12 @@ GOLDEN = {
 }
 
 
+# One hash over the exit code and stdout of `classgroup -d d` for every
+# -3 >= d >= -1000, invalid discriminants included: the composition law and
+# the group structure are pinned on every class group in that range.
+CLASSGROUP_SWEEP = "6b74b543d8746cfcd0270b75e57ca66c1e33270cb1697903b1ce067464e980f8"
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden(command, capsys, tmp_path):
     out_path = tmp_path / "report.json"
@@ -125,3 +131,11 @@ def test_golden(command, capsys, tmp_path):
     assert (code, digest) == GOLDEN[command], stdout.decode()[:2000]
     if "{out}" in command:
         assert out_path.read_bytes() == stdout
+
+
+def test_classgroup_sweep(capsys):
+    digest = hashlib.sha256()
+    for d in range(-3, -1001, -1):
+        code = main(["classgroup", "-d", str(d)])
+        digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert digest.hexdigest() == CLASSGROUP_SWEEP

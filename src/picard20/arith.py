@@ -9,13 +9,17 @@ from __future__ import annotations
 
 import math
 
+from .errors import VerificationError
+
 __all__ = [
     "is_prime",
     "kronecker",
     "sqrt_mod",
     "cornacchia",
     "primes_up_to",
+    "factorize",
     "squarefree_part",
+    "is_squarefree",
     "is_square",
 ]
 
@@ -24,6 +28,9 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# Trial division of n takes up to sqrt(n)/2 steps: about 0.1 s at this bound.
+_FACTOR_LIMIT = 10**12
 
 
 def is_prime(n: int) -> bool:
@@ -167,21 +174,38 @@ def primes_up_to(bound: int) -> list[int]:
     return [i for i, flag in enumerate(sieve) if flag]
 
 
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization of |n| by trial division: [(q, e), ...], q ascending.
+
+    |n| above 10^12 raises PRECONDITION rather than run for minutes.
+    """
+    if n == 0:
+        raise ValueError("factorize(0) is undefined")
+    n = abs(n)
+    if n > _FACTOR_LIMIT:
+        raise VerificationError("PRECONDITION", f"{n} is too large to factor by trial division")
+    out = []
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            out.append((q, e))
+        q += 1 if q == 2 else 2
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def squarefree_part(n: int) -> int:
     """Squarefree kernel of n (sign preserved); squarefree_part(0) is an error."""
     if n == 0:
         raise ValueError("squarefree_part(0) is undefined")
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    out = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e % 2:
-                out *= d
-        d += 1 if d == 2 else 2
-    return sign * out * n
+    return (-1 if n < 0 else 1) * math.prod(q for q, e in factorize(n) if e % 2)
+
+
+def is_squarefree(n: int) -> bool:
+    """True iff n != 0 and no prime square divides n."""
+    return n != 0 and all(e == 1 for _, e in factorize(n))

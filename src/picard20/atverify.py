@@ -28,6 +28,7 @@ from .mwheights import (
 )
 from .qforms import (
     QuadForm,
+    check_discriminant,
     class_number,
     fundamental_decomposition,
     principal_form,
@@ -262,8 +263,7 @@ def lemma_r_check(d: int, r: int, bound: int = 100000) -> dict:
     The represented-prime sets (above a small cutoff) agree exactly when the
     class numbers agree; the verdict records that the equivalence holds.
     """
-    if d >= 0 or d % 4 not in (0, 1):
-        raise VerificationError("PRECONDITION", f"{d} is not a negative discriminant")
+    check_discriminant(d)
     if r < 2:
         raise VerificationError("PRECONDITION", "r must be at least 2")
     if not _LEMMA_CUTOFF < bound <= 10**6:

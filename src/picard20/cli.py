@@ -27,6 +27,7 @@ from .atverify import (
 from .polys import pdeg
 from .ellsurf import (
     _INF,
+    algebraic_count,
     classify_fibers,
     model_from_json,
     surface_count,
@@ -80,8 +81,15 @@ def _emit(obj, out: str | None = None, code: int = 0) -> int:
 
 def _load_model(spec: str, delta: int = 1):
     if os.sep in spec or spec.endswith(".json"):
-        with open(spec, "r", encoding="utf-8") as fh:
-            model = model_from_json(json.load(fh))
+        try:
+            with open(spec, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise VerificationError("UNKNOWN_MODEL", f"cannot read {spec}: {exc.strerror}") from None
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers malformed JSON and bytes that are not UTF-8
+            raise VerificationError("PRECONDITION", f"{spec} is not JSON: {exc}") from None
+        model = model_from_json(obj)
     else:
         model = get_model(spec)
     if delta != 1:
@@ -142,11 +150,12 @@ def _cmd_ap(args) -> int:
 
 def _cmd_count(args) -> int:
     model = _load_model(args.model, args.delta)
-    count = surface_count(model, args.p)
     try:
         ap = trace_ap(model, args.p)
     except VerificationError:
         ap = None
+    # a trace gives the count; trace_ap refuses most primes before it counts
+    count = surface_count(model, args.p) if ap is None else ap + algebraic_count(args.p)
     return _emit(
         {"model": model.name, "p": args.p, "surface_count": count, "trace_ap": ap}
     )
@@ -217,12 +226,10 @@ def _cmd_nsdisc(args) -> int:
     return _emit(
         {
             "model": model.name,
-            "configuration": [[sym, mult] for sym, mult in config.fibers],
+            "configuration": config.fibers,
             "mw_rank": config.mw_rank,
             "torsion_order": config.torsion_order,
-            "mw_gram": [list(row) for row in config.mw_gram]
-            if config.mw_gram is not None
-            else None,
+            "mw_gram": config.mw_gram,
             "ns_discriminant": ns_discriminant(config),
         }
     )
@@ -248,7 +255,7 @@ def _cmd_list_models(args) -> int:
                 "d": model.d,
                 "rank20_over_Q": model.rank20_over_Q,
                 "sections": len(model.sections),
-                "expected_config": [[pl, sym] for pl, sym in model.expected_config],
+                "expected_config": model.expected_config,
             }
         )
     return _emit({"models": rows})

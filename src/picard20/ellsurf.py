@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import is_prime, kronecker, squarefree_part
+from .arith import is_prime, is_squarefree, kronecker, squarefree_part
 from .errors import VerificationError
 from .polys import (
     Poly,
@@ -214,7 +214,7 @@ class SurfaceModel:
                 raise VerificationError("PRECONDITION", f"{name} has non-integer coefficients")
         if not isinstance(self.d, int) or self.d >= 0:
             raise VerificationError("PRECONDITION", "declared discriminant must be a negative integer")
-        if self.twist_by == 0 or squarefree_part(self.twist_by) != self.twist_by:
+        if not is_squarefree(self.twist_by):
             raise VerificationError("PRECONDITION", "twist_by must be squarefree and nonzero")
         object.__setattr__(self, "sections", tuple(self.sections))
         object.__setattr__(
@@ -575,15 +575,24 @@ def surface_count(model: SurfaceModel, p: int) -> int:
     return total + count_fiber(model, p, INFINITY)
 
 
+def algebraic_count(p: int) -> int:
+    """1 + p^2 + 20p: the part of #X(F_p) that is not a_p, for a rank-20 model
+    at a good split prime."""
+    return 1 + p * p + 20 * p
+
+
 def trace_ap(model: SurfaceModel, p: int) -> int:
-    """a_p = #X(F_p) - 1 - p^2 - 20p at a good split prime of a rank-20 model."""
+    """a_p = #X(F_p) - algebraic_count(p) at a good split prime of a rank-20 model.
+
+    The preconditions are checked before the O(p^2) count.
+    """
     if not rank20_effective(model):
         raise VerificationError(
             "PRECONDITION", f"{model.name} is not effectively of rank 20 over Q"
         )
     if kronecker(model.d, p) != 1:
         raise VerificationError("PRECONDITION", f"p={p} is not split for d={model.d}")
-    ap = surface_count(model, p) - 1 - p * p - 20 * p
+    ap = surface_count(model, p) - algebraic_count(p)
     if abs(ap) > 2 * p:
         raise VerificationError("PRECONDITION", f"a_{p}={ap} breaks the Weil bound")
     return ap
@@ -599,7 +608,7 @@ def twist_model(model: SurfaceModel, delta: int) -> SurfaceModel:
     units of Q[t]), so the expected configuration carries over.  Only sections
     with y = 0 survive twisting rationally; the rest are dropped.
     """
-    if delta == 0 or squarefree_part(delta) != delta:
+    if not is_squarefree(delta):
         raise VerificationError("PRECONDITION", "twist must be a nonzero squarefree integer")
     if model.a1 or model.a3:
         raise VerificationError(
@@ -668,30 +677,71 @@ def model_to_json(model: SurfaceModel) -> dict:
     return obj
 
 
-def model_from_json(obj: dict) -> SurfaceModel:
-    """Inverse of model_to_json; validates through the SurfaceModel constructor."""
-    a = obj["a"]
+_REQUIRED = object()
+_JSON_TYPE = {
+    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean"
+}
+
+
+def _json_field(obj, key: str, kind: type, default=_REQUIRED):
+    """obj[key], of exactly the JSON type kind (a bool is no int), or default
+    when the key is absent; PRECONDITION otherwise."""
+    if type(obj) is not dict:
+        raise VerificationError("PRECONDITION", "a model and its sections must be JSON objects")
+    if key not in obj:
+        if default is _REQUIRED:
+            raise VerificationError("PRECONDITION", f"model JSON lacks {key!r}")
+        return default
+    if type(obj[key]) is not kind:
+        raise VerificationError(
+            "PRECONDITION", f"model JSON field {key!r} must be {_JSON_TYPE[kind]}"
+        )
+    return obj[key]
+
+
+def _json_ints(obj, key: str, default=()) -> tuple:
+    values = tuple(_json_field(obj, key, list, default))
+    if any(type(v) is not int for v in values):
+        raise VerificationError("PRECONDITION", f"model JSON field {key!r} must hold integers")
+    return values
+
+
+def _json_pairs(obj, key: str, kinds: tuple[type, type]) -> tuple:
+    pairs = _json_field(obj, key, list, ())
+    for pair in pairs:
+        if type(pair) is not list or len(pair) != 2 or any(
+            type(v) is not k for v, k in zip(pair, kinds)
+        ):
+            names = " and ".join(_JSON_TYPE[k] for k in kinds)
+            raise VerificationError(
+                "PRECONDITION", f"model JSON field {key!r} must hold pairs of {names}"
+            )
+    return tuple(tuple(pair) for pair in pairs)
+
+
+def model_from_json(obj) -> SurfaceModel:
+    """Inverse of model_to_json; validates through the SurfaceModel constructor.
+
+    A value that does not describe a model raises PRECONDITION.
+    """
+    a = _json_field(obj, "a", dict)
     sections = tuple(
         SectionData(
-            x_num=tuple(s["x_num"]),
-            x_den=tuple(s.get("x_den", [1])),
-            y_num=tuple(s.get("y_num", [])),
-            y_den=tuple(s.get("y_den", [1])),
-            torsion_order=int(s.get("torsion_order", 0)),
-            component_hits=tuple((pl, k) for pl, k in s.get("component_hits", [])),
+            x_num=_json_ints(s, "x_num", _REQUIRED),
+            x_den=_json_ints(s, "x_den", (1,)),
+            y_num=_json_ints(s, "y_num"),
+            y_den=_json_ints(s, "y_den", (1,)),
+            torsion_order=_json_field(s, "torsion_order", int, 0),
+            component_hits=_json_pairs(s, "component_hits", (str, int)),
         )
-        for s in obj.get("sections", [])
+        for s in _json_field(obj, "sections", list, ())
     )
     return SurfaceModel(
-        name=str(obj["name"]),
-        a1=tuple(a.get("a1", [])),
-        a2=tuple(a.get("a2", [])),
-        a3=tuple(a.get("a3", [])),
-        a4=tuple(a.get("a4", [])),
-        a6=tuple(a.get("a6", [])),
-        d=int(obj["d"]),
-        rank20_over_Q=bool(obj.get("rank20_over_Q", False)),
+        name=_json_field(obj, "name", str),
+        **{key: _json_ints(a, key) for key in _DEGREE_BOUND},
+        d=_json_field(obj, "d", int),
+        rank20_over_Q=_json_field(obj, "rank20_over_Q", bool, False),
         sections=sections,
-        expected_config=tuple((pl, sym) for pl, sym in obj.get("expected_config", [])),
-        twist_by=int(obj.get("twist_by", 1)),
+        expected_config=_json_pairs(obj, "expected_config", (str, str)),
+        twist_by=_json_field(obj, "twist_by", int, 1),
     )

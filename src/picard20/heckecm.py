@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import cornacchia, is_prime, is_square, kronecker, squarefree_part
+from .arith import cornacchia, is_prime, is_square, is_squarefree, kronecker
 from .errors import VerificationError
-from .qforms import class_number
+from .qforms import class_number, is_fundamental_discriminant, twist_discriminant
 
 __all__ = [
     "SPLIT",
@@ -20,29 +20,15 @@ __all__ = [
     "RAMIFIED",
     "CMRule",
     "TwistVerdict",
-    "is_fundamental_discriminant",
     "split_type",
     "ap_h1",
     "cubic_shape_holds",
-    "twist_discriminant",
     "match_twist",
 ]
 
 SPLIT = "split"
 INERT = "inert"
 RAMIFIED = "ramified"
-
-
-def is_fundamental_discriminant(d: int) -> bool:
-    """d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree."""
-    if d >= 0:
-        return False
-    if d % 4 == 1:
-        return squarefree_part(d) == d
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and squarefree_part(m) == m
-    return False
 
 
 @dataclass(frozen=True)
@@ -61,11 +47,8 @@ class CMRule:
             raise VerificationError(
                 "PRECONDITION", f"{self.d_K} is not a fundamental discriminant"
             )
-        if self.twist is not None:
-            if self.twist == 0 or squarefree_part(self.twist) != self.twist:
-                raise VerificationError(
-                    "PRECONDITION", f"twist {self.twist} is not squarefree"
-                )
+        if self.twist is not None and not is_squarefree(self.twist):
+            raise VerificationError("PRECONDITION", f"twist {self.twist} is not squarefree")
         if class_number(self.d_K) != 1:
             raise VerificationError(
                 "PRECONDITION", f"class number of {self.d_K} is not one"
@@ -136,13 +119,6 @@ def cubic_shape_holds(p: int, ap: int) -> bool:
     return plus >= 0 and is_square(plus) and minus % 3 == 0 and is_square(minus // 3)
 
 
-def twist_discriminant(delta: int) -> int:
-    """Discriminant of Q(sqrt(delta)) for squarefree delta."""
-    if delta == 0 or squarefree_part(delta) != delta:
-        raise VerificationError("PRECONDITION", f"{delta} is not squarefree")
-    return delta if delta % 4 == 1 else 4 * delta
-
-
 @dataclass(frozen=True)
 class TwistVerdict:
     """Outcome of comparing geometric coefficients with the CM rule.
@@ -199,7 +175,7 @@ def match_twist(
         signs = {p: 1 if ap == base[p] else -1 for p, ap in rows}
         for adelta in range(2, _TWIST_SEARCH_BOUND + 1):
             for delta in (adelta, -adelta):
-                if squarefree_part(delta) != delta:
+                if not is_squarefree(delta):
                     continue
                 dstar = twist_discriminant(delta)
                 if all(kronecker(dstar, p) == s for p, s in signs.items()):

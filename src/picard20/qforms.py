@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import primes_up_to, squarefree_part
+from .arith import factorize, is_squarefree, primes_up_to, squarefree_part
 from .errors import VerificationError
 
 __all__ = [
@@ -24,8 +24,10 @@ __all__ = [
     "FormClassGroup",
     "class_number",
     "represented_primes",
-    "is_valid_discriminant",
+    "check_discriminant",
+    "twist_discriminant",
     "fundamental_decomposition",
+    "is_fundamental_discriminant",
 ]
 
 
@@ -64,15 +66,6 @@ class QuadForm:
     def inverse(self) -> "QuadForm":
         return QuadForm(self.a, -self.b, self.c)
 
-    def transform(self, p: int, q: int, r: int, s: int) -> "QuadForm":
-        """Apply the determinant-one substitution (x, y) -> (px + qy, rx + sy)."""
-        if p * s - q * r != 1:
-            raise ValueError("transform matrix must have determinant 1")
-        a = self(p, r)
-        c = self(q, s)
-        b = 2 * (self.a * p * q + self.c * r * s) + self.b * (p * s + q * r)
-        return QuadForm(a, b, c)
-
 
 def _check_definite(f: QuadForm) -> None:
     if f.a <= 0 or f.disc >= 0:
@@ -81,9 +74,10 @@ def _check_definite(f: QuadForm) -> None:
         )
 
 
-def is_valid_discriminant(d: int) -> bool:
-    """True iff d < 0 and d = 0 or 1 mod 4."""
-    return d < 0 and d % 4 in (0, 1)
+def check_discriminant(d: int) -> None:
+    """Raise PRECONDITION unless d < 0 and d = 0 or 1 mod 4."""
+    if d >= 0 or d % 4 not in (0, 1):
+        raise VerificationError("PRECONDITION", f"{d} is not a negative discriminant")
 
 
 def reduce_form(f: QuadForm) -> QuadForm:
@@ -114,8 +108,7 @@ def reduce_form(f: QuadForm) -> QuadForm:
 
 def principal_form(d: int) -> QuadForm:
     """The principal (identity) form of discriminant d."""
-    if not is_valid_discriminant(d):
-        raise VerificationError("PRECONDITION", f"{d} is not a negative discriminant")
+    check_discriminant(d)
     b = d % 2
     return QuadForm(1, b, (b * b - d) // 4)
 
@@ -126,8 +119,7 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
     Imprimitive reduced forms exist for non-fundamental d (e.g. (2, 2, 2) at
     d = -12) but do not belong to the class group and are excluded.
     """
-    if not is_valid_discriminant(d):
-        raise VerificationError("PRECONDITION", f"{d} is not a negative discriminant")
+    check_discriminant(d)
     out = []
     amax = math.isqrt(-d // 3)
     for a in range(1, amax + 1):
@@ -148,36 +140,6 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
     return out
 
 
-def _coprime_representative(g: QuadForm, n: int) -> QuadForm:
-    """A form properly equivalent to g whose leading coefficient is
-    coprime to n. Searches primitive vectors (u, v) by growing box; a
-    primitive form represents values coprime to any modulus, with small
-    witnesses in practice."""
-    if math.gcd(g.a, n) == 1:
-        return g
-    bound = 1
-    while bound <= abs(n) + 2:
-        for u in range(-bound, bound + 1):
-            for v in range(-bound, bound + 1):
-                if max(abs(u), abs(v)) != bound and bound > 1:
-                    continue
-                if math.gcd(u, v) != 1:
-                    continue
-                if math.gcd(g(u, v), n) != 1:
-                    continue
-                # extend (u, v) to a determinant-one matrix
-                gg, x, y = _xgcd(u, v)
-                if gg < 0:
-                    gg, x, y = -gg, -x, -y
-                assert gg == 1
-                # u*x + v*y = 1 gives det(u, -y; v, x) = 1
-                return g.transform(u, -y, v, x)
-        bound += 1
-    raise VerificationError(
-        "PRECONDITION", f"no value of {g} coprime to {n}; form imprimitive?"
-    )
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     old_r, r = a, b
     old_s, s = 1, 0
@@ -193,28 +155,29 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
 def compose(f: QuadForm, g: QuadForm) -> QuadForm:
     """Gauss composition of primitive forms of the same discriminant.
 
-    Returns the reduced representative of the composed class. Route: replace
-    g by an equivalent form with leading coefficient coprime to f.a, align
-    the middle coefficients by CRT so the pair is concordant, then multiply.
+    Returns the reduced representative of the composed class, by Shanks'
+    formula (Cohen, Algorithm 5.4.7): with s = (b1 + b2)/2, two extended
+    gcds give d1 = gcd(a1, a2, s) and the composite has leading coefficient
+    a1 a2 / d1^2.
     """
     d = f.disc
     if g.disc != d:
         raise VerificationError("PRECONDITION", "composition needs equal discriminants")
     if not (f.is_primitive() and g.is_primitive()):
         raise VerificationError("PRECONDITION", "composition needs primitive forms")
-    f = reduce_form(f)
-    g = reduce_form(g)
-    g2 = _coprime_representative(g, f.a)
-    a1, b1 = f.a, f.b
-    a2, b2 = g2.a, g2.b
-    # B = b1 mod 2a1, B = b2 mod 2a2; solvable since b1 = b2 = d (mod 2).
-    assert (b1 - b2) % 2 == 0
-    k = ((b2 - b1) // 2 * pow(a1, -1, a2)) % a2
-    B = b1 + 2 * a1 * k
-    a3 = a1 * a2
-    num = B * B - d
-    assert num % (4 * a3) == 0
-    return reduce_form(QuadForm(a3, B, num // (4 * a3)))
+    _check_definite(f)
+    _check_definite(g)
+    if f.a > g.a:
+        f, g = g, f
+    a1, a2, b2, c2 = f.a, g.a, g.b, g.c
+    s = (f.b + b2) // 2
+    n = b2 - s
+    e, y1, _ = _xgcd(a2, a1)  # y1 a2 = e = gcd(a1, a2) mod a1
+    d1, x2, y2 = _xgcd(s, e)  # x2 s + y2 e = d1 = gcd(a1, a2, s) > 0, as e > 0
+    v1, v2 = a1 // d1, a2 // d1
+    r = (-y1 * y2 * n - x2 * c2) % v1
+    b3 = b2 + 2 * v2 * r
+    return reduce_form(QuadForm(v1 * v2, b3, (b3 * b3 - d) // (4 * v1 * v2)))
 
 
 def form_power(f: QuadForm, k: int) -> QuadForm:
@@ -237,10 +200,6 @@ class FormClassGroup:
     """The class group of primitive forms of discriminant d."""
 
     def __init__(self, d: int):
-        if not is_valid_discriminant(d):
-            raise VerificationError(
-                "PRECONDITION", f"{d} is not a negative discriminant"
-            )
         self.d = d
         self.reduced_forms = enumerate_reduced(d)
         self._index = {f: i for i, f in enumerate(self.reduced_forms)}
@@ -263,7 +222,7 @@ class FormClassGroup:
     def element_order(self, f: QuadForm) -> int:
         f = reduce_form(f)
         o = self.h
-        for q in _prime_divisors(self.h):
+        for q, _ in factorize(self.h):
             while o % q == 0 and form_power(f, o // q) == self.identity:
                 o //= q
         return o
@@ -272,44 +231,23 @@ class FormClassGroup:
         """Invariant factors d1 | d2 | ... multiplying to h; [] for h = 1.
 
         Recovered from the multiset of element orders: for each prime q the
-        counts N_j of elements killed by q^j determine the Sylow partition
-        via N_j = q^(sum_i min(lam_i, j)).
+        number N_j of elements killed by q^j gives N_j / N_(j-1) = q^r_j,
+        where r_j counts the invariant factors divisible by q^j.
         """
-        h = self.h
-        if h == 1:
-            return []
         orders = [self.element_order(f) for f in self.reduced_forms]
-        partitions: dict[int, list[int]] = {}
-        for q in _prime_divisors(h):
-            e_total = _valuation(h, q)  # sum of the partition of the q-Sylow
-            lam: list[int] = []
-            prev = 0
-            j = 1
-            while sum(lam) < e_total:
-                qj = q**j
-                nj = sum(1 for o in orders if qj % o == 0)
-                expo = _valuation(nj, q)
-                assert q**expo == nj, "group order bookkeeping failed"
-                # expo = sum_i min(lam_i, j); parts of size >= j grew by 1 each
-                grew = expo - prev
-                for i in range(grew):
-                    if i < len(lam):
-                        lam[i] += 1
-                    else:
-                        lam.append(1)
-                prev = expo
-                j += 1
-            partitions[q] = sorted(lam, reverse=True)
-        width = max(len(v) for v in partitions.values())
-        factors = []
-        for i in range(width):
-            val = 1
-            for q, lam in partitions.items():
-                if i < len(lam):
-                    val *= q ** lam[i]
-            factors.append(val)
-        factors.sort()
-        assert math.prod(factors) == h
+        factors: list[int] = []  # largest first
+        for q, e in factorize(self.h):
+            below = 0  # the q-exponent of N_(j-1)
+            for j in range(1, e + 1):
+                n_j = sum(1 for o in orders if q**j % o == 0)
+                expo = round(math.log(n_j, q))
+                assert q**expo == n_j, "group order bookkeeping failed"
+                factors += [1] * (expo - below - len(factors))
+                for i in range(expo - below):
+                    factors[i] *= q
+                below = expo
+        factors.reverse()
+        assert math.prod(factors) == self.h
         return factors
 
     def is_two_torsion(self) -> bool:
@@ -323,28 +261,6 @@ class FormClassGroup:
     def ambiguous_count(self) -> int:
         """Number of ambiguous reduced forms."""
         return sum(1 for f in self.reduced_forms if f.is_ambiguous())
-
-
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _valuation(n: int, q: int) -> int:
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
 
 
 def reduced_forms_up_to(bound: int) -> dict[int, list[QuadForm]]:
@@ -399,13 +315,22 @@ def represented_primes(f: QuadForm, bound: int) -> list[int]:
     return [p for p in primes_up_to(bound) if hit[p]]
 
 
+def twist_discriminant(delta: int) -> int:
+    """Discriminant of Q(sqrt(delta)) for squarefree delta."""
+    if not is_squarefree(delta):
+        raise VerificationError("PRECONDITION", f"{delta} is not squarefree")
+    return delta if delta % 4 == 1 else 4 * delta
+
+
 def fundamental_decomposition(d: int) -> tuple[int, int]:
     """Write d = N^2 * dK with dK a fundamental discriminant; returns (dK, N)."""
-    if not is_valid_discriminant(d):
-        raise VerificationError("PRECONDITION", f"{d} is not a negative discriminant")
-    m = squarefree_part(d)
-    dK = m if m % 4 == 1 else 4 * m
-    n2 = d // dK
-    n = math.isqrt(n2)
-    assert n * n == n2
+    check_discriminant(d)
+    dK = twist_discriminant(squarefree_part(d))
+    n = math.isqrt(d // dK)
+    assert dK * n * n == d
     return dK, n
+
+
+def is_fundamental_discriminant(d: int) -> bool:
+    """d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree."""
+    return d < 0 and d % 4 in (0, 1) and fundamental_decomposition(d)[1] == 1

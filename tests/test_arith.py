@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from picard20.arith import (
     cornacchia,
+    factorize,
     is_prime,
     is_square,
+    is_squarefree,
     kronecker,
     primes_up_to,
     sqrt_mod,
     squarefree_part,
 )
+from picard20.errors import VerificationError
 
 
 def _sieve(bound: int) -> list[int]:
@@ -147,3 +150,24 @@ def test_squarefree_part_by_definition():
 def test_squarefree_part_negative():
     assert squarefree_part(-12) == -3
     assert squarefree_part(-1) == -1
+
+
+def test_factorize_by_definition():
+    primes = set(_sieve(3000))
+    assert factorize(1) == []
+    for n in range(-3000, 3001):
+        if n == 0:
+            continue
+        fac = factorize(n)
+        assert math.prod(q**e for q, e in fac) == abs(n), n
+        assert [q for q, _ in fac] == sorted({q for q, _ in fac}), n
+        assert all(q in primes and e >= 1 for q, e in fac), n
+        assert is_squarefree(n) == all(n % (k * k) for k in range(2, math.isqrt(abs(n)) + 1)), n
+    assert not is_squarefree(0)
+
+
+def test_factorize_refuses_numbers_beyond_trial_division():
+    assert factorize(10**12) == [(2, 12), (5, 12)]
+    with pytest.raises(VerificationError) as err:
+        factorize(-(10**12 + 1))
+    assert err.value.code == "PRECONDITION"

@@ -90,6 +90,27 @@ class TestCount:
         assert blob["surface_count"] == 190
         assert blob["trace_ap"] is None
 
+    def test_surface_counted_once(self, capsys, monkeypatch):
+        import picard20.cli
+        import picard20.ellsurf
+
+        calls = []
+        original = picard20.ellsurf.surface_count
+
+        def counted(model, p):
+            calls.append(p)
+            return original(model, p)
+
+        monkeypatch.setattr(picard20.ellsurf, "surface_count", counted)
+        monkeypatch.setattr(picard20.cli, "surface_count", counted)
+        # split at 11 (a trace), inert at 13 (no trace)
+        for p, traced in ((11, True), (13, False)):
+            calls.clear()
+            code, blob = run_cli(capsys, "count", "--model", "d19", "--p", str(p))
+            assert code == 0
+            assert (blob["trace_ap"] is not None) == traced
+            assert calls == [p]
+
 
 class TestFibers:
     def test_d27_table(self, capsys):
@@ -185,6 +206,40 @@ class TestModelLoading:
         code, blob = run_cli(capsys, "count", "--model", "d99", "--p", "5")
         assert code == 1
         assert blob["error"]["code"] == "UNKNOWN_MODEL"
+
+    def test_missing_file(self, capsys, tmp_path):
+        code, blob = run_cli(capsys, "fibers", "--model", str(tmp_path / "none.json"))
+        assert code == 1
+        assert blob["error"]["code"] == "UNKNOWN_MODEL"
+
+    def test_malformed_files_end_in_an_error_document(self, capsys, tmp_path):
+        from picard20.ellsurf import model_to_json
+        from picard20.models import get_model
+
+        def with_edit(name, path, value):
+            obj = model_to_json(get_model(name))
+            *keys, last = path
+            target = obj
+            for key in keys:
+                target = target[key]
+            target[last] = value
+            return json.dumps(obj)
+
+        cases = {
+            "no_a": json.dumps({"name": "x"}),
+            "list": "[1, 2]",
+            "not_json": "d19 =",
+            "a_string": json.dumps({"name": "x", "a": "x", "d": -4}),
+            "torsion": with_edit("d27", ("sections", 0, "torsion_order"), "z"),
+            "bool_coefficient": with_edit("d4", ("a", "a4", 3), True),
+            "d_string": with_edit("d19", ("d",), "-19"),
+        }
+        for label, text in cases.items():
+            path = tmp_path / f"{label}.json"
+            path.write_text(text)
+            code, blob = run_cli(capsys, "fibers", "--model", str(path))
+            assert code == 1, label
+            assert blob["error"]["code"] == "PRECONDITION", label
 
 
 class TestArgparseContract:

@@ -10,6 +10,8 @@ an independently implemented pipeline.
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picard20.arith import kronecker, primes_up_to
 from picard20.ellsurf import (
@@ -31,9 +33,10 @@ from picard20.ellsurf import (
 )
 from picard20.ellsurf import _kodaira_from_valuations
 from picard20.errors import VerificationError
-from picard20.heckecm import CMRule, ap_h1, twist_discriminant
+from picard20.heckecm import CMRule, ap_h1
 from picard20.models import REGISTRY, get_model
 from picard20.polys import pdeg, peval
+from picard20.qforms import twist_discriminant
 
 _INF = 10**9
 
@@ -321,6 +324,54 @@ def test_json_roundtrip_keeps_twist():
     back = model_from_json(model_to_json(twisted))
     assert back.twist_by == 5
     assert back == twisted
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+_JSON_MODELS = [model_to_json(m) for m in REGISTRY.values()] + [
+    model_to_json(twist_model(get_model("d4"), 5))
+]
+
+
+def _paths(obj, prefix=()):
+    yield prefix
+    children = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in children:
+        yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def _mutated_models(draw):
+    obj = json.loads(json.dumps(draw(st.sampled_from(_JSON_MODELS))))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(obj))))
+        if not path:
+            continue
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            parent[path[-1]] = draw(_JSON_VALUES)
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+        else:
+            parent.pop(path[-1])
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_JSON_VALUES, _mutated_models()))
+def test_model_from_json_returns_a_model_or_raises_verification_error(obj):
+    try:
+        model = model_from_json(obj)
+    except VerificationError:
+        return
+    assert isinstance(model, SurfaceModel)
 
 
 def test_off_curve_section_rejected():

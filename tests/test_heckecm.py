@@ -12,11 +12,10 @@ from picard20.heckecm import (
     CMRule,
     ap_h1,
     cubic_shape_holds,
-    is_fundamental_discriminant,
     match_twist,
     split_type,
-    twist_discriminant,
 )
+from picard20.qforms import is_fundamental_discriminant, twist_discriminant
 
 FROZEN_STREAMS = {
     -3: [(7, -13), (13, -1), (19, 11), (31, -46), (37, 47), (43, -22)],

@@ -115,6 +115,38 @@ class TestGroupAxioms:
                     assert table[i][j] == table[j][i]
 
 
+def _dirichlet_composite(f: QuadForm, g: QuadForm) -> QuadForm:
+    # united forms: B by scanning 0 <= B < 2 a1 a2, then reduce
+    d, m = f.disc, f.a * g.a
+    for B in range(2 * m):
+        if (B - f.b) % (2 * f.a) == 0 and (B - g.b) % (2 * g.a) == 0 and (B * B - d) % (4 * m) == 0:
+            return reduce_form(QuadForm(m, B, (B * B - d) // (4 * m)))
+    raise AssertionError(f"no Dirichlet B for {f}, {g}")
+
+
+def _translate(f: QuadForm, k: int) -> QuadForm:
+    # x -> x + k y, a proper equivalence
+    return QuadForm(f.a, f.b + 2 * f.a * k, f.a * k * k + f.b * k + f.c)
+
+
+def test_compose_matches_dirichlet_composition():
+    united = 0
+    for d in _VALID:
+        if d < -300:
+            continue
+        forms = enumerate_reduced(d)
+        for f in forms:
+            for g in forms:
+                if math.gcd(f.a, g.a, (f.b + g.b) // 2) != 1:
+                    continue
+                united += 1
+                want = _dirichlet_composite(f, g)
+                assert compose(f, g) == want, (f, g)
+                for k, l in ((1, 0), (-2, 3), (5, -7)):
+                    assert compose(_translate(f, k), _translate(g, l)) == want, (f, g, k, l)
+    assert united > 1000
+
+
 def test_form_power_matches_repeated_composition():
     for d in (-47, -71, -199):
         group = FormClassGroup(d)

@@ -34,8 +34,11 @@ GOLDEN = {
     "classgroup -d -420": (0, "80bdbf80b8b0b205c3162167384559111d7608d668409d5fdb0b9a557391e7b0"),
     "classgroup -d -5": (1, "08e3d7688e211738e69dd73d4a5496679d539de4b8d08f0bff24f9f06fc11953"),
     "classgroup -d -84": (0, "95a579352948ecce3e3e554c9fd09ff21f67342f030a0031435b56f02137ae70"),
+    "classify --bound 2": (0, "44f31800175e71ff640c9a069e70b7ae44e0b9c75f122fe483cc0c72d44797fa"),
     "classify --bound 200": (0, "a007ad10ce49dde34fb7c004d7a643384c0465e8e5720552bed96f212d2a0c45"),
     "classify --bound 3000 --two-torsion": (0, "f6dd3980364631c839af0279406be16bf783dad704c94127b2a203f9180f4db9"),
+    "classify --bound 30000": (0, "46499eaee5eb1f1557aa0ffc2c30cf86a5c7a8d51aa061b118b5a61c37ef86c8"),
+    "classify --bound 30000 --two-torsion": (0, "8efd8a70b540259264536ca4a97db638d4c769ea84e5996b37794f5f9050b8c8"),
     "classify --bound 500": (0, "ef4f60d3f6fae414082cced4b317cb9ccfeec3d777a6d816b926779bb667d915"),
     "classify --bound 500 --two-torsion": (0, "e0ad4478e744e97f7d6975bf3446557809e9fc329106359b9a0703f43edf2aba"),
     "count --model d11 --p 11": (1, "31d5cc87b1448cc35ed5fac7a42dd7d110c71da8ac564c16a9b3613a347a9cf5"),

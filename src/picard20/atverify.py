@@ -33,7 +33,7 @@ from .qforms import (
     fundamental_decomposition,
     principal_form,
     reduce_form,
-    reduced_forms_up_to,
+    reduced_form_flags,
     represented_primes,
 )
 
@@ -128,7 +128,6 @@ def _geom_for_prime(model: SurfaceModel, p: int):
 
 def verify_surface(
     model: SurfaceModel,
-    rule: Optional[CMRule] = None,
     pmax: int = 200,
     workers: Optional[int] = None,
 ) -> VerifyReport:
@@ -142,12 +141,7 @@ def verify_surface(
             "PRECONDITION", f"{model.name} is not effectively of rank 20 over Q"
         )
     d_K, N = fundamental_decomposition(model.d)
-    if rule is None:
-        rule = CMRule(d_K)
-    if rule.d_K != d_K:
-        raise VerificationError(
-            "PRECONDITION", f"rule field d_K={rule.d_K} does not match d={model.d}"
-        )
+    rule = CMRule(d_K)
     primes = list(primes_up_to(pmax))
     if workers is not None and workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -161,7 +155,7 @@ def verify_surface(
 
     # delta is set only for a quadratic twist; matches_base and no_match
     # compare against the base newform
-    hecke_rule = CMRule(rule.d_K, verdict.delta)
+    hecke_rule = CMRule(d_K, verdict.delta)
     rows = []
     for p, status, reason, ap in geo:
         if status != "ok":
@@ -287,10 +281,14 @@ def lemma_r_check(d: int, r: int, bound: int = 100000) -> dict:
 # ---------------------------------------------------------------- searches
 
 
+def _unflagged(flags: bytearray) -> list[int]:
+    """The negative discriminants -n, by increasing n >= 3, whose flag is clear."""
+    return [-n for n in range(3, len(flags)) if n % 4 in (0, 3) and not flags[n]]
+
+
 def classify_h1(bound: int) -> list[int]:
     """All negative discriminants with |d| <= bound and class number one."""
-    buckets = reduced_forms_up_to(bound)
-    return [d for d in sorted(buckets, key=abs) if len(buckets[d]) == 1]
+    return _unflagged(reduced_form_flags(bound)[0])
 
 
 def classify_two_torsion(bound: int) -> list[int]:
@@ -299,10 +297,7 @@ def classify_two_torsion(bound: int) -> list[int]:
     That is the case precisely when every reduced form is ambiguous.  The
     squaring-based test on FormClassGroup stays as the independent check.
     """
-    buckets = reduced_forms_up_to(bound)
-    return [
-        d for d in sorted(buckets, key=abs) if all(f.is_ambiguous() for f in buckets[d])
-    ]
+    return _unflagged(reduced_form_flags(bound)[1])
 
 
 # ---------------------------------------------------------------- table check

@@ -44,7 +44,7 @@ from .mwheights import (
     height,
     ns_discriminant,
 )
-from .qforms import FormClassGroup, fundamental_decomposition
+from .qforms import FormClassGroup
 
 _JSON_INT_LIMIT = 2**53
 
@@ -115,23 +115,16 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    scan = classify_two_torsion if args.two_torsion else classify_h1
+    discs = scan(args.bound)
+    out = {
+        "bound": args.bound,
+        "kind": "two_torsion" if args.two_torsion else "class_number_one",
+        "count": len(discs),
+        "discriminants": discs,
+    }
     if args.two_torsion:
-        discs = classify_two_torsion(args.bound)
-        out = {
-            "bound": args.bound,
-            "kind": "two_torsion",
-            "count": len(discs),
-            "discriminants": discs,
-            "note": _TWO_TORSION_NOTE,
-        }
-    else:
-        discs = classify_h1(args.bound)
-        out = {
-            "bound": args.bound,
-            "kind": "class_number_one",
-            "count": len(discs),
-            "discriminants": discs,
-        }
+        out["note"] = _TWO_TORSION_NOTE
     return _emit(out)
 
 
@@ -188,8 +181,7 @@ def _cmd_fibers(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = _load_model(args.model, args.delta)
-    d_K, _ = fundamental_decomposition(model.d)
-    report = verify_surface(model, CMRule(d_K), args.pmax, workers=args.workers)
+    report = verify_surface(model, args.pmax, workers=args.workers)
     return _emit(report_to_json(report), args.out)
 
 

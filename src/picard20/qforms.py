@@ -23,6 +23,7 @@ __all__ = [
     "form_power",
     "FormClassGroup",
     "class_number",
+    "reduced_form_flags",
     "represented_primes",
     "check_discriminant",
     "twist_discriminant",
@@ -263,32 +264,30 @@ class FormClassGroup:
         return sum(1 for f in self.reduced_forms if f.is_ambiguous())
 
 
-def reduced_forms_up_to(bound: int) -> dict[int, list[QuadForm]]:
-    """Primitive reduced forms for every discriminant -bound <= d < 0,
-    bucketed by d. One pass over reduced triples (a, b, c) is much faster
-    than per-discriminant enumeration when the whole range is wanted.
+def reduced_form_flags(bound: int) -> tuple[bytearray, bytearray]:
+    """Two flags per n = |d| <= bound, from one walk over the primitive
+    reduced forms (a, b, c) with a >= 2 and b >= 0.
+
+    nonprincipal[n] is set when some primitive reduced form of discriminant
+    -n has a >= 2, so h(-n) > 1.  nonambiguous[n] is set when one has
+    0 < b < a < c, so its class is not its own inverse.  A reduced form with
+    b < 0 has the same a and c as its b > 0 companion, so the walk skips it.
     """
-    if bound < 3:
-        return {}
-    buckets: dict[int, list[QuadForm]] = {}
-    amax = math.isqrt(bound // 3)
-    for a in range(1, amax + 1):
-        for b in range(0, a + 1):
-            cmin = max(a, b * b // (4 * a) + 1)  # force d < 0
-            cmax = (b * b + bound) // (4 * a)
-            for c in range(cmin, cmax + 1):
-                d = b * b - 4 * a * c
-                if d >= 0 or d < -bound:
+    if not 0 <= bound <= 10**6:
+        raise VerificationError("PRECONDITION", f"bound {bound} out of range")
+    nonprincipal = bytearray(bound + 1)
+    nonambiguous = bytearray(bound + 1)
+    for a in range(2, math.isqrt(bound // 3) + 1):
+        for b in range(a + 1):
+            g = math.gcd(a, b)
+            for c in range(a, (b * b + bound) // (4 * a) + 1):
+                if g > 1 and math.gcd(g, c) > 1:
                     continue
-                if math.gcd(a, math.gcd(b, c)) != 1:
-                    continue
-                buckets.setdefault(d, []).append(QuadForm(a, b, c))
-                # negative-b companion; excluded when it collides with +b
-                if 0 < b < a and a != c:
-                    buckets[d].append(QuadForm(a, -b, c))
-    for forms in buckets.values():
-        forms.sort(key=lambda f: (f.a, f.b))
-    return buckets
+                n = 4 * a * c - b * b
+                nonprincipal[n] = 1
+                if 0 < b < a < c:
+                    nonambiguous[n] = 1
+    return nonprincipal, nonambiguous
 
 
 def represented_primes(f: QuadForm, bound: int) -> list[int]:

@@ -21,7 +21,7 @@ from picard20.ellsurf import twist_model
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule
 from picard20.models import REGISTRY, get_model
-from picard20.qforms import FormClassGroup, fundamental_decomposition
+from picard20.qforms import FormClassGroup, class_number, fundamental_decomposition
 
 H1_DISCRIMINANTS = [-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163]
 
@@ -72,7 +72,7 @@ class TestPrincipality:
 
 class TestVerifySurface:
     def test_d19_full_report(self):
-        report = verify_surface(get_model("d19"), CMRule(-19), 200)
+        report = verify_surface(get_model("d19"), 200)
         assert report.d == -19 and report.d_K == -19 and report.N == 1
         assert report.twist == "matches_base"
         assert all(report.verdicts.values())
@@ -94,20 +94,20 @@ class TestVerifySurface:
             assert all(report.verdicts.values()), (name, report.verdicts)
 
     def test_d27_gcd_sees_the_conductor(self):
-        report = verify_surface(get_model("d27"), CMRule(-3), 150)
+        report = verify_surface(get_model("d27"), 150)
         assert report.N == 3
         assert report.yp_gcd == Fraction(3, 2)
         assert report.verdicts["N_gcd_bound"]
 
     def test_twisted_model_identified_and_verified(self):
         twisted = twist_model(get_model("d4"), 5)
-        report = verify_surface(twisted, CMRule(-4), 150)
+        report = verify_surface(twisted, 150)
         assert report.twist == "quadratic_twist"
         assert report.twist_delta == 5
         assert all(report.verdicts.values())
 
     def test_skipped_rows_keep_reasons(self):
-        report = verify_surface(get_model("d19"), CMRule(-19), 60)
+        report = verify_surface(get_model("d19"), 60)
         reasons = {r.reason for r in report.rows if r.status == "skipped"}
         assert "p <= 3 excluded by policy" in reasons
         assert "inert in K" in reasons
@@ -115,17 +115,12 @@ class TestVerifySurface:
     def test_non_effective_model_rejected(self):
         twisted = twist_model(get_model("d19"), 5)
         with pytest.raises(VerificationError) as err:
-            verify_surface(twisted, CMRule(-19), 50)
-        assert err.value.code == "PRECONDITION"
-
-    def test_mismatched_rule_rejected(self):
-        with pytest.raises(VerificationError) as err:
-            verify_surface(get_model("d19"), CMRule(-7), 50)
+            verify_surface(twisted, 50)
         assert err.value.code == "PRECONDITION"
 
     def test_reports_are_deterministic(self):
-        a = report_to_json(verify_surface(get_model("d19"), CMRule(-19), 120))
-        b = report_to_json(verify_surface(get_model("d19"), CMRule(-19), 120))
+        a = report_to_json(verify_surface(get_model("d19"), 120))
+        b = report_to_json(verify_surface(get_model("d19"), 120))
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
     def test_worker_pool_matches_serial(self):
@@ -208,11 +203,13 @@ class TestClassify:
             assert d not in discs
             assert not FormClassGroup(d).is_two_torsion()
 
-    def test_two_torsion_bucket_agrees_with_per_d(self):
-        got = set(classify_two_torsion(500))
-        for d in range(-3, -501, -1):
+    def test_scans_agree_with_per_d(self):
+        h1 = set(classify_h1(1000))
+        two_torsion = set(classify_two_torsion(1000))
+        for d in range(-3, -1001, -1):
             if d % 4 in (0, 1):
-                assert (d in got) == FormClassGroup(d).is_two_torsion(), d
+                assert (d in h1) == (class_number(d) == 1), d
+                assert (d in two_torsion) == FormClassGroup(d).is_two_torsion(), d
 
 
 class TestTableCheck:
@@ -234,7 +231,7 @@ class TestTableCheck:
 
 
 def test_report_serialization_shape():
-    report = verify_surface(get_model("d19"), CMRule(-19), 60)
+    report = verify_surface(get_model("d19"), 60)
     blob = report_to_json(report)
     assert blob["model"] == "d19" and blob["dK"] == -19
     ok = [r for r in blob["rows"] if r["status"] == "ok"]
@@ -244,7 +241,7 @@ def test_report_serialization_shape():
 
 
 def test_fundamental_decomposition_feeds_default_rule():
-    # verify_surface derives the field from the model when no rule is given
+    # verify_surface derives the field from the model
     report = verify_surface(get_model("d27"), pmax=80)
     assert report.d_K == -3 and report.N == 3
     assert fundamental_decomposition(-27) == (-3, 3)

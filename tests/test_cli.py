@@ -46,6 +46,19 @@ class TestClassify:
         assert -120 in blob["discriminants"]
         assert "note" in blob
 
+    @pytest.mark.parametrize("flags", [[], ["--two-torsion"]])
+    def test_bound_out_of_range(self, capsys, flags):
+        for bound in ("-5", "1000001"):
+            code, blob = run_cli(capsys, "classify", "--bound", bound, *flags)
+            assert code == 1
+            assert blob["error"]["code"] == "PRECONDITION"
+
+    @pytest.mark.parametrize("flags", [[], ["--two-torsion"]])
+    def test_bound_below_smallest_discriminant(self, capsys, flags):
+        code, blob = run_cli(capsys, "classify", "--bound", "2", *flags)
+        assert code == 0
+        assert blob["count"] == 0 and blob["discriminants"] == []
+
 
 class TestAp:
     def test_twist_scales_base_rows(self, capsys):

@@ -20,7 +20,6 @@ from picard20.qforms import (
     fundamental_decomposition,
     principal_form,
     reduce_form,
-    reduced_forms_up_to,
     represented_primes,
 )
 
@@ -193,13 +192,6 @@ def test_two_torsion_iff_every_class_ambiguous():
         assert group.is_two_torsion() == (group.ambiguous_count() == group.h), d
         for f in group.reduced_forms:
             assert f.is_ambiguous() == (reduce_form(f.inverse()) == f), (d, f)
-
-
-def test_bucket_enumeration_matches_per_discriminant():
-    buckets = reduced_forms_up_to(300)
-    assert set(buckets) == {d for d in _VALID if d >= -300}
-    for d, forms in buckets.items():
-        assert sorted(forms) == sorted(enumerate_reduced(d))
 
 
 def test_fundamental_decomposition_examples():

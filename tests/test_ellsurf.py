@@ -22,7 +22,6 @@ from picard20.ellsurf import (
     count_fiber,
     discriminant,
     good_prime,
-    infinity_chart,
     model_from_json,
     model_to_json,
     place_label,
@@ -62,12 +61,19 @@ ISTAR_FRAME = SurfaceModel(
 )
 
 
+def _at(f, t0, weight: int) -> int:
+    # a_i at t0; at t=oo, in the chart s = 1/t, the coefficient of t^weight
+    if t0 != INFINITY:
+        return peval(f, t0)
+    return f[weight] if len(f) > weight else 0
+
+
 def _brute_fiber_count(model: SurfaceModel, p: int, t0) -> int:
     # direct Weierstrass solution scan; +1 for the point at infinity
-    chart = model if t0 != INFINITY else infinity_chart(model)
-    s = 0 if t0 == INFINITY else t0
-    a1, a2, a3 = (peval(c, s) % p for c in (chart.a1, chart.a2, chart.a3))
-    a4, a6 = (peval(c, s) % p for c in (chart.a4, chart.a6))
+    a1, a2, a3, a4, a6 = (
+        _at(f, t0, 2 * i) % p
+        for f, i in ((model.a1, 1), (model.a2, 2), (model.a3, 3), (model.a4, 4), (model.a6, 6))
+    )
     count = 1
     for x in range(p):
         rhs = (x * x * x + a2 * x * x + a4 * x + a6) % p
@@ -144,17 +150,20 @@ def test_frozen_surface_counts():
 
 
 def test_smooth_fibers_match_brute_force():
+    # d27 has deg Delta = 24, so its smooth fiber at t=oo is checked as well
     for name in ("d19", "d27", "d4"):
         model = get_model(name)
-        for p in (5, 7, 11):
+        for p in (5, 7, 11, 13, 17, 19):
             if not good_prime(model, p):
                 continue
             delta = discriminant(model)
-            for t0 in range(p):
-                if peval(delta, t0) % p != 0:
-                    assert count_fiber(model, p, t0) == _brute_fiber_count(
-                        model, p, t0
-                    ), (name, p, t0)
+            places = [t0 for t0 in range(p) if peval(delta, t0) % p != 0]
+            if _at(delta, INFINITY, 24) % p != 0:
+                places.append(INFINITY)
+            for t0 in places:
+                assert count_fiber(model, p, t0) == _brute_fiber_count(
+                    model, p, t0
+                ), (name, p, t0)
 
 
 def test_singular_irreducible_fibers_match_brute_force():
@@ -182,13 +191,14 @@ def test_type_ii_fibers_match_brute_force():
 
 
 def test_istar_split_residual_cubic():
-    # residual cubic T^3 + 1728 splits exactly at p = 1 mod 3
-    for p in (7, 13):
-        assert count_fiber(ISTAR_FRAME, p, 0) == 5 * p + 1
-    for p in (11, 17):
-        with pytest.raises(VerificationError) as err:
-            count_fiber(ISTAR_FRAME, p, 0)
-        assert err.value.code == "COMPONENTS_NOT_RATIONAL"
+    # residual cubic T^3 + 1728 splits exactly at p = 1 mod 3, at t=0 and t=oo
+    for t0 in (0, INFINITY):
+        for p in (7, 13):
+            assert count_fiber(ISTAR_FRAME, p, t0) == 5 * p + 1, (t0, p)
+        for p in (11, 17):
+            with pytest.raises(VerificationError) as err:
+                count_fiber(ISTAR_FRAME, p, t0)
+            assert err.value.code == "COMPONENTS_NOT_RATIONAL", (t0, p)
 
 
 def test_in_fiber_needs_rational_components():

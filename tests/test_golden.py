@@ -7,10 +7,15 @@ and the file written there must equal stdout.
 """
 
 import hashlib
+import json
+import random
 
 import pytest
 
+from picard20.arith import primes_up_to
 from picard20.cli import main
+from picard20.ellsurf import INFINITY, SurfaceModel, classify_fibers, count_fiber, good_prime
+from picard20.errors import VerificationError
 
 GOLDEN = {
     "ap --dK -11 --pmax 200": (0, "709d0e36190ee6445cea13fa985e911076bd44bb54c97afaa928c4faa4f1a712"),
@@ -124,6 +129,13 @@ GOLDEN = {
 # the group structure are pinned on every class group in that range.
 CLASSGROUP_SWEEP = "6b74b543d8746cfcd0270b75e57ca66c1e33270cb1697903b1ce067464e980f8"
 
+# One hash over 100 seeded random K3-shaped models (coefficients in -3..3,
+# deg a_i <= 2i, d = -3, top coefficients zeroed at random so that t=oo
+# carries every kind of fiber): the fiber classification or its error, the
+# good primes 5 <= p < 100, and the t=oo fiber count at the first three good
+# primes.  It pins the local data at t=oo, which the registry barely reaches.
+RANDOM_MODEL_SWEEP = "c15c433f0518abcfa7d01cfc186689aa298a8731ccd4f7f098639d9167fcf3cc"
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden(command, capsys, tmp_path):
@@ -142,3 +154,53 @@ def test_classgroup_sweep(capsys):
         code = main(["classgroup", "-d", str(d)])
         digest.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert digest.hexdigest() == CLASSGROUP_SWEEP
+
+
+def _random_model(rng: random.Random, k: int) -> SurfaceModel:
+    a = {}
+    for name, weight in (("a1", 2), ("a2", 4), ("a3", 6), ("a4", 8), ("a6", 12)):
+        coeffs = [rng.randint(-3, 3) for _ in range(weight + 1)]
+        for j in range(rng.choice((0, 0, 1, 2, weight // 2, weight))):
+            coeffs[weight - j] = 0
+        a[name] = coeffs
+    return SurfaceModel(f"random-{k}", d=-3, **a)
+
+
+def _error(err: VerificationError) -> list:
+    return ["error", err.code, err.message]
+
+
+def _valuation(v):
+    return None if v is None or v >= 10**9 else v
+
+
+def _random_model_record(model: SurfaceModel) -> list:
+    try:
+        fibers = classify_fibers(model)
+    except VerificationError as err:
+        return [model.name, _error(err)]
+    rows = [
+        [F.place, 1 if F.poly is None else len(F.poly) - 1, F.kodaira_type,
+         _valuation(F.vc4), _valuation(F.vc6), F.vdelta, F.component_count, F.euler_number]
+        for F in fibers
+    ]
+    good = [p for p in primes_up_to(99) if p >= 5 and good_prime(model, p)]
+    counts = []
+    for p in good[:3]:
+        try:
+            counts.append([p, count_fiber(model, p, INFINITY)])
+        except VerificationError as err:
+            counts.append([p, _error(err)])
+    return [model.name, rows, good, counts]
+
+
+def test_random_model_sweep():
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    for k in range(100):
+        try:
+            record = _random_model_record(_random_model(rng, k))
+        except VerificationError as err:
+            record = [f"random-{k}", _error(err)]
+        digest.update((json.dumps(record) + "\n").encode())
+    assert digest.hexdigest() == RANDOM_MODEL_SWEEP

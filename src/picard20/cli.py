@@ -24,9 +24,7 @@ from .atverify import (
     table_check,
     verify_surface,
 )
-from .polys import pdeg
 from .ellsurf import (
-    _INF,
     algebraic_count,
     classify_fibers,
     model_from_json,
@@ -160,10 +158,10 @@ def _cmd_fibers(args) -> int:
     rows = [
         {
             "place": f.place,
-            "degree": pdeg(f.poly) if f.poly is not None else 1,
+            "degree": f.degree,
             "type": f.kodaira_type,
-            "v_c4": None if f.vc4 >= _INF else f.vc4,
-            "v_c6": None if f.vc6 >= _INF else f.vc6,
+            "v_c4": f.vc4,
+            "v_c6": f.vc6,
             "v_delta": f.vdelta,
             "components": f.component_count,
             "euler": f.euler_number,

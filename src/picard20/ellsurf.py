@@ -34,7 +34,6 @@ from .polys import (
     ptrim,
     reciprocal,
     is_squarefree_mod,
-    trailing_zeros,
     valuation,
     valuation_mod,
 )
@@ -45,6 +44,10 @@ INFINITY = "t=oo"
 _INF = 10**9
 
 _DEGREE_BOUND = {"a1": 2, "a2": 4, "a3": 6, "a4": 8, "a6": 12}
+
+# weights of the invariants: in the chart s = 1/t an invariant f of weight w
+# is s^w f(1/s), so its order at t=oo is w - deg f
+_WEIGHT = {"b2": 4, "b4": 8, "b6": 12, "c4": 8, "c6": 12, "delta": 24}
 
 
 def place_label(f: Optional[Poly]) -> str:
@@ -179,11 +182,16 @@ class FiberDatum:
     place: str
     poly: Optional[Poly]  # irreducible factor of Delta over Q; None at t=oo
     kodaira_type: str
-    vc4: int
-    vc6: int
+    vc4: Optional[int]  # None when c4 vanishes identically
+    vc6: Optional[int]  # None when c6 vanishes identically
     vdelta: int
     component_count: int
     euler_number: int
+
+    @property
+    def degree(self) -> int:
+        """Degree of the place: 1 at t=oo, else the degree of its polynomial."""
+        return 1 if self.poly is None else pdeg(self.poly)
 
 
 @dataclass(frozen=True)
@@ -285,20 +293,11 @@ def discriminant(model: SurfaceModel) -> Poly:
     return delta
 
 
-@functools.lru_cache(maxsize=None)
-def infinity_chart(model: SurfaceModel) -> SurfaceModel:
-    """The model in the chart s = 1/t, weights a_i -> s^(2i) a_i(1/s)."""
-    return SurfaceModel(
-        name=model.name + "@oo",
-        a1=reciprocal(model.a1, 2),
-        a2=reciprocal(model.a2, 4),
-        a3=reciprocal(model.a3, 6),
-        a4=reciprocal(model.a4, 8),
-        a6=reciprocal(model.a6, 12),
-        d=model.d,
-        rank20_over_Q=model.rank20_over_Q,
-        twist_by=model.twist_by,
-    )
+def _invariants(model: SurfaceModel) -> dict[str, Poly]:
+    """The invariants named in _WEIGHT."""
+    b2, b4, b6, _ = b_invariants(model)
+    c4, c6 = c_invariants(model)
+    return {"b2": b2, "b4": b4, "b6": b6, "c4": c4, "c6": c6, "delta": discriminant(model)}
 
 
 def rank20_effective(model: SurfaceModel) -> bool:
@@ -313,8 +312,13 @@ def rank20_effective(model: SurfaceModel) -> bool:
 # ---------------------------------------------------------------- classification
 
 
-def _valuation_or_inf(f: Poly, g: Poly) -> int:
-    return valuation(f, g) if f else _INF
+def _order(inv: dict[str, Poly], name: str, place: Optional[Poly]) -> Optional[int]:
+    """Order of the invariant at the place (t=oo when place is None), or None
+    when the invariant vanishes identically."""
+    f = inv[name]
+    if not f:
+        return None
+    return _WEIGHT[name] - pdeg(f) if place is None else valuation(f, place)
 
 
 @functools.lru_cache(maxsize=None)
@@ -322,8 +326,12 @@ def _delta_factorization(model: SurfaceModel):
     return factor_int_poly(discriminant(model))
 
 
-def _fiber_datum(place: str, poly: Optional[Poly], v4: int, v6: int, vd: int) -> FiberDatum:
-    sym = _kodaira_from_valuations(v4, v6, vd, place)
+def _fiber_datum(inv: dict[str, Poly], poly: Optional[Poly], vd: int) -> FiberDatum:
+    place = place_label(poly)
+    v4, v6 = _order(inv, "c4", poly), _order(inv, "c6", poly)
+    sym = _kodaira_from_valuations(
+        _INF if v4 is None else v4, _INF if v6 is None else v6, vd, place
+    )
     k = kodaira(sym)
     return FiberDatum(place, poly, sym, v4, v6, vd, k.components, k.euler)
 
@@ -331,26 +339,19 @@ def _fiber_datum(place: str, poly: Optional[Poly], v4: int, v6: int, vd: int) ->
 @functools.lru_cache(maxsize=None)
 def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
     """Singular fibers of the model, finite places first, t=oo last."""
-    c4, c6 = c_invariants(model)
+    inv = _invariants(model)
     _, factors = _delta_factorization(model)
-    data = [
-        _fiber_datum(place_label(f), f, _valuation_or_inf(c4, f), _valuation_or_inf(c6, f), m)
-        for f, m in factors
-    ]
-    euler = sum(F.euler_number * pdeg(F.poly) for F in data)
-    chart = infinity_chart(model)
-    c4i, c6i = c_invariants(chart)
-    vd = trailing_zeros(discriminant(chart))
-    if vd > 0:
-        v4 = trailing_zeros(c4i) if c4i else _INF
-        v6 = trailing_zeros(c6i) if c6i else _INF
-        data.append(_fiber_datum(INFINITY, None, v4, v6, vd))
-        euler += data[-1].euler_number
+    places = list(factors)
+    v_infinity = _order(inv, "delta", None)
+    if v_infinity > 0:
+        places.append((None, v_infinity))
+    data = tuple(_fiber_datum(inv, f, m) for f, m in places)
+    euler = sum(F.euler_number * F.degree for F in data)
     if euler != 24:
         raise VerificationError(
             "NOT_K3", f"Euler numbers of {model.name} sum to {euler}, not 24"
         )
-    return tuple(data)
+    return data
 
 
 # ---------------------------------------------------------------- good primes
@@ -367,16 +368,16 @@ def good_prime(model: SurfaceModel, p: int) -> bool:
         return False
     if model.d % p == 0:
         return False
-    fibers = classify_fibers(model)
-    content_, factors = _delta_factorization(model)
+    finite = [F for F in classify_fibers(model) if F.poly is not None]
+    content_, _ = _delta_factorization(model)
     if content_ % p == 0:
         return False
     c4, c6 = c_invariants(model)
     fbars = []
-    for f, _ in factors:
-        if f[-1] % p == 0:
+    for F in finite:
+        if F.poly[-1] % p == 0:
             return False
-        fb = pmod(f, p)
+        fb = pmod(F.poly, p)
         if not is_squarefree_mod(fb, p):
             return False
         fbars.append(fb)
@@ -384,9 +385,7 @@ def good_prime(model: SurfaceModel, p: int) -> bool:
         for j in range(i + 1, len(fbars)):
             if pdeg(pgcd_mod(fbars[i], fbars[j], p)) != 0:
                 return False
-    by_place = {F.place: F for F in fibers}
-    for (f, _), fb in zip(factors, fbars):
-        F = by_place[place_label(f)]
+    for F, fb in zip(finite, fbars):
         for poly, v_char0 in ((c4, F.vc4), (c6, F.vc6)):
             if not poly:
                 continue  # identically zero matches any p
@@ -398,16 +397,9 @@ def good_prime(model: SurfaceModel, p: int) -> bool:
             # per-root match: the quotient may share no factor with fb
             if pdeg(pgcd_mod(q, fb, p)) != 0:
                 return False
-    chart = infinity_chart(model)
-    c4i, c6i = c_invariants(chart)
-    di = discriminant(chart)
-    for poly in (c4i, c6i, di):
-        if not poly:
-            continue
-        g = pmod(poly, p)
-        if not g or trailing_zeros(g) != trailing_zeros(poly):
-            return False
-    return True
+    # t=oo keeps its orders iff the leading coefficients stay units; that of
+    # Delta, content * prod lead(f)^m, already is by the checks above
+    return all(not poly or poly[-1] % p for poly in (c4, c6))
 
 
 # ---------------------------------------------------------------- counting
@@ -432,13 +424,8 @@ class _CountingContext(NamedTuple):
     split: int
 
 
-def _chart_data(model: SurfaceModel, p: int) -> _ChartData:
-    b2, b4, b6, _ = b_invariants(model)
-    c4, c6 = c_invariants(model)
-    return _ChartData(pmod(b2, p), pmod(b4, p), pmod(b6, p), pmod(c4, p), pmod(c6, p))
-
-
-@functools.lru_cache(maxsize=None)
+# counting goes one prime at a time, so only the current prime's context is kept
+@functools.lru_cache(maxsize=1)
 def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     if not good_prime(model, p):
         raise VerificationError(
@@ -448,10 +435,10 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     chi[0] = 0
     for x in range(1, p):
         chi[x * x % p] = 1
-    fibers = classify_fibers(model)
+    inv = _invariants(model)
     finite = {}
     at_infinity = None
-    for F in fibers:
+    for F in classify_fibers(model):
         if F.poly is None:
             at_infinity = F
             continue
@@ -463,8 +450,8 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         chi=tuple(chi),
         finite=finite,
         at_infinity=at_infinity,
-        main=_chart_data(model, p),
-        chart=_chart_data(infinity_chart(model), p),
+        main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
+        chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
         effective=rank20_effective(model),
         split=kronecker(model.d, p),
     )

@@ -152,8 +152,7 @@ def config_from_model(model: SurfaceModel) -> ConfigLattice:
     counts: dict[str, int] = {}
     places = []
     for F in fibers:
-        deg = 1 if F.poly is None else pdeg(F.poly)
-        counts[F.kodaira_type] = counts.get(F.kodaira_type, 0) + deg
+        counts[F.kodaira_type] = counts.get(F.kodaira_type, 0) + F.degree
         places.append((F.place, F.kodaira_type))
     torsion = 1
     free = []

@@ -37,7 +37,6 @@ __all__ = [
     "pgcd_mod",
     "is_squarefree_mod",
     "valuation_mod",
-    "trailing_zeros",
 ]
 
 
@@ -259,11 +258,3 @@ def valuation_mod(f: Poly, g: Poly, p: int) -> tuple[int, Poly]:
             return v, fb
         fb = q
         v += 1
-
-
-def trailing_zeros(f: Poly) -> int:
-    """Valuation at the variable itself (index of first nonzero coefficient)."""
-    for i, a in enumerate(f):
-        if a != 0:
-            return i
-    raise VerificationError("PRECONDITION", "valuation of the zero polynomial")

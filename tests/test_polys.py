@@ -22,7 +22,6 @@ from picard20.polys import (
     psub,
     ptrim,
     reciprocal,
-    trailing_zeros,
     valuation,
     valuation_mod,
     poly_str,
@@ -77,13 +76,6 @@ def test_reciprocal_pads_to_weight():
     assert reciprocal(f, 4) == (0, 0, 1, 0, 3)
     with pytest.raises(VerificationError):
         reciprocal((0, 0, 0, 1), 2)
-
-
-def test_trailing_zeros():
-    assert trailing_zeros((0, 0, 7, 1)) == 2
-    assert trailing_zeros((1,)) == 0
-    with pytest.raises(VerificationError):
-        trailing_zeros(())
 
 
 @given(coeffs)

@@ -59,6 +59,11 @@ II_FRAME = SurfaceModel("ii-frame", (), (), (), (), (1, 1) + (0,) * 9 + (1,), d=
 ISTAR_FRAME = SurfaceModel(
     "istar-frame", (), (), (), (), (0, 0, 0, 1, 1, 0, 0, 0, 0, 1), d=-3
 )
+# y^2 = x^3 + (5t + t^2) x + t + t^12: II at t=0 and one I1 place of degree 22;
+# mod 5 the order of c4 at t=0 jumps from 1 to 2 while c6 and Delta keep theirs
+II_C4_FRAME = SurfaceModel(
+    "ii-c4-frame", (), (), (), (0, 5, 1), (0, 1) + (0,) * 10 + (1,), d=-3
+)
 
 
 def _at(f, t0, weight: int) -> int:
@@ -262,6 +267,17 @@ def test_good_prime_examples():
     assert not good_prime(d19, 19)  # divides d
     assert not good_prime(get_model("d7-tate"), 7)
     assert not good_prime(get_model("d27"), 3)
+
+
+def test_good_prime_rejects_a_jump_in_the_order_of_c4():
+    fibers = classify_fibers(II_C4_FRAME)
+    assert [(F.place, F.kodaira_type, F.vc4, F.vc6, F.vdelta) for F in fibers[:1]] == [
+        ("t=0", "II", 1, 1, 2)
+    ]
+    assert [(F.degree, F.kodaira_type) for F in fibers[1:]] == [(22, "I1")]
+    assert not good_prime(II_C4_FRAME, 5)
+    for p in (7, 11, 13, 17, 19, 23):
+        assert good_prime(II_C4_FRAME, p), p
 
 
 def test_trace_requires_split_prime():

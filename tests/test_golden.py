@@ -14,8 +14,16 @@ import pytest
 
 from picard20.arith import primes_up_to
 from picard20.cli import main
-from picard20.ellsurf import INFINITY, SurfaceModel, classify_fibers, count_fiber, good_prime
+from picard20.ellsurf import (
+    INFINITY,
+    SurfaceModel,
+    classify_fibers,
+    count_fiber,
+    good_prime,
+    twist_model,
+)
 from picard20.errors import VerificationError
+from picard20.models import REGISTRY
 
 GOLDEN = {
     "ap --dK -11 --pmax 200": (0, "709d0e36190ee6445cea13fa985e911076bd44bb54c97afaa928c4faa4f1a712"),
@@ -136,6 +144,12 @@ CLASSGROUP_SWEEP = "6b74b543d8746cfcd0270b75e57ca66c1e33270cb1697903b1ce067464e9
 # primes.  It pins the local data at t=oo, which the registry barely reaches.
 RANDOM_MODEL_SWEEP = "c15c433f0518abcfa7d01cfc186689aa298a8731ccd4f7f098639d9167fcf3cc"
 
+# One hash over the good primes 100 <= p < 400 of the same 100 random models,
+# and 5 <= p < 1000 of the registry models and of d4 twisted by 2, -3, 5,
+# -1009 and -2310.  In these ranges places of Delta merge mod p and leading
+# coefficients vanish mod p, so every reason for a bad prime is met.
+GOOD_PRIME_SWEEP = "343c22ffa5d8c17cfeeaef94a6f98b968b3089f398dd0b9db39b09cfe113db76"
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden(command, capsys, tmp_path):
@@ -204,3 +218,28 @@ def test_random_model_sweep():
             record = [f"random-{k}", _error(err)]
         digest.update((json.dumps(record) + "\n").encode())
     assert digest.hexdigest() == RANDOM_MODEL_SWEEP
+
+
+def _good_primes(model: SurfaceModel, low: int, high: int) -> list:
+    try:
+        return [model.name, [p for p in primes_up_to(high - 1) if p >= low and good_prime(model, p)]]
+    except VerificationError as err:
+        return [model.name, _error(err)]
+
+
+def test_good_prime_sweep():
+    rng = random.Random(20)
+    digest = hashlib.sha256()
+    records = []
+    for k in range(100):
+        try:
+            records.append(_good_primes(_random_model(rng, k), 100, 400))
+        except VerificationError as err:
+            records.append([f"random-{k}", _error(err)])
+    d4 = REGISTRY["d4"]
+    twists = [twist_model(d4, delta) for delta in (2, -3, 5, -1009, -2310)]
+    for model in [*REGISTRY.values(), *twists]:
+        records.append(_good_primes(model, 5, 1000))
+    for record in records:
+        digest.update((json.dumps(record) + "\n").encode())
+    assert digest.hexdigest() == GOOD_PRIME_SWEEP

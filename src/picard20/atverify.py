@@ -148,7 +148,6 @@ def verify_surface(
             geo = list(pool.map(functools.partial(_geom_for_prime, model), primes))
     else:
         geo = [_geom_for_prime(model, p) for p in primes]
-    geo.sort(key=lambda r: r[0])
 
     ok_pairs = [(p, ap) for p, status, _, ap in geo if status == "ok"]
     verdict = match_twist(ok_pairs, rule)

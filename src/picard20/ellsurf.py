@@ -5,6 +5,11 @@ Fiber types come from the characteristic-0 valuation table, so no Tate algorithm
 is run in residue characteristic p; instead good_prime() certifies that the
 reduction mod p has the same local data as the model over Q, and counting at
 p > 3 works fiberwise on the smooth model through component bookkeeping.
+
+A prime p > 3 not dividing d is good when three conditions hold: p does not
+divide lead = lead(Delta) lead(c4) lead(c6); R, the product of the finite
+places, is squarefree mod p; and for each nonvanishing c in (c4, c6) the
+cofactor c / prod f^{v_c(f)} is coprime to R mod p.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .polys import (
     padd,
     pdeg,
     pderiv,
+    pdivmod,
     pdivmod_mod,
     peval_mod,
     pgcd_mod,
@@ -35,7 +41,6 @@ from .polys import (
     reciprocal,
     is_squarefree_mod,
     valuation,
-    valuation_mod,
 )
 
 INFINITY = "t=oo"
@@ -321,11 +326,6 @@ def _order(inv: dict[str, Poly], name: str, place: Optional[Poly]) -> Optional[i
     return _WEIGHT[name] - pdeg(f) if place is None else valuation(f, place)
 
 
-@functools.lru_cache(maxsize=None)
-def _delta_factorization(model: SurfaceModel):
-    return factor_int_poly(discriminant(model))
-
-
 def _fiber_datum(inv: dict[str, Poly], poly: Optional[Poly], vd: int) -> FiberDatum:
     place = place_label(poly)
     v4, v6 = _order(inv, "c4", poly), _order(inv, "c6", poly)
@@ -340,7 +340,7 @@ def _fiber_datum(inv: dict[str, Poly], poly: Optional[Poly], vd: int) -> FiberDa
 def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
     """Singular fibers of the model, finite places first, t=oo last."""
     inv = _invariants(model)
-    _, factors = _delta_factorization(model)
+    _, factors = factor_int_poly(discriminant(model))
     places = list(factors)
     v_infinity = _order(inv, "delta", None)
     if v_infinity > 0:
@@ -357,49 +357,44 @@ def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
 # ---------------------------------------------------------------- good primes
 
 
-def good_prime(model: SurfaceModel, p: int) -> bool:
-    """Conservative test that reduction mod p keeps all local fiber data.
-
-    Requires p > 3 prime, p coprime to d, the factorization pattern of Delta
-    preserved mod p, and the valuation triple of (c4, c6, Delta) at every place
-    (including t=oo) equal to its characteristic-0 value.
-    """
-    if p <= 3 or not is_prime(p):
-        return False
-    if model.d % p == 0:
-        return False
+@functools.lru_cache(maxsize=None)
+def _reduction(model: SurfaceModel) -> tuple[int, Poly, tuple[Poly, ...]]:
+    """(lead, R, cofactors): the record of the model that good_prime() tests."""
     finite = [F for F in classify_fibers(model) if F.poly is not None]
-    content_, _ = _delta_factorization(model)
-    if content_ % p == 0:
+    lead, cofactors = discriminant(model)[-1], []
+    for c, name in zip(c_invariants(model), ("vc4", "vc6")):
+        if c:
+            lead *= c[-1]
+            powers = (ppow(F.poly, getattr(F, name)) for F in finite)
+            q, r = pdivmod(c, functools.reduce(pmul, powers, (1,)))
+            u = tuple(int(a) for a in q)
+            assert not r and u == q  # in Z[t] by Gauss: every place is primitive
+            cofactors.append(u)
+    return lead, functools.reduce(pmul, (F.poly for F in finite), (1,)), tuple(cofactors)
+
+
+def good_prime(model: SurfaceModel, p: int) -> bool:
+    """Whether reduction mod p keeps all local fiber data, t=oo included.
+
+    p must be a prime > 3 not dividing d, and three conditions must hold:
+    - p does not divide lead = lead(Delta) lead(c4) lead(c6), a vanishing c4
+      or c6 left out: the content of Delta, the leading coefficient of each
+      place and the orders at t=oo are kept;
+    - R mod p is squarefree, R the product of the finite places: each place
+      stays squarefree and no two places share a root mod p;
+    - for each nonvanishing c in (c4, c6), the cofactor c / prod f^{v_c(f)}
+      is coprime to R mod p: every root of a place f has order exactly
+      v_c(f) in c mod p.
+    """
+    if p <= 3 or not is_prime(p) or model.d % p == 0:
         return False
-    c4, c6 = c_invariants(model)
-    fbars = []
-    for F in finite:
-        if F.poly[-1] % p == 0:
-            return False
-        fb = pmod(F.poly, p)
-        if not is_squarefree_mod(fb, p):
-            return False
-        fbars.append(fb)
-    for i in range(len(fbars)):
-        for j in range(i + 1, len(fbars)):
-            if pdeg(pgcd_mod(fbars[i], fbars[j], p)) != 0:
-                return False
-    for F, fb in zip(finite, fbars):
-        for poly, v_char0 in ((c4, F.vc4), (c6, F.vc6)):
-            if not poly:
-                continue  # identically zero matches any p
-            if not pmod(poly, p):
-                return False
-            v, q = valuation_mod(poly, fb, p)
-            if v != v_char0:
-                return False
-            # per-root match: the quotient may share no factor with fb
-            if pdeg(pgcd_mod(q, fb, p)) != 0:
-                return False
-    # t=oo keeps its orders iff the leading coefficients stay units; that of
-    # Delta, content * prod lead(f)^m, already is by the checks above
-    return all(not poly or poly[-1] % p for poly in (c4, c6))
+    lead, places, cofactors = _reduction(model)
+    if lead % p == 0:
+        return False
+    rbar = pmod(places, p)
+    return is_squarefree_mod(rbar, p) and all(
+        pdeg(pgcd_mod(u, rbar, p)) == 0 for u in cofactors
+    )
 
 
 # ---------------------------------------------------------------- counting
@@ -577,7 +572,7 @@ def trace_ap(model: SurfaceModel, p: int) -> int:
         raise VerificationError(
             "PRECONDITION", f"{model.name} is not effectively of rank 20 over Q"
         )
-    if kronecker(model.d, p) != 1:
+    if p < 1 or kronecker(model.d, p) != 1:
         raise VerificationError("PRECONDITION", f"p={p} is not split for d={model.d}")
     ap = surface_count(model, p) - algebraic_count(p)
     if abs(ap) > 2 * p:

@@ -36,7 +36,6 @@ __all__ = [
     "pdivmod_mod",
     "pgcd_mod",
     "is_squarefree_mod",
-    "valuation_mod",
 ]
 
 
@@ -242,19 +241,3 @@ def is_squarefree_mod(f: Poly, p: int) -> bool:
     if pdeg(fb) < 1:
         return True
     return pdeg(pgcd_mod(fb, pderiv(fb), p)) == 0
-
-
-def valuation_mod(f: Poly, g: Poly, p: int) -> tuple[int, Poly]:
-    """(k, q) with g^k exactly dividing f mod p and q = f / g^k mod p."""
-    fb, gb = pmod(f, p), pmod(g, p)
-    if not fb:
-        raise VerificationError("PRECONDITION", "valuation of zero mod p")
-    if pdeg(gb) < 1:
-        raise VerificationError("PRECONDITION", "valuation needs deg >= 1 place")
-    v = 0
-    while True:
-        q, r = pdivmod_mod(fb, gb, p)
-        if r:
-            return v, fb
-        fb = q
-        v += 1

@@ -91,11 +91,14 @@ class TestCount:
         assert blob["surface_count"] == 117
         assert blob["trace_ap"] == -9
 
-    def test_bad_prime_is_an_error(self, capsys):
-        code, blob = run_cli(capsys, "count", "--model", "d19", "--p", "19")
+    @pytest.mark.parametrize("p", [19, 1, 0, -7])
+    def test_bad_prime_is_an_error(self, capsys, p):
+        code, blob = run_cli(capsys, "count", "--model", "d19", "--p", str(p))
         assert code == 1
-        assert blob["error"]["code"] == "PRECONDITION"
-        assert "not a good prime" in blob["error"]["message"]
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": f"p={p} is not a good prime for d19",
+        }
 
     def test_inert_prime_counts_without_trace(self, capsys):
         code, blob = run_cli(capsys, "count", "--model", "d4", "--p", "7")

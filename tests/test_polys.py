@@ -23,7 +23,6 @@ from picard20.polys import (
     ptrim,
     reciprocal,
     valuation,
-    valuation_mod,
     poly_str,
 )
 
@@ -130,13 +129,6 @@ def test_is_squarefree_mod():
     p = 7
     assert is_squarefree_mod((1, 1), p)
     assert not is_squarefree_mod(pmod(pmul((1, 1), (1, 1)), p), p)
-
-
-def test_valuation_mod():
-    p = 5
-    f = pmod(pmul(ppow((0, 1), 2), (3, 1)), p)  # t^2 (t + 3) mod 5
-    assert valuation_mod(f, (0, 1), p) == (2, (3, 1))
-    assert valuation_mod(f, (3, 1), p) == (1, (0, 0, 1))
 
 
 def test_pscale_and_psub():

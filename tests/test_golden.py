@@ -147,7 +147,8 @@ RANDOM_MODEL_SWEEP = "c15c433f0518abcfa7d01cfc186689aa298a8731ccd4f7f098639d9167
 # One hash over the good primes 100 <= p < 400 of the same 100 random models,
 # and 5 <= p < 1000 of the registry models and of d4 twisted by 2, -3, 5,
 # -1009 and -2310.  In these ranges places of Delta merge mod p and leading
-# coefficients vanish mod p, so every reason for a bad prime is met.
+# coefficients vanish mod p; no order of c4 or c6 jumps, which the frame
+# II_C4_FRAME in test_ellsurf.py covers.
 GOOD_PRIME_SWEEP = "343c22ffa5d8c17cfeeaef94a6f98b968b3089f398dd0b9db39b09cfe113db76"
 
 

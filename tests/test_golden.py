@@ -20,6 +20,7 @@ from picard20.ellsurf import (
     classify_fibers,
     count_fiber,
     good_prime,
+    model_to_json,
     twist_model,
 )
 from picard20.errors import VerificationError
@@ -124,6 +125,7 @@ GOLDEN = {
     "verify --model d27 --pmax 200 --workers 2": (0, "2b1c705fc562d0f0d3aade4148b83bdd1b99c8eb0a9242532df00d3dbf8e48ec"),
     "verify --model d3 --pmax 200": (0, "91744e605adecb22021584a434f5b08fa4b4471f2b16a9bef1f67c5a30b3bf7e"),
     "verify --model d4 --pmax 200": (0, "47d089c60dd374c18e45ca9c8ac888a5990787f423ce95152e6036b0d46c90a8"),
+    "verify --model d4 --pmax 200 --delta 1009": (0, "2d26a014ff345b011ff6aed998c6212bcdb8b514d19380ca6afe7b3b9ffa0761"),
     "verify --model d4 --pmax 200 --delta -1": (0, "3160240344378938a4aa7330711177b531321590f942dc80f0a8e1e18839a472"),
     "verify --model d4 --pmax 200 --delta -3": (0, "493e398bfc33597232b059d7ccb5a9ecbf2e7f0406984b16e187abb356ad3f5e"),
     "verify --model d4 --pmax 200 --delta 2": (0, "654c04c9c1321328f46155467ff5967c6d15f32ec28df1c018928cf34af45276"),
@@ -131,6 +133,14 @@ GOLDEN = {
     "verify --model d7-tate --pmax 200": (0, "fa18080e689d2e921b96d8384b90a6bbfb5caa4419c4def5be4ca8c1cec8d733"),
 }
 
+
+# `verify --pmax 200` on d3 with a6 scaled by a constant, read from a model
+# file: scaling by 4 gives a cubic twist (verdict cubic_class, every check
+# true), scaling by 2 one that fails the d_K = -3 shape test (no_match).
+D3_A6_SCALED = {
+    4: (0, "b50ead723f860874f762d10702093852653ea5a0a8cb621a376590ac47f800f0"),
+    2: (0, "0fa729a1ad180f88f4660b2428059dcbb8f37307ae833d58dfb935777021309f"),
+}
 
 # One hash over the exit code and stdout of `classgroup -d d` for every
 # -3 >= d >= -1000, invalid discriminants included: the composition law and
@@ -161,6 +171,17 @@ def test_golden(command, capsys, tmp_path):
     assert (code, digest) == GOLDEN[command], stdout.decode()[:2000]
     if "{out}" in command:
         assert out_path.read_bytes() == stdout
+
+
+@pytest.mark.parametrize("scale", sorted(D3_A6_SCALED))
+def test_verify_d3_a6_scaled(scale, capsys, tmp_path):
+    obj = model_to_json(REGISTRY["d3"])
+    obj["a"]["a6"] = [c * scale for c in obj["a"]["a6"]]
+    path = tmp_path / f"d3_a6x{scale}.json"
+    path.write_text(json.dumps(obj))
+    code = main(["verify", "--model", str(path), "--pmax", "200"])
+    stdout = capsys.readouterr().out.encode()
+    assert (code, hashlib.sha256(stdout).hexdigest()) == D3_A6_SCALED[scale], stdout.decode()[:2000]
 
 
 def test_classgroup_sweep(capsys):

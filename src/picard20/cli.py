@@ -38,7 +38,7 @@ from .models import REGISTRY, get_model
 from .mwheights import (
     compute_PO,
     config_from_model,
-    contribution,
+    corrections,
     height,
     ns_discriminant,
 )
@@ -193,18 +193,13 @@ def _cmd_height(args) -> int:
     section = model.sections[args.section]
     config = config_from_model(model)
     pole_order = compute_PO(section, model)
-    places = dict(config.fiber_places)
-    corrections = [
-        [place, index, contribution(places[place], index)]
-        for place, index in section.component_hits
-    ]
     return _emit(
         {
             "model": model.name,
             "section": args.section,
             "torsion_order": section.torsion_order,
             "pole_order": pole_order,
-            "corrections": corrections,
+            "corrections": corrections(section, config),
             "height": height(section, config, pole_order),
         }
     )

@@ -128,11 +128,16 @@ class TwistVerdict:
         quadratic_twist -- off by kronecker(delta*, .); delta recorded
         cubic_class     -- d_K = -3 only: every a_p fits some cubic branch
         no_match        -- with the first offending prime
+
+    expected maps each split prime to the coefficient the data was compared
+    with: the base stream for matches_base and no_match, the base stream
+    times kronecker(delta*, p) for quadratic_twist, None for cubic_class.
     """
 
     kind: str
     delta: int | None = None
     failing_prime: int | None = None
+    expected: dict | None = None
 
 
 _MIN_MATCH_PRIMES = 5
@@ -165,13 +170,13 @@ def match_twist(
     base = {p: ap_h1(base_rule, p) for p, _ in rows}
 
     if all(ap == base[p] for p, ap in rows):
-        return TwistVerdict("matches_base")
+        return TwistVerdict("matches_base", expected=base)
 
     if rule.d_K == -4:
         for p, ap in rows:
             if abs(ap) != abs(base[p]):
                 # magnitude change means a biquadratic twist, out of scope
-                return TwistVerdict("no_match", failing_prime=p)
+                return TwistVerdict("no_match", failing_prime=p, expected=base)
         signs = {p: 1 if ap == base[p] else -1 for p, ap in rows}
         for adelta in range(2, _TWIST_SEARCH_BOUND + 1):
             for delta in (adelta, -adelta):
@@ -179,16 +184,17 @@ def match_twist(
                     continue
                 dstar = twist_discriminant(delta)
                 if all(kronecker(dstar, p) == s for p, s in signs.items()):
-                    return TwistVerdict("quadratic_twist", delta=delta)
-        return TwistVerdict("no_match", failing_prime=rows[0][0])
+                    twisted = {p: ap * kronecker(dstar, p) for p, ap in base.items()}
+                    return TwistVerdict("quadratic_twist", delta=delta, expected=twisted)
+        return TwistVerdict("no_match", failing_prime=rows[0][0], expected=base)
 
     if rule.d_K == -3:
         for p, ap in rows:
             if not cubic_shape_holds(p, ap):
-                return TwistVerdict("no_match", failing_prime=p)
+                return TwistVerdict("no_match", failing_prime=p, expected=base)
         return TwistVerdict("cubic_class")
 
     for p, ap in rows:
         if ap != base[p]:
-            return TwistVerdict("no_match", failing_prime=p)
+            return TwistVerdict("no_match", failing_prime=p, expected=base)
     raise AssertionError("unreachable")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -78,6 +78,11 @@ class ConfigLattice:
     def root_rank_sum(self) -> int:
         return sum(kodaira(sym).root_rank * mult for sym, mult in self.fibers)
 
+    @property
+    def picard_rank(self) -> int:
+        """Shioda-Tate: the zero section and a fiber, the roots, and MW rank."""
+        return 2 + self.root_rank_sum + self.mw_rank
+
 
 def _det(gram: tuple) -> Fraction:
     # fraction-free enough for the tiny matrices that occur here
@@ -99,19 +104,24 @@ def _det(gram: tuple) -> Fraction:
     return det
 
 
-def height(section: SectionData, config: ConfigLattice, PO: int) -> Fraction:
-    """h(P) = 4 + 2 PO - sum of corrections at the section's component hits."""
-    if PO < 0:
-        raise VerificationError("PRECONDITION", "P.O must be nonnegative")
+def corrections(section: SectionData, config: ConfigLattice) -> list:
+    """(place, index, correction) for each component the section meets."""
     types = dict(config.fiber_places)
-    total = Fraction(4 + 2 * PO)
+    out = []
     for place, index in section.component_hits:
         if place not in types:
             raise VerificationError(
                 "PRECONDITION", f"component hit at {place}, which carries no reducible fiber"
             )
-        total -= contribution(types[place], index)
-    return total
+        out.append((place, index, contribution(types[place], index)))
+    return out
+
+
+def height(section: SectionData, config: ConfigLattice, PO: int) -> Fraction:
+    """h(P) = 4 + 2 PO - sum of corrections at the section's component hits."""
+    if PO < 0:
+        raise VerificationError("PRECONDITION", "P.O must be nonnegative")
+    return Fraction(4 + 2 * PO) - sum(c for _, _, c in corrections(section, config))
 
 
 def compute_PO(section: SectionData, model: SurfaceModel) -> int:
@@ -169,24 +179,16 @@ def config_from_model(model: SurfaceModel) -> ConfigLattice:
         fibers=tuple(sorted(counts.items())),
         mw_rank=len(free),
         torsion_order=torsion,
-        mw_gram=None,
         fiber_places=tuple(places),
     )
     if free:
         h = height(free[0], config, compute_PO(free[0], model))
-        config = ConfigLattice(
-            fibers=config.fibers,
-            mw_rank=1,
-            torsion_order=torsion,
-            mw_gram=((h,),),
-            fiber_places=config.fiber_places,
+        config = replace(config, mw_gram=((h,),))
+    if model.rank20_over_Q and config.picard_rank != 20:
+        raise VerificationError(
+            "PRECONDITION",
+            f"lattice ranks of {model.name} sum to {config.picard_rank}, not 20",
         )
-    if model.rank20_over_Q:
-        total = 2 + config.root_rank_sum + config.mw_rank
-        if total != 20:
-            raise VerificationError(
-                "PRECONDITION", f"lattice ranks of {model.name} sum to {total}, not 20"
-            )
     return config
 
 

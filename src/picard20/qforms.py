@@ -241,7 +241,7 @@ class FormClassGroup:
             below = 0  # the q-exponent of N_(j-1)
             for j in range(1, e + 1):
                 n_j = sum(1 for o in orders if q**j % o == 0)
-                expo = round(math.log(n_j, q))
+                expo = dict(factorize(n_j)).get(q, 0)
                 assert q**expo == n_j, "group order bookkeeping failed"
                 factors += [1] * (expo - below - len(factors))
                 for i in range(expo - below):

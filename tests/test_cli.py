@@ -169,6 +169,21 @@ class TestHeight:
         assert code == 1
         assert blob["error"]["code"] == "PRECONDITION"
 
+    def test_hit_at_a_place_without_reducible_fiber(self, capsys, tmp_path):
+        from picard20.ellsurf import model_to_json
+        from picard20.models import get_model
+
+        obj = model_to_json(get_model("d4"))
+        obj["sections"][0]["component_hits"] = [["t=5", 1]]
+        path = tmp_path / "d4_hit_t5.json"
+        path.write_text(json.dumps(obj))
+        code, blob = run_cli(capsys, "height", "--model", str(path), "--section", "0")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "component hit at t=5, which carries no reducible fiber",
+        }
+
 
 class TestNsdisc:
     def test_d27(self, capsys):
@@ -195,6 +210,13 @@ class TestVerify:
         assert blob["twist"] == "matches_base"
         assert all(blob["verdicts"].values())
         assert blob["yp_gcd"] == "1/2"
+
+    def test_fractions_render_as_strings(self, capsys):
+        code, blob = run_cli(capsys, "verify", "--model", "d19", "--pmax", "60")
+        assert code == 0
+        ok = [r for r in blob["rows"] if r["status"] == "ok"]
+        assert ok[0]["p"] == 5 and ok[0]["certificate"] == ["1/2", "1/2"]
+        assert ok[0]["M_squared"] == "1"
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -143,6 +143,7 @@ class TestMatchTwist:
     def test_base_stream(self):
         verdict = match_twist(FROZEN_STREAMS[-19], CMRule(-19))
         assert verdict.kind == "matches_base"
+        assert verdict.expected == dict(FROZEN_STREAMS[-19])
 
     def test_quadratic_twist_recovers_delta(self):
         for delta in (3, -1, 7, -11):
@@ -153,6 +154,7 @@ class TestMatchTwist:
                 assert verdict.kind == "matches_base"
             else:
                 assert verdict.kind == "quadratic_twist"
+                assert verdict.expected == dict(twisted)
                 found = twist_discriminant(verdict.delta)
                 want = twist_discriminant(delta)
                 for p, _ in FROZEN_STREAMS[-4]:
@@ -163,6 +165,7 @@ class TestMatchTwist:
         verdict = match_twist(rows, CMRule(-19))
         assert verdict.kind == "no_match"
         assert verdict.failing_prime == 5
+        assert verdict.expected == dict(FROZEN_STREAMS[-19])
 
     def test_cubic_branch_shape(self):
         # replace each a_p by a different root of the same norm equation;
@@ -181,6 +184,7 @@ class TestMatchTwist:
         assert any(r != s for r, s in zip(rows, FROZEN_STREAMS[-3]))
         verdict = match_twist(rows, CMRule(-3))
         assert verdict.kind == "cubic_class"
+        assert verdict.expected is None
 
     def test_insufficient_rows(self):
         with pytest.raises(VerificationError) as err:

@@ -2,9 +2,11 @@
 
 The brute-force oracle counts Weierstrass solutions by direct enumeration;
 it agrees with count_fiber exactly on irreducible fibers (smooth, I1, II),
-which pins down the character-sum machinery. Multi-component formulas are
-validated globally through the trace identity against the CM coefficients,
-an independently implemented pipeline.
+which pins down the character-sum machinery. On I_n fibers (n >= 2) it
+decides rationality: count_fiber gives n p exactly when the nodal cubic has
+p points (split node) and refuses exactly when it has p + 2. The other
+multi-component formulas are validated globally through the trace identity
+against the CM coefficients, an independently implemented pipeline.
 """
 
 import json
@@ -210,6 +212,35 @@ def test_in_fiber_needs_rational_components():
     with pytest.raises(VerificationError) as err:
         count_fiber(model, 17, 0)
     assert err.value.code == "COMPONENTS_NOT_RATIONAL"
+    # every I_n place (n >= 2) of the registry at good p < 60, t=oo included:
+    # the nodal Weierstrass cubic has p points when its node is split, and
+    # then the n-gon counts n p; p + 2 when it is not, and then it is refused
+    fibers = refused = 0
+    for model in REGISTRY.values():
+        for p in primes_up_to(59):
+            if not good_prime(model, p):
+                continue
+            for F in classify_fibers(model):
+                n = F.component_count
+                if not F.kodaira_type[1:].isdecimal() or n < 2:
+                    continue
+                if F.poly is None:
+                    places = [INFINITY]
+                else:
+                    places = [t0 for t0 in range(p) if peval(F.poly, t0) % p == 0]
+                for t0 in places:
+                    brute = _brute_fiber_count(model, p, t0)
+                    fibers += 1
+                    try:
+                        got = count_fiber(model, p, t0)
+                    except VerificationError as err:
+                        refused += 1
+                        assert (err.code, brute) == ("COMPONENTS_NOT_RATIONAL", p + 2), (
+                            model.name, p, t0,
+                        )
+                    else:
+                        assert (got, brute) == (n * p, p), (model.name, p, t0)
+    assert (fibers, refused) == (106, 6)
 
 
 def test_gated_additive_fiber_at_inert_prime():

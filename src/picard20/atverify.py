@@ -19,7 +19,7 @@ from typing import Optional
 
 from .arith import is_square, kronecker, primes_up_to
 from .errors import VerificationError
-from .ellsurf import SurfaceModel, good_prime, rank20_effective, trace_ap
+from .ellsurf import COUNT_LIMIT, SurfaceModel, good_prime, rank20_effective, trace_ap
 from .heckecm import CMRule, match_twist
 from .models import TABLE_ROWS
 from .mwheights import (
@@ -141,6 +141,8 @@ def verify_surface(
         raise VerificationError(
             "PRECONDITION", f"{model.name} is not effectively of rank 20 over Q"
         )
+    if pmax > COUNT_LIMIT:
+        raise VerificationError("PRECONDITION", f"pmax={pmax} exceeds the count limit {COUNT_LIMIT}")
     d_K, N = fundamental_decomposition(model.d)
     rule = CMRule(d_K)
     primes = list(primes_up_to(pmax))

@@ -26,7 +26,6 @@ from .polys import (
     factor_int_poly,
     padd,
     pdeg,
-    pderiv,
     pdivmod,
     pdivmod_mod,
     peval_mod,
@@ -415,13 +414,18 @@ class _CountingContext(NamedTuple):
     at_infinity: Optional[FiberDatum]
     main: _ChartData
     chart: _ChartData
-    effective: bool
-    split: int
+    rank20_split: bool  # rank 20 over Q at a split prime
+
+
+# surface_count is O(p^2) pure-Python work: about 1 s at p = 3001, 12 s at 10007
+COUNT_LIMIT = 10**4
 
 
 # counting goes one prime at a time, so only the current prime's context is kept
 @functools.lru_cache(maxsize=1)
 def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
+    if p > COUNT_LIMIT:
+        raise VerificationError("PRECONDITION", f"p={p} is above the count limit {COUNT_LIMIT}")
     if not good_prime(model, p):
         raise VerificationError(
             "PRECONDITION", f"p={p} is not a good prime for {model.name}"
@@ -447,8 +451,7 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         at_infinity=at_infinity,
         main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
         chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
-        effective=rank20_effective(model),
-        split=kronecker(model.d, p),
+        rank20_split=rank20_effective(model) and kronecker(model.d, p) == 1,
     )
 
 
@@ -476,47 +479,14 @@ def _shifted_value(fbar: Poly, t0: int, k: int, p: int) -> int:
     return peval_mod(fbar, t0, p)
 
 
-def _cycle_count(ctx: _CountingContext, side: _ChartData, t0: int, datum: FiberDatum) -> int:
-    # I_n, n >= 2: the smooth model has an n-cycle of rational curves over the
-    # node; all components rational iff the node's tangent cone splits over F_p
-    p = ctx.p
-    n = kodaira(datum.kodaira_type).n
-    b2v = peval_mod(side.b2, t0, p)
-    b4v = peval_mod(side.b4, t0, p)
-    b6v = peval_mod(side.b6, t0, p)
-    g = ptrim((b6v, 2 * b4v % p, b2v, 4))
-    h = pgcd_mod(g, pderiv(g), p)
-    if pdeg(h) != 1:
-        raise VerificationError(
-            "PRECONDITION", f"no unique double root for {datum.kodaira_type} at p={p}"
-        )
-    x0 = (-h[0]) % p
-    x1 = (-b2v * pow(4, -1, p) - 2 * x0) % p
-    e = ctx.chi[(x0 - x1) % p]
-    if e == 1:
-        return n * p
-    if e == -1:
-        raise VerificationError(
-            "COMPONENTS_NOT_RATIONAL",
-            f"I{n} fiber at {datum.place}: node tangents not rational at p={p}",
-        )
-    raise VerificationError("PRECONDITION", f"triple root in I{n} fiber at p={p}")
-
-
-def _star_count(ctx: _CountingContext, side: _ChartData, t0: int, datum: FiberDatum) -> int:
+def _star_splits(ctx: _CountingContext, side: _ChartData, t0: int) -> bool:
     # I_0*: four simple components, three of which match the roots of the
     # residual cubic T^3 - 3 c4' T - 2 c6' with c4' = (c4/pi^2)(t0) etc.
     p = ctx.p
     a = _shifted_value(side.c4, t0, 2, p)
     b = _shifted_value(side.c6, t0, 3, p)
     cubic = ptrim(((-2 * b) % p, (-3 * a) % p, 0, 1))
-    roots = sum(1 for T in range(p) if peval_mod(cubic, T, p) == 0)
-    if roots == 3:
-        return 5 * p + 1
-    raise VerificationError(
-        "COMPONENTS_NOT_RATIONAL",
-        f"I0* fiber at {datum.place}: residual cubic does not split at p={p}",
-    )
+    return sum(1 for T in range(p) if peval_mod(cubic, T, p) == 0) == 3
 
 
 def count_fiber(model: SurfaceModel, p: int, t0) -> int:
@@ -530,24 +500,38 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
     else:
         t0v = int(t0) % p
         side, datum = ctx.main, ctx.finite.get(t0v)
-    if datum is None or datum.kodaira_type == "I1":
-        # smooth model = Weierstrass model here; both nodal cases are exact
+    if datum is None:
         return _charsum_count(ctx, side, t0v)
     sym = datum.kodaira_type
-    if sym in ("II", "III*", "II*"):
-        # a graph symmetry that fixes the identity component is trivial here,
-        # so Frobenius fixes every component
-        return datum.component_count * p + 1
-    if kodaira(sym).family == "I":
-        return _cycle_count(ctx, side, t0v, datum)
-    if sym == "I0*":
-        return _star_count(ctx, side, t0v, datum)
-    # III, IV, IV*, I_n* (n >= 1): rationality granted by rank 20 over Q at split p
-    if ctx.effective and ctx.split == 1:
+    k = kodaira(sym)
+    if k.family == "I":
+        # the Weierstrass cubic is nodal (good_prime keeps v(c4) = 0): p points
+        # when the node's tangents are rational, p + 2 when they are conjugate;
+        # for n >= 2 the smooth model replaces the node by an n-cycle of rational curves
+        count = _charsum_count(ctx, side, t0v)
+        if k.n == 1:
+            return count
+        if count == p:
+            return k.n * p
+        if count == p + 2:
+            raise VerificationError(
+                "COMPONENTS_NOT_RATIONAL",
+                f"{sym} fiber at {datum.place}: node tangents not rational at p={p}",
+            )
+        raise VerificationError(
+            "PRECONDITION", f"{sym} fiber at {datum.place}: {count} points on the cubic at p={p}"
+        )
+    # II, III* and II*: a graph symmetry that fixes the identity component is
+    # trivial here, so Frobenius fixes every component
+    if sym == "I0*" and not _star_splits(ctx, side, t0v):
+        why = "residual cubic does not split"
+    elif sym not in ("II", "I0*", "III*", "II*") and not ctx.rank20_split:
+        # III, IV, IV*, I_b* (b >= 1): rationality granted by rank 20 over Q at split p
+        why = "components not known rational"
+    else:
         return datum.component_count * p + 1
     raise VerificationError(
-        "COMPONENTS_NOT_RATIONAL",
-        f"{sym} fiber at {datum.place}: components not known rational at p={p}",
+        "COMPONENTS_NOT_RATIONAL", f"{sym} fiber at {datum.place}: {why} at p={p}"
     )
 
 

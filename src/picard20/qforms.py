@@ -114,13 +114,22 @@ def principal_form(d: int) -> QuadForm:
     return QuadForm(1, b, (b * b - d) // 4)
 
 
+# enumerate_reduced walks about |d|/6 pairs (a, b): 1.3 s at |d| = 10^8, 15 s at 10^9
+_CLASS_GROUP_LIMIT = 10**9
+
+
 def enumerate_reduced(d: int) -> list[QuadForm]:
     """All primitive reduced forms of discriminant d, sorted by (a, b).
 
     Imprimitive reduced forms exist for non-fundamental d (e.g. (2, 2, 2) at
     d = -12) but do not belong to the class group and are excluded.
+    |d| above 10^9 raises PRECONDITION rather than walk for minutes.
     """
     check_discriminant(d)
+    if -d > _CLASS_GROUP_LIMIT:
+        raise VerificationError(
+            "PRECONDITION", f"|d| = {-d} is above {_CLASS_GROUP_LIMIT}, the class-group limit"
+        )
     out = []
     amax = math.isqrt(-d // 3)
     for a in range(1, amax + 1):

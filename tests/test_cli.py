@@ -100,6 +100,15 @@ class TestCount:
             "message": f"p={p} is not a good prime for d19",
         }
 
+    def test_prime_above_the_count_limit(self, capsys):
+        # refused before the p-entry character table is built
+        code, blob = run_cli(capsys, "count", "--model", "d19", "--p", "1000003")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "p=1000003 is above the count limit 10000",
+        }
+
     def test_inert_prime_counts_without_trace(self, capsys):
         code, blob = run_cli(capsys, "count", "--model", "d4", "--p", "7")
         assert code == 0
@@ -228,6 +237,16 @@ class TestVerify:
         assert out_path.read_bytes() == stdout.encode()
 
 
+    def test_pmax_above_the_count_limit(self, capsys):
+        # refused before the primes up to pmax are sieved
+        code, blob = run_cli(capsys, "verify", "--model", "d19", "--pmax", "1000000000")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "pmax=1000000000 exceeds the count limit 10000",
+        }
+
+
 class TestModelLoading:
     def test_model_from_file(self, capsys, tmp_path):
         code, blob = run_cli(capsys, "fibers", "--model", "d4")
@@ -305,6 +324,23 @@ def test_table_check_command(capsys):
     assert code == 0
     assert blob["all_as_expected"] is True
     assert blob["flagged"] == [-3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classgroup", "-d", "-1000000007"],
+        ["ap", "--dK", "-1000000007", "--pmax", "10"],
+        ["lemma-r", "-d", "-4", "-r", "100000"],  # through d r^2 = -4 * 10^10
+    ],
+)
+def test_class_group_limit(capsys, argv):
+    # the reduced-form walk is refused above |d| = 10^9 instead of running for minutes
+    code, blob = run_cli(capsys, *argv)
+    assert code == 1
+    assert blob["error"]["code"] == "PRECONDITION"
+    assert "the class-group limit" in blob["error"]["message"]
+    assert "1000000000" in blob["error"]["message"]
 
 
 def test_lemma_r_command(capsys):

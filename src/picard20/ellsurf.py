@@ -425,7 +425,7 @@ COUNT_LIMIT = 10**4
 @functools.lru_cache(maxsize=1)
 def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     if p > COUNT_LIMIT:
-        raise VerificationError("PRECONDITION", f"p={p} is above the count limit {COUNT_LIMIT}")
+        raise VerificationError("PRECONDITION", f"p={p} exceeds the count limit {COUNT_LIMIT}")
     if not good_prime(model, p):
         raise VerificationError(
             "PRECONDITION", f"p={p} is not a good prime for {model.name}"

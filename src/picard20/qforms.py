@@ -128,7 +128,7 @@ def enumerate_reduced(d: int) -> list[QuadForm]:
     check_discriminant(d)
     if -d > _CLASS_GROUP_LIMIT:
         raise VerificationError(
-            "PRECONDITION", f"|d| = {-d} is above {_CLASS_GROUP_LIMIT}, the class-group limit"
+            "PRECONDITION", f"|d| = {-d} exceeds the class-group limit {_CLASS_GROUP_LIMIT}"
         )
     out = []
     amax = math.isqrt(-d // 3)

@@ -106,7 +106,7 @@ class TestCount:
         assert code == 1
         assert blob["error"] == {
             "code": "PRECONDITION",
-            "message": "p=1000003 is above the count limit 10000",
+            "message": "p=1000003 exceeds the count limit 10000",
         }
 
     def test_inert_prime_counts_without_trace(self, capsys):

@@ -521,8 +521,8 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         raise VerificationError(
             "PRECONDITION", f"{sym} fiber at {datum.place}: {count} points on the cubic at p={p}"
         )
-    # II, III* and II*: a graph symmetry that fixes the identity component is
-    # trivial here, so Frobenius fixes every component
+    # additive: II, III* and II* need no test, since a graph symmetry that fixes
+    # the identity component is trivial there, so Frobenius fixes every component
     if sym == "I0*" and not _star_splits(ctx, side, t0v):
         why = "residual cubic does not split"
     elif sym not in ("II", "I0*", "III*", "II*") and not ctx.rank20_split:

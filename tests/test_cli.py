@@ -83,6 +83,15 @@ class TestAp:
             "message": "class number of -20 is not one",
         }
 
+    def test_pmax_above_the_ap_limit(self, capsys):
+        # refused before the primes up to pmax are sieved
+        code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "10000001")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "pmax=10000001 exceeds the ap limit 10000000",
+        }
+
 
 class TestCount:
     def test_d19_at_5(self, capsys):

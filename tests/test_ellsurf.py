@@ -2,11 +2,15 @@
 
 The brute-force oracle counts Weierstrass solutions by direct enumeration;
 it agrees with count_fiber exactly on irreducible fibers (smooth, I1, II),
-which pins down the character-sum machinery. On I_n fibers (n >= 2) it
-decides rationality: count_fiber gives n p exactly when the nodal cubic has
-p points (split node) and refuses exactly when it has p + 2. The other
-multi-component formulas are validated globally through the trace identity
-against the CM coefficients, an independently implemented pipeline.
+which pins down the counting machinery. On I_n fibers (n >= 2) it decides
+rationality: count_fiber gives n p exactly when the nodal cubic has p points
+(split node) and refuses exactly when it has p + 2. count_fiber reads each
+smooth and multiplicative fiber off three per-prime tables of cubic character
+sums; the direct character sum _charsum_count is the oracle of that table
+kernel, fiber by fiber, and every table entry is checked against the sum it
+stands for. The other multi-component formulas are validated globally through
+the trace identity against the CM coefficients, an independently implemented
+pipeline.
 """
 
 import json
@@ -32,7 +36,12 @@ from picard20.ellsurf import (
     trace_ap,
     twist_model,
 )
-from picard20.ellsurf import _charsum_count, _counting_context, _kodaira_from_valuations
+from picard20.ellsurf import (
+    _charsum_count,
+    _counting_context,
+    _cubic_sum,
+    _kodaira_from_valuations,
+)
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, ap_h1
 from picard20.models import REGISTRY, get_model
@@ -281,6 +290,23 @@ def test_fiber_sums_match_the_character_sum():
                         count_fiber(model, p, t0)
                     assert err.value.code == "COMPONENTS_NOT_RATIONAL", where
     assert tally == {"smooth": 37069, "I1": 199, "split": 318, "refused": 20}
+
+
+def test_cubic_sum_tables_match_the_direct_sum():
+    # every (A, B) in F_p^2 at every good p <= 43 of d19: j = 0 (A = 0),
+    # j = 1728 (B = 0), singular cubics (4A^3 + 27B^2 = 0) and the shortest
+    # packed products
+    model = get_model("d19")
+    primes = [p for p in primes_up_to(43) if good_prime(model, p)]
+    assert primes == [5, 7, 11, 13, 17, 23, 29, 31, 37, 41, 43]
+    for p in primes:
+        squares = {x * x % p for x in range(1, p)}
+        chi = [0] + [1 if v in squares else -1 for v in range(1, p)]
+        ctx = _counting_context(model, p)
+        for a in range(p):
+            for b in range(p):
+                direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+                assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
 
 
 def test_gated_additive_fiber_at_inert_prime():

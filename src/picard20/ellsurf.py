@@ -415,11 +415,12 @@ class _ChartData(NamedTuple):
 class _CountingContext(NamedTuple):
     p: int
     chi: tuple
-    inverse: tuple  # inverse[x] = 1/x mod p, inverse[0] = 0
-    # S(A, B) = sum over X of chi(X^3 + A X + B), indexed by k in F_p:
-    s_kk: tuple  # S(k, k)
-    s_0b: tuple  # S(0, k)
-    s_a0: tuple  # S(k, 0)
+    inverse: array  # inverse[x] = 1/x mod p, inverse[0] = 0
+    # S(A, B) = sum over X of chi(X^3 + A X + B), indexed by k in F_p; arrays,
+    # not tuples of ints, keep the cached context from adding to peak memory
+    s_kk: array  # S(k, k)
+    s_0b: array  # S(0, k)
+    s_a0: array  # S(k, 0)
     finite: dict
     at_infinity: Optional[FiberDatum]
     main: _ChartData
@@ -432,9 +433,9 @@ class _CountingContext(NamedTuple):
 COUNT_LIMIT = 10**4
 
 
-def _correlation(w: list, chi: tuple) -> list:
-    """R[k] = sum over y in F_p of w[y] chi(y + k), for every k, as one exact
-    product of integers (Kronecker substitution).
+def _correlation(w: list, chi: tuple, shift: int = 0) -> array:
+    """R[k] + shift for every k in F_p, R[k] = sum over y in F_p of w[y] chi(y + k),
+    from one exact product of integers (Kronecker substitution).
 
     The reversed w + 3 and two periods of chi + 1 are packed into 32-bit
     slots; coefficient p - 1 + k of their product is R[k] + sum(w) + 3p.  With
@@ -445,16 +446,13 @@ def _correlation(w: list, chi: tuple) -> list:
         raise VerificationError("PRECONDITION", f"p={p} overflows the 32-bit correlation slots")
     u = array("I", [c + 3 for c in reversed(w)])
     v = array("I", [c + 1 for c in chi]) * 2
-    product = int.from_bytes(u.tobytes(), sys.byteorder) * int.from_bytes(
-        v.tobytes(), sys.byteorder
-    )
-    slots = array("I")
-    slots.frombytes(product.to_bytes(4 * 3 * p, sys.byteorder))
-    offset = sum(w) + 3 * p
-    return [c - offset for c in slots[p - 1 : 2 * p - 1]]
+    product = int.from_bytes(u, sys.byteorder) * int.from_bytes(v, sys.byteorder)
+    slots = memoryview(product.to_bytes(4 * 3 * p, sys.byteorder)).cast("I")
+    offset = sum(w) + 3 * p - shift
+    return array("i", [c - offset for c in slots[p - 1 : 2 * p - 1]])
 
 
-def _cubic_sum_tables(p: int, chi: tuple, inverse: tuple) -> tuple[tuple, tuple, tuple]:
+def _cubic_sum_tables(p: int, chi: tuple, inverse: array) -> tuple[array, array, array]:
     """(S(k, k), S(0, k), S(k, 0)) for k in F_p, each a correlation with chi:
     x^3 + k x + k = (x + 1)(x^3/(x + 1) + k) for x != -1, so S(k, k) is
     chi(-1) plus the correlation of w(y) = sum of chi(x + 1) over x^3/(x + 1) = y;
@@ -468,12 +466,7 @@ def _cubic_sum_tables(p: int, chi: tuple, inverse: tuple) -> tuple[tuple, tuple,
         w_a0[x2] += chi[x]
         if x != p - 1:
             w_kk[x3 * inverse[x + 1] % p] += chi[x + 1]
-    minus_one = chi[p - 1]
-    return (
-        tuple(minus_one + r for r in _correlation(w_kk, chi)),
-        tuple(_correlation(w_0b, chi)),
-        tuple(_correlation(w_a0, chi)),
-    )
+    return _correlation(w_kk, chi, chi[p - 1]), _correlation(w_0b, chi), _correlation(w_a0, chi)
 
 
 # counting goes one prime at a time, so only the current prime's context is kept
@@ -493,7 +486,7 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     inverse = [0, 1] + [0] * (p - 2)
     for x in range(2, p):
         inverse[x] = (p - p // x) * inverse[p % x] % p
-    inverse = tuple(inverse)
+    inverse = array("i", inverse)
     inv = _invariants(model)
     finite = {}
     at_infinity = None

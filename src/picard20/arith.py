@@ -14,7 +14,6 @@ from .errors import VerificationError
 __all__ = [
     "is_prime",
     "kronecker",
-    "sqrt_mod",
     "cornacchia",
     "primes_up_to",
     "factorize",
@@ -86,48 +85,6 @@ def kronecker(a: int, n: int) -> int:
             k = -k
         a %= n
     return k if n == 1 else 0
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root of a modulo an odd prime p, or None for a non-residue.
-
-    Returns the smaller of the two roots. Tonelli-Shanks in the hard case.
-    """
-    if p < 3 or not is_prime(p):
-        raise ValueError("sqrt_mod requires an odd prime modulus")
-    a %= p
-    if a == 0:
-        return 0
-    if kronecker(a, p) != 1:
-        return None
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
-    # p = 1 mod 4: write p - 1 = q * 2^s with q odd.
-    q = p - 1
-    s = 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while kronecker(z, p) != -1:
-        z += 1
-    m = s
-    c = pow(z, q, p)
-    t = pow(a, q, p)
-    r = pow(a, (q + 1) // 2, p)
-    while t != 1:
-        t2 = t
-        i = 0
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m = i
-        c = b * b % p
-        t = t * c % p
-        r = r * b % p
-    return min(r, p - r)
 
 
 def is_square(n: int) -> bool:

@@ -71,8 +71,11 @@ def _emit(obj, out: str | None = None, code: int = 0) -> int:
     """Write obj as JSON to stdout and, when out is given, to that file too."""
     text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise VerificationError("PRECONDITION", f"cannot write {out}: {exc.strerror}") from None
     sys.stdout.write(text)
     return code
 

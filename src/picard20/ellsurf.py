@@ -9,10 +9,13 @@ Weierstrass cubic of each smooth or multiplicative fiber is counted by one
 lookup in three per-prime tables of cubic character sums, built in O(p) by
 exact integer correlation; the direct sum _charsum_count is their oracle.
 
-A prime p > 3 not dividing d is good when three conditions hold: p does not
-divide lead = lead(Delta) lead(c4) lead(c6); R, the product of the finite
-places, is squarefree mod p; and for each nonvanishing c in (c4, c6) the
-cofactor c / prod f^{v_c(f)} is coprime to R mod p.
+A prime p > 3 is good when it divides neither d nor one cached integer,
+lead Res(R, R' u4 u6): lead = lead(Delta) lead(c4) lead(c6), R the product of
+the finite places, u_c = c / prod f^{v_c(f)} the cofactor of c in (c4, c6).
+Since p not dividing lead keeps deg R, p divides the resultant exactly when R
+mod p has a repeated root or a root of some u_c: when places merge or stop
+being squarefree, or c gains order at a place.  So no good prime costs any
+polynomial arithmetic mod p.
 """
 
 from __future__ import annotations
@@ -31,10 +34,10 @@ from .polys import (
     factor_int_poly,
     padd,
     pdeg,
+    pderiv,
     pdivmod,
     pdivmod_mod,
     peval_mod,
-    pgcd_mod,
     pmod,
     pmul,
     poly_str,
@@ -43,7 +46,7 @@ from .polys import (
     psub,
     ptrim,
     reciprocal,
-    is_squarefree_mod,
+    resultant,
     valuation,
 )
 
@@ -362,10 +365,12 @@ def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _reduction(model: SurfaceModel) -> tuple[int, Poly, tuple[Poly, ...]]:
-    """(lead, R, cofactors): the record of the model that good_prime() tests."""
+def _bad_product(model: SurfaceModel) -> int:
+    """lead Res(R, R' u4 u6): the primes p > 3 not dividing d that divide it
+    are exactly the ones good_prime() rejects."""
     finite = [F for F in classify_fibers(model) if F.poly is not None]
-    lead, cofactors = discriminant(model)[-1], []
+    places = functools.reduce(pmul, (F.poly for F in finite), (1,))
+    lead, g = discriminant(model)[-1], pderiv(places)
     for c, name in zip(c_invariants(model), ("vc4", "vc6")):
         if c:
             lead *= c[-1]
@@ -373,32 +378,24 @@ def _reduction(model: SurfaceModel) -> tuple[int, Poly, tuple[Poly, ...]]:
             q, r = pdivmod(c, functools.reduce(pmul, powers, (1,)))
             u = tuple(int(a) for a in q)
             assert not r and u == q  # in Z[t] by Gauss: every place is primitive
-            cofactors.append(u)
-    return lead, functools.reduce(pmul, (F.poly for F in finite), (1,)), tuple(cofactors)
+            g = pmul(g, u)
+    return lead * resultant(places, g)
 
 
 def good_prime(model: SurfaceModel, p: int) -> bool:
     """Whether reduction mod p keeps all local fiber data, t=oo included.
 
-    p must be a prime > 3 not dividing d, and three conditions must hold:
-    - p does not divide lead = lead(Delta) lead(c4) lead(c6), a vanishing c4
-      or c6 left out: the content of Delta, the leading coefficient of each
-      place and the orders at t=oo are kept;
-    - R mod p is squarefree, R the product of the finite places: each place
-      stays squarefree and no two places share a root mod p;
-    - for each nonvanishing c in (c4, c6), the cofactor c / prod f^{v_c(f)}
-      is coprime to R mod p: every root of a place f has order exactly
-      v_c(f) in c mod p.
+    p must be a prime > 3 dividing neither d nor lead Res(R, R' u4 u6), where
+    lead = lead(Delta) lead(c4) lead(c6) with a vanishing c4 or c6 left out,
+    R is the product of the finite places and u_c = c / prod f^{v_c(f)} is
+    the cofactor of each nonvanishing c in (c4, c6).  p not dividing lead
+    keeps the content of Delta, the leading coefficient of each place and the
+    orders at t=oo; it also keeps deg R mod p, so p divides the resultant
+    exactly when R mod p shares a root with R' u4 u6 mod p, that is when R
+    mod p has a repeated root (a place stops being squarefree or two places
+    meet) or a root of some u_c (c gains order at a place).
     """
-    if p <= 3 or not is_prime(p) or model.d % p == 0:
-        return False
-    lead, places, cofactors = _reduction(model)
-    if lead % p == 0:
-        return False
-    rbar = pmod(places, p)
-    return is_squarefree_mod(rbar, p) and all(
-        pdeg(pgcd_mod(u, rbar, p)) == 0 for u in cofactors
-    )
+    return p > 3 and is_prime(p) and model.d % p != 0 and _bad_product(model) % p != 0
 
 
 # ---------------------------------------------------------------- counting

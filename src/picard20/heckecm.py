@@ -169,7 +169,8 @@ def match_twist(
     base_rule = CMRule(rule.d_K)
     base = {p: ap_h1(base_rule, p) for p, _ in rows}
 
-    if all(ap == base[p] for p, ap in rows):
+    mismatch = next((p for p, ap in rows if ap != base[p]), None)
+    if mismatch is None:
         return TwistVerdict("matches_base", expected=base)
 
     if rule.d_K == -4:
@@ -194,7 +195,4 @@ def match_twist(
                 return TwistVerdict("no_match", failing_prime=p, expected=base)
         return TwistVerdict("cubic_class")
 
-    for p, ap in rows:
-        if ap != base[p]:
-            return TwistVerdict("no_match", failing_prime=p, expected=base)
-    raise AssertionError("unreachable")
+    return TwistVerdict("no_match", failing_prime=mismatch, expected=base)

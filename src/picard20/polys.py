@@ -31,11 +31,10 @@ __all__ = [
     "reciprocal",
     "poly_str",
     "factor_int_poly",
+    "resultant",
     "pmod",
     "peval_mod",
     "pdivmod_mod",
-    "pgcd_mod",
-    "is_squarefree_mod",
 ]
 
 
@@ -145,7 +144,7 @@ def reciprocal(f: Poly, weight: int) -> Poly:
     return ptrim(out)
 
 
-def poly_str(f: Poly, var: str = "t") -> str:
+def poly_str(f: Poly) -> str:
     """Descending-order rendering, e.g. (1, -1, 1) -> 't^2-t+1'."""
     if not f:
         return "0"
@@ -158,7 +157,7 @@ def poly_str(f: Poly, var: str = "t") -> str:
             term = str(abs(a))
         else:
             mag = "" if abs(a) == 1 else str(abs(a)) + "*"
-            term = f"{mag}{var}" + (f"^{i}" if i > 1 else "")
+            term = f"{mag}t" + (f"^{i}" if i > 1 else "")
         if not parts:
             parts.append(("-" if a < 0 else "") + term)
         else:
@@ -171,19 +170,12 @@ def factor_int_poly(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     irreducible powers: f = const * prod(g_i^m_i). Factors are sorted by
     (degree, coefficients) for reproducible reports.
     """
-    # sympy import deferred: factoring is the only use and several CLI
-    # paths never need it
-    import sympy
-
     if not f:
         raise VerificationError("PRECONDITION", "cannot factor zero")
-    t = sympy.Symbol("t")
-    expr = sum(int(a) * t**i for i, a in enumerate(f))
-    const, factors = sympy.factor_list(sympy.Poly(expr, t))
+    const, factors = _sympy_poly(f).factor_list()
     out = []
     for poly, mult in factors:
-        coeffs = [int(c) for c in sympy.Poly(poly, t).all_coeffs()][::-1]
-        g = ptrim(coeffs)
+        g = ptrim(int(c) for c in reversed(poly.all_coeffs()))
         if g[-1] < 0:
             g, const = pneg(g), -const  # keep factors with positive lead
         out.append((g, int(mult)))
@@ -194,6 +186,27 @@ def factor_int_poly(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
         check = pmul(check, ppow(g, m))
     assert check == ptrim(f)
     return c, out
+
+
+def resultant(f: Poly, g: Poly) -> int:
+    """Res(f, g) of integer polynomials: lead(f)^deg(g) times the product of
+    g over the roots of f, so Res(t - a, g) = g(a).  By convention it is 1
+    when f is constant."""
+    if pdeg(f) < 1:
+        return 1
+    # when deg f < deg g, sympy swaps the arguments without the sign in
+    # Res(f, g) = (-1)^(deg f deg g) Res(g, f), so the longer one goes first
+    if pdeg(f) >= pdeg(g):
+        return int(_sympy_poly(f).resultant(_sympy_poly(g)))
+    return (-1) ** (pdeg(f) * pdeg(g)) * int(_sympy_poly(g).resultant(_sympy_poly(f)))
+
+
+def _sympy_poly(f: Poly):
+    # sympy import deferred: factoring Delta and one resultant per model are
+    # its only uses, and several CLI paths never need it
+    import sympy
+
+    return sympy.Poly([int(a) for a in reversed(f)] or [0], sympy.Symbol("t"), domain="ZZ")
 
 
 # mod-p layer: coefficients are ints in [0, p)
@@ -224,20 +237,3 @@ def pdivmod_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
         for j, b in enumerate(g):
             rem[i + j] = (rem[i + j] - c * b) % p
     return ptrim(quo), ptrim(rem)
-
-
-def pgcd_mod(f: Poly, g: Poly, p: int) -> Poly:
-    f, g = pmod(f, p), pmod(g, p)
-    while g:
-        f, g = g, pdivmod_mod(f, g, p)[1]
-    if f:
-        inv = pow(f[-1], -1, p)
-        f = tuple(a * inv % p for a in f)  # monic
-    return f
-
-
-def is_squarefree_mod(f: Poly, p: int) -> bool:
-    fb = pmod(f, p)
-    if pdeg(fb) < 1:
-        return True
-    return pdeg(pgcd_mod(fb, pderiv(fb), p)) == 0

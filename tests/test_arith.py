@@ -14,7 +14,6 @@ from picard20.arith import (
     is_squarefree,
     kronecker,
     primes_up_to,
-    sqrt_mod,
     squarefree_part,
 )
 from picard20.errors import VerificationError
@@ -90,19 +89,6 @@ def test_kronecker_at_two():
     for a in range(-50, 51):
         expected = 0 if a % 2 == 0 else (1 if a % 8 in (1, 7) else -1)
         assert kronecker(a, 2) == expected, a
-
-
-def test_sqrt_mod_all_residues():
-    for p in primes_up_to(200):
-        if p == 2:
-            continue  # contract: odd prime modulus only
-        squares = {(x * x) % p for x in range(p)}
-        for a in range(p):
-            r = sqrt_mod(a, p)
-            if a in squares:
-                assert r is not None and (r * r) % p == a % p, (a, p)
-            else:
-                assert r is None, (a, p)
 
 
 def _brute_cornacchia(D: int, m: int):

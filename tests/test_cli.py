@@ -245,6 +245,22 @@ class TestVerify:
         assert code == 0
         assert out_path.read_bytes() == stdout.encode()
 
+    @pytest.mark.parametrize(
+        "where, why",
+        [("missing/report.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing-directory", "directory"],
+    )
+    def test_unwritable_out_is_a_precondition(self, capsys, tmp_path, where, why):
+        # stdout holds the error document alone, not the report before it
+        out_path = tmp_path / where
+        code, blob = run_cli(
+            capsys, "verify", "--model", "d19", "--pmax", "60", "--out", str(out_path)
+        )
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": f"cannot write {out_path}: {why}",
+        }
 
     def test_pmax_above_the_count_limit(self, capsys):
         # refused before the primes up to pmax are sieved

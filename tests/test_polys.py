@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from picard20.errors import VerificationError
 from picard20.polys import (
     factor_int_poly,
-    is_squarefree_mod,
     pdeg,
     pderiv,
     pdivmod,
     pdivmod_mod,
     peval,
     peval_mod,
-    pgcd_mod,
     pmod,
     pmul,
     ppow,
@@ -22,6 +20,7 @@ from picard20.polys import (
     psub,
     ptrim,
     reciprocal,
+    resultant,
     valuation,
     poly_str,
 )
@@ -113,22 +112,19 @@ def test_mod_p_helpers_match_direct_arithmetic():
         assert lhs == rhs
 
 
-def test_pgcd_mod_divides_both_and_is_monic():
-    p = 31
-    a = pmod(pmul((1, 1), (3, 0, 1)), p)
-    b = pmod(pmul((1, 1), (5, 1)), p)
-    g = pgcd_mod(a, b, p)
-    assert g[-1] == 1
-    for poly in (a, b):
-        _, r = pdivmod_mod(poly, g, p)
-        assert r == ()
-    assert pdeg(g) == 1  # gcd is exactly (t + 1)
+small = st.lists(st.integers(min_value=-5, max_value=5), min_size=0, max_size=5)
 
 
-def test_is_squarefree_mod():
-    p = 7
-    assert is_squarefree_mod((1, 1), p)
-    assert not is_squarefree_mod(pmod(pmul((1, 1), (1, 1)), p), p)
+@given(small, small, small, st.integers(min_value=-5, max_value=5))
+@settings(deadline=None, max_examples=60)
+def test_resultant_identities(f, g, h, a):
+    f, g, h = ptrim(tuple(f)), ptrim(tuple(g)), ptrim(tuple(h))
+    assert resultant((-a, 1), g) == peval(g, a)
+    assert resultant(f, pmul(g, h)) == resultant(f, g) * resultant(f, h)
+    if pdeg(f) < 1:
+        assert resultant(f, g) == 1
+    elif pdeg(g) >= 1:
+        assert resultant(f, g) == (-1) ** (pdeg(f) * pdeg(g)) * resultant(g, f)
 
 
 def test_pscale_and_psub():

@@ -3,13 +3,20 @@
 Coefficients are ints or Fractions over Q, plain ints for the mod-p layer.
 The zero polynomial is the empty tuple. Nothing here knows about surfaces;
 this is shared plumbing for exact valuations, the chart at infinity, and
-reduction mod p.
+reduction mod p.  Factoring over Z (Zassenhaus: factors mod a small prime,
+Hensel-lifted and recombined) and resultants (Euclid on primitive
+pseudo-remainders) are done here too, so the package needs nothing outside
+the standard library.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
+from .arith import is_prime
 from .errors import VerificationError
 
 Poly = tuple  # ascending coefficients
@@ -68,11 +75,10 @@ def pmul(f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
     out = [0] * (len(f) + len(g) - 1)
+    n = len(g)
     for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
+        if a:
+            out[i : i + n] = [c + a * b for c, b in zip(out[i : i + n], g)]
     return ptrim(out)
 
 
@@ -169,44 +175,238 @@ def factor_int_poly(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     """Factor a nonzero integer polynomial into content and primitive
     irreducible powers: f = const * prod(g_i^m_i). Factors are sorted by
     (degree, coefficients) for reproducible reports.
+
+    The squarefree part f / gcd(f, f') is factored by Zassenhaus, and each
+    factor is divided out of f as often as it goes.
     """
+    f = ptrim(f)
     if not f:
         raise VerificationError("PRECONDITION", "cannot factor zero")
-    const, factors = _sympy_poly(f).factor_list()
+    g = _primitive(tuple(int(a) for a in f))
+    const = int(f[-1]) // g[-1]
     out = []
-    for poly, mult in factors:
-        g = ptrim(int(c) for c in reversed(poly.all_coeffs()))
-        if g[-1] < 0:
-            g, const = pneg(g), -const  # keep factors with positive lead
-        out.append((g, int(mult)))
-    out.sort(key=lambda gm: (pdeg(gm[0]), gm[0]))
-    c = int(const)
-    check = (c,)
-    for g, m in out:
-        check = pmul(check, ppow(g, m))
-    assert check == ptrim(f)
-    return c, out
+    if pdeg(g) > 0:
+        for h in _factor_squarefree(_zdiv(g, _gcd(g, _primitive(pderiv(g))))):
+            m = 0
+            while (q := _zdiv(g, h)) is not None:
+                g, m = q, m + 1
+            out.append((h, m))
+    out.sort(key=lambda hm: (pdeg(hm[0]), hm[0]))
+    check = (const,)
+    for h, m in out:
+        check = pmul(check, ppow(h, m))
+    assert check == f
+    return const, out
 
 
 def resultant(f: Poly, g: Poly) -> int:
     """Res(f, g) of integer polynomials: lead(f)^deg(g) times the product of
     g over the roots of f, so Res(t - a, g) = g(a).  By convention it is 1
-    when f is constant."""
+    when f is constant, and otherwise 0 when g is zero."""
     if pdeg(f) < 1:
         return 1
-    # when deg f < deg g, sympy swaps the arguments without the sign in
-    # Res(f, g) = (-1)^(deg f deg g) Res(g, f), so the longer one goes first
-    if pdeg(f) >= pdeg(g):
-        return int(_sympy_poly(f).resultant(_sympy_poly(g)))
-    return (-1) ** (pdeg(f) * pdeg(g)) * int(_sympy_poly(g).resultant(_sympy_poly(f)))
+    res = Fraction(1)
+    while pdeg(g) >= 1:
+        # Euclid on primitive pseudo-remainders: for r = lead(g)^e f mod g,
+        # e = max(m - n + 1, 0), and its content k,
+        # Res(f, g) = (-1)^(m n) lead(g)^(m - deg r - e n) k^n Res(g, r / k)
+        m, n = pdeg(f), pdeg(g)
+        r = _prem(f, g)
+        if not r:
+            return 0
+        k = math.gcd(*r)
+        res *= (-1) ** (m * n) * Fraction(g[-1]) ** (m - pdeg(r) - max(m - n + 1, 0) * n) * k**n
+        f, g = g, tuple(a // k for a in r)
+    return int(res * Fraction(g[0] if g else 0) ** pdeg(f))
 
 
-def _sympy_poly(f: Poly):
-    # sympy import deferred: factoring Delta and one resultant per model are
-    # its only uses, and several CLI paths never need it
-    import sympy
+# Zassenhaus over Z (Cohen, GTM 138, 3.5; von zur Gathen and Gerhard, Modern
+# Computer Algebra, 15.6).  The subset search is exponential in the number of
+# modular factors left once the single ones that lift to factors are split
+# off, so past this many it is refused.
+_MAX_MODULAR_FACTORS = 12
+_PRIMES_TRIED = 3
 
-    return sympy.Poly([int(a) for a in reversed(f)] or [0], sympy.Symbol("t"), domain="ZZ")
+
+def _primitive(f: Poly) -> Poly:
+    """f / content, with positive lead; f a nonzero integer polynomial."""
+    c = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+    return tuple(a // c for a in f)
+
+
+def _zdiv(f: Poly, g: Poly):
+    """f / g over Z, or None when g does not divide f there."""
+    r, q, n = list(f), [], len(g)
+    for i in range(len(f) - n, -1, -1):
+        c, m = divmod(r[i + n - 1], g[-1])
+        if m:
+            return None
+        q.append(c)
+        r[i : i + n] = [a - c * b for a, b in zip(r[i : i + n], g)]
+    return tuple(reversed(q)) if not any(r) else None
+
+
+def _prem(f: Poly, g: Poly) -> Poly:
+    """lead(g)^max(deg f - deg g + 1, 0) f mod g, over Z."""
+    r, n = list(f), len(g) - 1
+    while len(r) > n:
+        c, k = r.pop(), len(r) - n
+        r = [a * g[-1] for a in r]
+        r[k:] = [a - c * b for a, b in zip(r[k:], g)]
+    return ptrim(r)
+
+
+def _gcd(f: Poly, g: Poly) -> Poly:
+    """gcd of primitive integer polynomials, by primitive pseudo-remainders."""
+    while g:
+        r = _prem(f, g)
+        f, g = g, r and _primitive(r)
+    return f
+
+
+def _factor_squarefree(f: Poly) -> list[Poly]:
+    """Irreducible factors of a primitive squarefree f with positive lead."""
+    if pdeg(f) < 2:
+        return [f] if pdeg(f) == 1 else []
+    # of the first few odd primes keeping f squarefree of its degree, the one
+    # at which f has the fewest factors; two or fewer leave nothing to search
+    tried, p = [], 1
+    while len(tried) < _PRIMES_TRIED:
+        p += 2
+        fp = pmod(f, p)
+        if is_prime(p) and pdeg(fp) == pdeg(f) and pdeg(_gcd_mod(fp, pmod(pderiv(fp), p), p)) == 0:
+            ddf = _distinct_degree(fp, p)
+            tried.append((sum(pdeg(g) // d for g, d in ddf), p, ddf))
+            if tried[-1][0] <= 2:
+                break
+    r, p, ddf = min(tried)
+    if r == 1:
+        return [f]
+    rng = random.Random(p)  # seeded, so every run splits alike
+    mods = [h for g, d in ddf for h in _equal_degree(g, d, p, rng)]
+    # lift f = lead * prod(mods) mod p to mod q > twice the Mignotte bound on
+    # lead * (a factor of f) / its lead, one factor against the rest at a time
+    bound = 2 * f[-1] * 2 ** pdeg(f) * (math.isqrt(sum(a * a for a in f)) + 1)
+    lifted, rest = [], f
+    for h in mods[:-1]:
+        g = pdivmod_mod(rest, h, p)[0]
+        s, t = _xgcd_mod(g, h, p)
+        q = p
+        while q <= bound:
+            g, h, s, t = _hensel_step(rest, g, h, s, t, q)
+            q *= q
+        lifted.append(h)
+        rest = g
+    lifted.append(_monic(rest, q))
+    # recombine: subsets of k modular factors, smallest k first
+    out, k = [], 1
+    while 2 * k <= len(lifted):
+        if k > 1 and len(lifted) > _MAX_MODULAR_FACTORS:
+            raise VerificationError(
+                "PRECONDITION",
+                f"a degree-{pdeg(f)} factor splits into {len(lifted)} factors mod {p}; "
+                f"more than {_MAX_MODULAR_FACTORS} are not recombined",
+            )
+        for subset in itertools.combinations(range(len(lifted)), k):
+            lead = f[-1]
+            c = _symmetric(lead * math.prod(lifted[i][0] for i in subset) % q, q)
+            if lead * f[0] % c if c else f[0]:
+                continue  # its constant term cannot divide lead * f(0)
+            g = (lead,)
+            for i in subset:
+                g = pmod(pmul(g, lifted[i]), q)
+            g = _primitive(tuple(_symmetric(a, q) for a in g))
+            quo = _zdiv(f, g)
+            if quo is not None:
+                out.append(g)
+                f = quo
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                break
+        else:
+            k += 1
+    return out + [f] if lifted else out
+
+
+def _symmetric(a: int, q: int) -> int:
+    return a - q if 2 * a > q else a
+
+
+# the factoring mod p and mod p^k, p odd
+
+
+def _monic(f: Poly, q: int) -> Poly:
+    inv = pow(f[-1], -1, q)
+    return tuple(a * inv % q for a in f)
+
+
+def _powmod(a: Poly, e: int, g: Poly, p: int) -> Poly:
+    """a^e mod (g, p) for e >= 1 and a reduced mod g."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else pdivmod_mod(pmul(out, a), g, p)[1]
+        e >>= 1
+        if not e:
+            return out
+        a = pdivmod_mod(pmul(a, a), g, p)[1]
+
+
+def _gcd_mod(a: Poly, b: Poly, p: int) -> Poly:
+    while b:
+        a, b = b, pdivmod_mod(a, b, p)[1]
+    return _monic(a, p)
+
+
+def _xgcd_mod(a: Poly, b: Poly, p: int) -> tuple[Poly, Poly]:
+    """s, t with s a + t b = 1 mod p, deg s < deg b, for a, b coprime mod p."""
+    r0, r1, s0, s1 = a, b, (1,), ()
+    while r1:
+        q, r = pdivmod_mod(r0, r1, p)
+        r0, r1, s0, s1 = r1, r, s1, pmod(psub(s0, pmul(q, s1)), p)
+    s = pmod(pscale(s0, pow(r0[0], -1, p)), p)
+    return s, pdivmod_mod(psub((1,), pmul(s, a)), b, p)[0]
+
+
+def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
+    """(g_d, d): g_d the product of the monic irreducible factors of degree d
+    of f mod p, squarefree there."""
+    f = _monic(f, p)
+    out, x, h, d = [], (0, 1), (0, 1), 0
+    while 2 * (d + 1) <= pdeg(f):
+        d += 1
+        h = _powmod(h, p, f, p)  # x^(p^d) mod f
+        g = _gcd_mod(f, pmod(psub(h, x), p), p)
+        if pdeg(g) > 0:
+            out.append((g, d))
+            f = pdivmod_mod(f, g, p)[0]
+            h = pdivmod_mod(h, f, p)[1]
+    return out + [(f, pdeg(f))] if pdeg(f) > 0 else out
+
+
+def _equal_degree(g: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
+    """The monic irreducible factors of g mod p, all of degree d
+    (Cantor-Zassenhaus)."""
+    if pdeg(g) == d:
+        return [g]
+    while True:
+        u = ptrim(rng.randrange(p) for _ in range(pdeg(g)))
+        w = _gcd_mod(g, pmod(psub(_powmod(u, (p**d - 1) // 2, g, p), (1,)), p), p)
+        if 0 < pdeg(w) < pdeg(g):
+            rest = pdivmod_mod(g, w, p)[0]
+            return _equal_degree(w, d, p, rng) + _equal_degree(rest, d, p, rng)
+
+
+def _hensel_step(f: Poly, g: Poly, h: Poly, s: Poly, t: Poly, m: int):
+    """f = g h and s g + t h = 1 mod m, h monic, lifted to mod m^2
+    (von zur Gathen and Gerhard, Algorithm 15.10)."""
+    m *= m
+    e = pmod(psub(f, pmul(g, h)), m)
+    q, r = pdivmod_mod(pmul(s, e), h, m)
+    g = pmod(padd(g, padd(pmul(t, e), pmul(q, g))), m)
+    h = pmod(padd(h, r), m)
+    b = pmod(psub(padd(pmul(s, g), pmul(t, h)), (1,)), m)
+    c, d = pdivmod_mod(pmul(s, b), h, m)
+    return g, h, pmod(psub(s, d), m), pmod(psub(t, padd(pmul(t, b), pmul(c, g))), m)
 
 
 # mod-p layer: coefficients are ints in [0, p)
@@ -226,14 +426,12 @@ def peval_mod(f: Poly, x: int, p: int) -> int:
 def pdivmod_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [a % p for a in f]
-    quo = [0] * max(0, len(f) - len(g) + 1)
+    rem, n = list(f), len(g)
+    quo = [0] * max(0, len(f) - n + 1)
     ginv = pow(g[-1], -1, p)
-    for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] * ginv % p
-        if c == 0:
-            continue
-        quo[i] = c
-        for j, b in enumerate(g):
-            rem[i + j] = (rem[i + j] - c * b) % p
-    return ptrim(quo), ptrim(rem)
+    for i in range(len(rem) - n, -1, -1):
+        c = rem[i + n - 1] * ginv % p
+        if c:
+            quo[i] = c
+            rem[i : i + n] = [a - c * b for a, b in zip(rem[i : i + n], g)]
+    return ptrim(quo), pmod(rem[: n - 1], p)

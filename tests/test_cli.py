@@ -390,3 +390,20 @@ class TestByteDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
+
+
+def test_commands_do_not_import_sympy():
+    # Delta is factored and the bad-prime resultant taken without sympy, which
+    # only the tests use, as an oracle
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from picard20.cli import main",
+        "for argv in (['verify', '--model', 'd19', '--pmax', '100'],",
+        "             ['fibers', '--model', 'd27'],",
+        "             ['height', '--model', 'd27', '--section', '0']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "print('sympy' in sys.modules)",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -1,12 +1,19 @@
 """Dense integer polynomial helpers."""
 
+import random
+
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from picard20 import ellsurf
+from picard20.ellsurf import discriminant
 from picard20.errors import VerificationError
+from picard20.models import REGISTRY
 from picard20.polys import (
     factor_int_poly,
+    padd,
     pdeg,
     pderiv,
     pdivmod,
@@ -15,6 +22,7 @@ from picard20.polys import (
     peval_mod,
     pmod,
     pmul,
+    pneg,
     ppow,
     pscale,
     psub,
@@ -94,6 +102,123 @@ def test_factor_known_splitting():
     c, factors = factor_int_poly((-1, 0, 0, 0, 1))
     assert c == 1
     assert factors == [((-1, 1), 1), ((1, 1), 1), ((1, 0, 1), 1)]
+    # -6 t^2 (2 t + 1)^3 (t^2 - 2)^2: content and sign go to the constant
+    f = pmul(pmul((0, 0, -6), ppow((1, 2), 3)), ppow((-2, 0, 1), 2))
+    assert factor_int_poly(f) == (-6, [((0, 1), 2), ((1, 2), 3), ((-2, 0, 1), 2)])
+
+
+# sympy is the oracle for factoring and resultants; the library does not use it
+_T = sympy.Symbol("t")
+
+
+def _sympy(f):
+    return sympy.Poly([int(a) for a in reversed(f)] or [0], _T, domain="ZZ")
+
+
+def _sympy_factor(f):
+    const, factors = _sympy(f).factor_list()
+    out = []
+    for poly, mult in factors:
+        g = ptrim(int(c) for c in reversed(poly.all_coeffs()))
+        if g[-1] < 0:
+            g, const = pneg(g), -const
+        out.append((g, int(mult)))
+    out.sort(key=lambda gm: (pdeg(gm[0]), gm[0]))
+    return int(const), out
+
+
+def _sympy_resultant(f, g):
+    if pdeg(f) < 1:
+        return 1
+    # sympy swaps the arguments when deg f < deg g without the sign
+    # (-1)^(deg f deg g), so the longer one goes first
+    if pdeg(f) >= pdeg(g):
+        return int(_sympy(f).resultant(_sympy(g)))
+    return (-1) ** (pdeg(f) * pdeg(g)) * int(_sympy(g).resultant(_sympy(f)))
+
+
+factor_parts = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=-12, max_value=12), min_size=1, max_size=7),
+        st.integers(min_value=1, max_value=3),
+    ),
+    max_size=4,
+)
+
+
+@given(st.integers(min_value=-40, max_value=40).filter(bool), factor_parts)
+@settings(deadline=None, max_examples=150)
+def test_factor_matches_sympy(const, parts):
+    # products with repeated factors, any content and sign, and constants
+    f = (const,)
+    for coeffs, mult in parts:
+        g = ptrim(tuple(coeffs))
+        if g:
+            f = pmul(f, ppow(g, mult))
+    assert factor_int_poly(f) == _sympy_factor(f)
+
+
+@given(
+    st.lists(st.integers(min_value=-30, max_value=30), max_size=12),
+    st.lists(st.integers(min_value=-30, max_value=30), max_size=20),
+)
+@settings(deadline=None, max_examples=150)
+def test_resultant_matches_sympy(f, g):
+    f, g = ptrim(tuple(f)), ptrim(tuple(g))
+    assert resultant(f, g) == _sympy_resultant(f, g)
+
+
+def _matches_sympy(model, monkeypatch):
+    """Delta's factors, and the resultant behind the model's bad primes."""
+    delta = discriminant(model)
+    if not delta:
+        return
+    assert factor_int_poly(delta) == _sympy_factor(delta)
+    calls = []
+    monkeypatch.setattr(ellsurf, "resultant", lambda f, g: calls.append((f, g)) or resultant(f, g))
+    try:
+        ellsurf._bad_product.__wrapped__(model)  # past the cache
+    except VerificationError:
+        return  # not classifiable, so no bad-prime product
+    ((f, g),) = calls
+    assert resultant(f, g) == _sympy_resultant(f, g)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_registry_models_match_sympy(name, monkeypatch):
+    _matches_sympy(REGISTRY[name], monkeypatch)
+
+
+def test_random_models_match_sympy(monkeypatch):
+    # the seeded models of tests/test_golden.py::test_random_model_sweep
+    from test_golden import _random_model
+
+    rng = random.Random(20)
+    for k in range(100):
+        _matches_sympy(_random_model(rng, k), monkeypatch)
+
+
+def _swinnerton_dyer(radicands):
+    """The product of t - sum(+-sqrt(a)) over all signs: irreducible over Z,
+    but a product of factors of degree at most 2 mod every prime."""
+    f = (0, 1)
+    for a in radicands:
+        # f(t + y) f(t - y) with y^2 = a, from f(t + y) = A + B y
+        A, B = (), ()
+        for c in reversed(f):
+            A, B = padd(padd(pmul(A, (0, 1)), pscale(B, a)), (c,)), padd(pmul(B, (0, 1)), A)
+        f = psub(pmul(A, A), pscale(pmul(B, B), a))
+    return f
+
+
+def test_factor_refuses_too_many_modular_factors():
+    f = _swinnerton_dyer((2, 3, 5, 7))  # degree 16, at least 8 modular factors
+    assert factor_int_poly(f) == (1, [(f, 1)])
+    # degree 32, at least 16 modular factors: refused before the subset search
+    with pytest.raises(VerificationError) as err:
+        factor_int_poly(_swinnerton_dyer((2, 3, 5, 7, 11)))
+    assert err.value.code == "PRECONDITION"
+    assert "not recombined" in err.value.message
 
 
 def test_poly_str_ascending_input():

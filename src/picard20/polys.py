@@ -112,14 +112,14 @@ def pdivmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = [Fraction(a) for a in f]
     quo = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    glead = Fraction(g[-1])
+    g = [Fraction(b) for b in g]
     for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] / glead
+        c = rem[i + len(g) - 1] / g[-1]
         if c == 0:
             continue
         quo[i] = c
         for j, b in enumerate(g):
-            rem[i + j] -= c * Fraction(b)
+            rem[i + j] -= c * b
     return ptrim(quo), ptrim(rem)
 
 
@@ -177,7 +177,7 @@ def factor_int_poly(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     (degree, coefficients) for reproducible reports.
 
     The squarefree part f / gcd(f, f') is factored by Zassenhaus, and each
-    factor is divided out of f as often as it goes.
+    factor's multiplicity is its valuation in f.
     """
     f = ptrim(f)
     if not f:
@@ -186,11 +186,9 @@ def factor_int_poly(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     const = int(f[-1]) // g[-1]
     out = []
     if pdeg(g) > 0:
-        for h in _factor_squarefree(_zdiv(g, _gcd(g, _primitive(pderiv(g))))):
-            m = 0
-            while (q := _zdiv(g, h)) is not None:
-                g, m = q, m + 1
-            out.append((h, m))
+        sqfree = pdivmod(g, _gcd(g, _primitive(pderiv(g))))[0]
+        for h in _factor_squarefree(tuple(int(a) for a in sqfree)):
+            out.append((h, valuation(g, h)))
     out.sort(key=lambda hm: (pdeg(hm[0]), hm[0]))
     check = (const,)
     for h, m in out:
@@ -222,28 +220,15 @@ def resultant(f: Poly, g: Poly) -> int:
 
 # Zassenhaus over Z (Cohen, GTM 138, 3.5; von zur Gathen and Gerhard, Modern
 # Computer Algebra, 15.6).  The subset search is exponential in the number of
-# modular factors left once the single ones that lift to factors are split
-# off, so past this many it is refused.
-_MAX_MODULAR_FACTORS = 12
-_PRIMES_TRIED = 3
+# modular factors, so a size with more subsets than this left to try is
+# refused.
+_MAX_SUBSETS = 5000
 
 
 def _primitive(f: Poly) -> Poly:
     """f / content, with positive lead; f a nonzero integer polynomial."""
     c = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
     return tuple(a // c for a in f)
-
-
-def _zdiv(f: Poly, g: Poly):
-    """f / g over Z, or None when g does not divide f there."""
-    r, q, n = list(f), [], len(g)
-    for i in range(len(f) - n, -1, -1):
-        c, m = divmod(r[i + n - 1], g[-1])
-        if m:
-            return None
-        q.append(c)
-        r[i : i + n] = [a - c * b for a, b in zip(r[i : i + n], g)]
-    return tuple(reversed(q)) if not any(r) else None
 
 
 def _prem(f: Poly, g: Poly) -> Poly:
@@ -268,19 +253,15 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     """Irreducible factors of a primitive squarefree f with positive lead."""
     if pdeg(f) < 2:
         return [f] if pdeg(f) == 1 else []
-    # of the first few odd primes keeping f squarefree of its degree, the one
-    # at which f has the fewest factors; two or fewer leave nothing to search
-    tried, p = [], 1
-    while len(tried) < _PRIMES_TRIED:
+    # the first odd prime keeping f squarefree of its degree
+    p = 1
+    while True:
         p += 2
         fp = pmod(f, p)
         if is_prime(p) and pdeg(fp) == pdeg(f) and pdeg(_gcd_mod(fp, pmod(pderiv(fp), p), p)) == 0:
-            ddf = _distinct_degree(fp, p)
-            tried.append((sum(pdeg(g) // d for g, d in ddf), p, ddf))
-            if tried[-1][0] <= 2:
-                break
-    r, p, ddf = min(tried)
-    if r == 1:
+            break
+    ddf = _distinct_degree(fp, p)
+    if len(ddf) == 1 and ddf[0][1] == pdeg(f):
         return [f]
     rng = random.Random(p)  # seeded, so every run splits alike
     mods = [h for g, d in ddf for h in _equal_degree(g, d, p, rng)]
@@ -301,11 +282,11 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
     # recombine: subsets of k modular factors, smallest k first
     out, k = [], 1
     while 2 * k <= len(lifted):
-        if k > 1 and len(lifted) > _MAX_MODULAR_FACTORS:
+        if math.comb(len(lifted), k) > _MAX_SUBSETS:
             raise VerificationError(
                 "PRECONDITION",
                 f"a degree-{pdeg(f)} factor splits into {len(lifted)} factors mod {p}; "
-                f"more than {_MAX_MODULAR_FACTORS} are not recombined",
+                f"their {math.comb(len(lifted), k)} subsets of size {k} are not tried",
             )
         for subset in itertools.combinations(range(len(lifted)), k):
             lead = f[-1]
@@ -316,10 +297,10 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
             for i in subset:
                 g = pmod(pmul(g, lifted[i]), q)
             g = _primitive(tuple(_symmetric(a, q) for a in g))
-            quo = _zdiv(f, g)
-            if quo is not None:
+            quo, rem = pdivmod(f, g)
+            if not rem:
                 out.append(g)
-                f = quo
+                f = tuple(int(a) for a in quo)
                 lifted = [h for i, h in enumerate(lifted) if i not in subset]
                 break
         else:

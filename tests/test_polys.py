@@ -214,11 +214,23 @@ def _swinnerton_dyer(radicands):
 def test_factor_refuses_too_many_modular_factors():
     f = _swinnerton_dyer((2, 3, 5, 7))  # degree 16, at least 8 modular factors
     assert factor_int_poly(f) == (1, [(f, 1)])
-    # degree 32, at least 16 modular factors: refused before the subset search
+    # degree 32, at least 16 modular factors: refused once the subsets of one
+    # size outnumber the cap, long before the whole search
     with pytest.raises(VerificationError) as err:
         factor_int_poly(_swinnerton_dyer((2, 3, 5, 7, 11)))
     assert err.value.code == "PRECONDITION"
-    assert "not recombined" in err.value.message
+    assert "are not tried" in err.value.message
+
+
+def test_factor_many_modular_factors_cheap_to_recombine():
+    # 15015 = 3 5 7 11 13 keeps the product from being squarefree mod those
+    # primes, and every radicand is a square mod 17: 14 linear factors there,
+    # recombined in pairs
+    radicands = (2, 8, 13, 15, 26, 33, 15015)
+    f = (1,)
+    for a in radicands:
+        f = pmul(f, (-a, 0, 1))
+    assert factor_int_poly(f) == (1, [((-a, 0, 1), 1) for a in reversed(radicands)])
 
 
 def test_poly_str_ascending_input():

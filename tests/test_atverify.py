@@ -1,5 +1,6 @@
 """Verification pipeline, classification scans, and the built-in table."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from picard20.atverify import (
     lemma_r_check,
     principality_certificate,
     report_to_json,
+    row_to_json,
     table_check,
     verify_surface,
     yp_gcd,
@@ -152,6 +154,20 @@ class TestVerifySurface:
         monkeypatch.setattr(atverify.os, "cpu_count", lambda: None)
         assert verify_surface(get_model("d11"), pmax=60, workers=8) == serial
         assert sizes == [2]
+
+    def test_error_rows_keep_their_reason(self):
+        # d27's fibers under a d_K = -4 label: some primes fail in the point
+        # count, and the rest are ok rows whose certificates fail for D = 1
+        report = verify_surface(dataclasses.replace(get_model("d27"), d=-4), 200)
+        assert report.twist == "no_match"
+        errors = [r for r in report.rows if r.status == "error"]
+        assert errors[0].p == 17
+        assert errors[0].reason == (
+            "COMPONENTS_NOT_RATIONAL: I2 fiber at t=0: node tangents not rational at p=17"
+        )
+        assert set(row_to_json(errors[0])) == {"p", "status", "reason"}
+        ok_rows = [r for r in report.rows if r.status == "ok"]
+        assert ok_rows and all("CHAIN_FAILURE" in r.reason for r in ok_rows)
 
 
 def test_yp_gcd_requires_three_certificates():

@@ -7,6 +7,7 @@ against independent surface point counts (see test_ellsurf) before freezing.
 import pytest
 
 from picard20.arith import is_square, kronecker, primes_up_to
+from picard20.atverify import principality_certificate
 from picard20.errors import VerificationError
 from picard20.heckecm import (
     CMRule,
@@ -137,6 +138,19 @@ def test_cubic_shape():
     for p, ap in FROZEN_STREAMS[-3]:
         assert cubic_shape_holds(p, ap)
         assert not cubic_shape_holds(p, ap + 1)
+    # the certificate with D = 3 succeeds exactly on the cubic shape
+    for p in primes_up_to(200):
+        if p <= 3:
+            continue
+        for ap in range(-2 * p, 2 * p + 1):
+            shaped = is_square(2 * p + ap) and (2 * p - ap) % 3 == 0 \
+                and is_square((2 * p - ap) // 3)
+            try:
+                principality_certificate(p, ap, 3)
+                certified = True
+            except VerificationError:
+                certified = False
+            assert certified == shaped, (p, ap)
 
 
 class TestMatchTwist:
@@ -166,6 +180,12 @@ class TestMatchTwist:
         assert verdict.kind == "no_match"
         assert verdict.failing_prime == 5
         assert verdict.expected == dict(FROZEN_STREAMS[-19])
+
+    def test_no_match_names_first_departure(self):
+        rows = [(p, 2 if p == 13 else ap) for p, ap in FROZEN_STREAMS[-4]]
+        verdict = match_twist(rows, CMRule(-4))
+        assert verdict.kind == "no_match"
+        assert verdict.failing_prime == 13
 
     def test_cubic_branch_shape(self):
         # replace each a_p by a different root of the same norm equation;

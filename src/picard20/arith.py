@@ -22,10 +22,8 @@ __all__ = [
     "is_square",
 ]
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3 * 10**24,
-# comfortably past 2**64.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
+# Trial divisors, and the deterministic Miller-Rabin witness set, valid for
+# all n < 3.3 * 10**24, comfortably past 2**64.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Trial division of n takes up to sqrt(n)/2 steps: about 0.1 s at this bound.
@@ -46,7 +44,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _SMALL_PRIMES:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

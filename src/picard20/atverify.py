@@ -3,8 +3,10 @@
 verify_surface ties the geometric traces of a rank-20 model to its CM newform
 prime by prime: a_p comparison after twist identification, the Brauer square
 (2p - a_p)/|d| = M^2, and the explicit representation p = x^2 + D y^2 that
-certifies principal splitting.  The classification scans search discriminant
-ranges for class number one and for one class per genus.
+certifies principal splitting.  That certificate is
+heckecm.principality_certificate, the inverse of heckecm.ap_h1.  The
+classification scans search discriminant ranges for class number one and for
+one class per genus.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Optional
 from .arith import is_square, kronecker, primes_up_to
 from .errors import VerificationError
 from .ellsurf import COUNT_LIMIT, SurfaceModel, good_prime, rank20_effective, trace_ap
-from .heckecm import CMRule, match_twist
+from .heckecm import CMRule, match_twist, principality_certificate
 from .models import TABLE_ROWS
 from .mwheights import (
     gram_denominator_bound,
@@ -58,29 +60,6 @@ def brauer_square(p: int, ap: int, d: int) -> tuple[Fraction, Optional[int]]:
         if root > 0:
             M = root
     return M_squared, M
-
-
-def principality_certificate(p: int, ap: int, D: int) -> tuple[Fraction, Fraction]:
-    """Half-integers (x, y) with p = x^2 + D y^2, built from a_p alone.
-
-    The chain is 2p - a_p = m^2 D, 2p + a_p = s^2, (x, y) = (s/2, m/2);
-    each step must land on integers or the input is not of CM shape.
-    """
-    m_squared, rem = divmod(2 * p - ap, D)
-    if rem != 0 or m_squared <= 0 or not is_square(m_squared):
-        raise VerificationError(
-            "CHAIN_FAILURE", f"(2p - a_p)/D = {2 * p - ap}/{D} is not a positive square"
-        )
-    s_squared = 2 * p + ap
-    if s_squared < 0 or not is_square(s_squared):
-        raise VerificationError(
-            "CHAIN_FAILURE", f"2p + a_p = {s_squared} is not a square"
-        )
-    x = Fraction(math.isqrt(s_squared), 2)
-    y = Fraction(math.isqrt(m_squared), 2)
-    if x * x + D * y * y != p:
-        raise VerificationError("CHAIN_FAILURE", f"certificate failed at p={p}")
-    return x, y
 
 
 # ---------------------------------------------------------------- verify rows
@@ -163,7 +142,7 @@ def verify_surface(
             rows.append(VerifyRow(p=p, status=status, reason=reason))
             continue
         # cubic_class has no expected stream, so the data is compared with
-        # itself: a circular verdict (ROADMAP item 5)
+        # itself: a circular verdict (ROADMAP item 1)
         ap_hecke = ap if verdict.expected is None else verdict.expected[p]
         two_p_minus_ap = 2 * p - ap
         M_squared = M = certificate = None

@@ -1,14 +1,19 @@
-"""Prime coefficients of weight-3 CM newforms, and twist matching.
+"""Prime coefficients of weight-3 CM newforms, their certificates, and twist
+matching.
 
 For an imaginary quadratic field of class number one the Hecke character of
 infinity-type 2 gives a newform whose coefficient at a split prime p is
 a_p = 2(x^2 - D'y^2) where p = x^2 + D'y^2 with x, y in (1/2)N. The constant
-D' normalizes away the extra units for d_K = -3 and -4.
+D' normalizes away the extra units for d_K = -3 and -4. ap_h1 maps p to a_p
+through this norm form; principality_certificate is its inverse, reading
+p = x^2 + Dy^2 back from a_p.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .arith import cornacchia, is_prime, is_square, is_squarefree, kronecker
 from .errors import VerificationError
@@ -22,7 +27,7 @@ __all__ = [
     "TwistVerdict",
     "split_type",
     "ap_h1",
-    "cubic_shape_holds",
+    "principality_certificate",
     "match_twist",
 ]
 
@@ -33,10 +38,9 @@ RAMIFIED = "ramified"
 
 @dataclass(frozen=True)
 class CMRule:
-    """CM field data: fundamental discriminant d_K of class number one, the
-    form constant D, and the level constant D_prime. twist, when set, is the
-    squarefree integer of a quadratic twist; None means the untwisted
-    normalization.
+    """CM field data: fundamental discriminant d_K of class number one and
+    the form constant D. twist, when set, is the squarefree integer of a
+    quadratic twist; None means the untwisted normalization.
     """
 
     d_K: int
@@ -58,14 +62,6 @@ class CMRule:
     def D(self) -> int:
         return -self.d_K if self.d_K % 4 != 0 else -self.d_K // 4
 
-    @property
-    def D_prime(self) -> int:
-        if self.d_K == -3:
-            return 27
-        if self.d_K == -4:
-            return 4
-        return self.D
-
 
 def split_type(d_K: int, p: int) -> str:
     if not is_prime(p):
@@ -77,46 +73,53 @@ def split_type(d_K: int, p: int) -> str:
 def ap_h1(rule: CMRule, p: int) -> int:
     """Coefficient a_p of the newform of the rule.
 
-    Split p: solve 4p = X^2 + D'Y^2 (odd d_K; realizes x = X/2, y = Y/2)
-    or p = x^2 + D'y^2 (even d_K, where the normalization forces integral
-    x, y) and return 2(x^2 - D'y^2). Inert p gives 0. A twist by delta
-    multiplies the result by kronecker(delta*, p), delta* the discriminant
-    of Q(sqrt(delta)).
+    Split p: solve scale*p = X^2 + D'Y^2, with scale 4 for odd d_K (which
+    realizes x = X/2, y = Y/2) and 1 for even d_K (where the normalization
+    forces integral x, y), and return 2(X^2 - D'Y^2)/scale. Inert p gives 0.
+    A twist by delta multiplies the result by kronecker(delta*, p), delta*
+    the discriminant of Q(sqrt(delta)).
     """
     st = split_type(rule.d_K, p)
-    if st == RAMIFIED or rule.D_prime % p == 0:
+    if st == RAMIFIED:
         raise VerificationError("PRECONDITION", f"p = {p} is not unramified")
     if st == INERT:
         return 0
-    Dp = rule.D_prime
-    if rule.d_K % 4 == 0:
-        sol = cornacchia(Dp, p)
-        if sol is None:
-            raise VerificationError(
-                "NO_REPRESENTATION", f"{p} = x^2 + {Dp}y^2 has no solution"
-            )
-        x, y = sol
-        ap = 2 * (x * x - Dp * y * y)
-    else:
-        sol = cornacchia(Dp, 4 * p)
-        if sol is None:
-            raise VerificationError(
-                "NO_REPRESENTATION", f"4*{p} = X^2 + {Dp}Y^2 has no solution"
-            )
-        X, Y = sol
-        ap = (X * X - Dp * Y * Y) // 2
+    Dp = 27 if rule.d_K == -3 else 4 if rule.d_K == -4 else rule.D
+    scale = 1 if rule.d_K % 4 == 0 else 4
+    sol = cornacchia(Dp, scale * p)
+    if sol is None:
+        raise VerificationError(
+            "NO_REPRESENTATION", f"{scale * p} = x^2 + {Dp}y^2 has no solution"
+        )
+    x, y = sol
+    ap = 2 * (x * x - Dp * y * y) // scale
     assert abs(ap) <= 2 * p
     if rule.twist is not None:
         ap *= kronecker(twist_discriminant(rule.twist), p)
     return ap
 
 
-def cubic_shape_holds(p: int, ap: int) -> bool:
-    """Whether 2p + a_p and (2p - a_p)/3 are both squares of integers, the
-    shape of a_p for every cubic twist of the d_K = -3 newform."""
-    plus = 2 * p + ap
-    minus = 2 * p - ap
-    return plus >= 0 and is_square(plus) and minus % 3 == 0 and is_square(minus // 3)
+def principality_certificate(p: int, ap: int, D: int) -> tuple[Fraction, Fraction]:
+    """Half-integers (x, y) with p = x^2 + D y^2, built from a_p alone.
+
+    The chain is 2p - a_p = m^2 D, 2p + a_p = s^2, (x, y) = (s/2, m/2);
+    each step must land on integers or the input is not of CM shape.
+    """
+    m_squared, rem = divmod(2 * p - ap, D)
+    if rem != 0 or m_squared <= 0 or not is_square(m_squared):
+        raise VerificationError(
+            "CHAIN_FAILURE", f"(2p - a_p)/D = {2 * p - ap}/{D} is not a positive square"
+        )
+    s_squared = 2 * p + ap
+    if s_squared < 0 or not is_square(s_squared):
+        raise VerificationError(
+            "CHAIN_FAILURE", f"2p + a_p = {s_squared} is not a square"
+        )
+    x = Fraction(math.isqrt(s_squared), 2)
+    y = Fraction(math.isqrt(m_squared), 2)
+    if x * x + D * y * y != p:
+        raise VerificationError("CHAIN_FAILURE", f"certificate failed at p={p}")
+    return x, y
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,8 @@ class TwistVerdict:
         matches_base    -- equal to the untwisted coefficients at every prime
         quadratic_twist -- off by kronecker(delta*, .); delta recorded
         cubic_class     -- d_K = -3 only: every a_p fits some cubic branch
-        no_match        -- with the first offending prime
+        no_match        -- with the first split prime where the data leaves
+                           the base stream
 
     expected maps each split prime to the coefficient the data was compared
     with: the base stream for matches_base and no_match, the base stream
@@ -150,11 +154,13 @@ def match_twist(
     """Identify the twist relating geometric a_p data to the base newform.
 
     Inert and ramified rows are discarded; at least 5 split rows must
-    remain. For d_K not in {-3, -4} only the identity twist can occur, so
-    the verdict is matches_base or no_match. For d_K = -4 a quadratic twist
-    is searched by its sign pattern; for d_K = -3 each coefficient is
-    checked against the cubic-branch shape 2p + a_p = (2x)^2,
-    (2p - a_p)/3 = (2y)^2.
+    remain. A candidate fits when it agrees with the data at every split
+    row, and the first that fits is the verdict. The candidates, in order:
+    the base stream; for d_K = -4, the base stream times kronecker(delta*, p)
+    for each squarefree 1 < |delta| <= _TWIST_SEARCH_BOUND; for d_K = -3,
+    the class of streams whose every a_p has a principality certificate
+    with D = 3. If none fits, the verdict is no_match at the first split
+    prime where the data leaves the base stream.
     """
     rows = [
         (p, ap)
@@ -169,30 +175,28 @@ def match_twist(
     base_rule = CMRule(rule.d_K)
     base = {p: ap_h1(base_rule, p) for p, _ in rows}
 
-    mismatch = next((p for p, ap in rows if ap != base[p]), None)
-    if mismatch is None:
-        return TwistVerdict("matches_base", expected=base)
+    def fits(row_fits) -> bool:
+        return all(row_fits(p, ap) for p, ap in rows)
 
+    def certified(p: int, ap: int) -> bool:
+        try:
+            principality_certificate(p, ap, 3)
+        except VerificationError:
+            return False
+        return True
+
+    if fits(lambda p, ap: ap == base[p]):
+        return TwistVerdict("matches_base", expected=base)
     if rule.d_K == -4:
-        for p, ap in rows:
-            if abs(ap) != abs(base[p]):
-                # magnitude change means a biquadratic twist, out of scope
-                return TwistVerdict("no_match", failing_prime=p, expected=base)
-        signs = {p: 1 if ap == base[p] else -1 for p, ap in rows}
         for adelta in range(2, _TWIST_SEARCH_BOUND + 1):
             for delta in (adelta, -adelta):
                 if not is_squarefree(delta):
                     continue
                 dstar = twist_discriminant(delta)
-                if all(kronecker(dstar, p) == s for p, s in signs.items()):
+                if fits(lambda p, ap: ap == base[p] * kronecker(dstar, p)):
                     twisted = {p: ap * kronecker(dstar, p) for p, ap in base.items()}
                     return TwistVerdict("quadratic_twist", delta=delta, expected=twisted)
-        return TwistVerdict("no_match", failing_prime=rows[0][0], expected=base)
-
-    if rule.d_K == -3:
-        for p, ap in rows:
-            if not cubic_shape_holds(p, ap):
-                return TwistVerdict("no_match", failing_prime=p, expected=base)
+    if rule.d_K == -3 and fits(certified):
         return TwistVerdict("cubic_class")
-
-    return TwistVerdict("no_match", failing_prime=mismatch, expected=base)
+    failing = next(p for p, ap in rows if ap != base[p])
+    return TwistVerdict("no_match", failing_prime=failing, expected=base)

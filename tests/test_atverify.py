@@ -11,7 +11,6 @@ from picard20.atverify import (
     classify_h1,
     classify_two_torsion,
     lemma_r_check,
-    principality_certificate,
     report_to_json,
     row_to_json,
     table_check,
@@ -20,7 +19,7 @@ from picard20.atverify import (
 )
 from picard20.ellsurf import twist_model
 from picard20.errors import VerificationError
-from picard20.heckecm import CMRule
+from picard20.heckecm import CMRule, principality_certificate
 from picard20.models import REGISTRY, get_model
 from picard20.qforms import FormClassGroup, class_number, fundamental_decomposition
 

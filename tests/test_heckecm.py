@@ -7,13 +7,12 @@ against independent surface point counts (see test_ellsurf) before freezing.
 import pytest
 
 from picard20.arith import is_square, kronecker, primes_up_to
-from picard20.atverify import principality_certificate
 from picard20.errors import VerificationError
 from picard20.heckecm import (
     CMRule,
     ap_h1,
-    cubic_shape_holds,
     match_twist,
+    principality_certificate,
     split_type,
 )
 from picard20.qforms import is_fundamental_discriminant, twist_discriminant
@@ -136,8 +135,9 @@ def test_twisted_rule_scales_by_character():
 
 def test_cubic_shape():
     for p, ap in FROZEN_STREAMS[-3]:
-        assert cubic_shape_holds(p, ap)
-        assert not cubic_shape_holds(p, ap + 1)
+        principality_certificate(p, ap, 3)
+        with pytest.raises(VerificationError):
+            principality_certificate(p, ap + 1, 3)
     # the certificate with D = 3 succeeds exactly on the cubic shape
     for p in primes_up_to(200):
         if p <= 3:
@@ -174,6 +174,14 @@ class TestMatchTwist:
                 for p, _ in FROZEN_STREAMS[-4]:
                     assert kronecker(found, p) == kronecker(want, p)
 
+    def test_twist_ramified_in_the_stream(self):
+        # CMRule(-4, 5) gives a_5 = 0; the delta = 5 stream fits that row too
+        twisted = twisted_stream(-4, 5)
+        assert twisted[0] == (5, 0)
+        verdict = match_twist(twisted, CMRule(-4))
+        assert verdict.kind == "quadratic_twist" and verdict.delta == 5
+        assert verdict.expected == dict(twisted)
+
     def test_no_match_on_corruption(self):
         rows = [(p, ap + 2) for p, ap in FROZEN_STREAMS[-19]]
         verdict = match_twist(rows, CMRule(-19))
@@ -186,6 +194,17 @@ class TestMatchTwist:
         verdict = match_twist(rows, CMRule(-4))
         assert verdict.kind == "no_match"
         assert verdict.failing_prime == 13
+
+    def test_no_match_beyond_search_bound_names_a_differing_prime(self):
+        # delta = 1009 lies past the search bound; a_5 is unchanged by it
+        rule = CMRule(-4, 1009)
+        rows = [(p, ap_h1(rule, p)) for p in primes_up_to(200) if p > 3]
+        base = CMRule(-4)
+        assert ap_h1(rule, 5) == ap_h1(base, 5) == -6
+        verdict = match_twist(rows, base)
+        assert verdict.kind == "no_match"
+        assert verdict.failing_prime == 13
+        assert dict(rows)[13] != verdict.expected[13]
 
     def test_cubic_branch_shape(self):
         # replace each a_p by a different root of the same norm equation;

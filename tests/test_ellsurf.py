@@ -14,6 +14,7 @@ pipeline.
 """
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from picard20.ellsurf import (
     INFINITY,
     SectionData,
     SurfaceModel,
+    c_invariants,
     classify_fibers,
     count_fiber,
     discriminant,
@@ -45,7 +47,7 @@ from picard20.ellsurf import (
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, ap_h1
 from picard20.models import REGISTRY, get_model
-from picard20.polys import peval
+from picard20.polys import peval, peval_mod
 from picard20.qforms import twist_discriminant
 
 _INF = 10**9
@@ -307,6 +309,54 @@ def test_cubic_sum_tables_match_the_direct_sum():
             for b in range(p):
                 direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
                 assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
+
+
+def _cubic_is_singular(c4v: int, c6v: int, p: int) -> bool:
+    # X^3 + a X + b with a = -27 c4, b = -54 c6: the cubic count_fiber reads
+    a, b = -27 * c4v % p, -54 * c6v % p
+    return (4 * a * a * a + 27 * b * b) % p == 0
+
+
+def test_singular_fibers_are_where_the_cubic_is_singular():
+    # at every good p < 200 of the registry, three d4 twists and the seeded
+    # random models of the golden sweep: the Weierstrass cubic at t0 is
+    # singular exactly at the roots mod p of the finite places, each root lies
+    # on one place, and the cubic of the chart s = 1/t at s = 0 is singular
+    # exactly when classify_fibers ends in a fiber at t=oo
+    from test_golden import _random_model
+
+    d4 = get_model("d4")
+    models = list(REGISTRY.values()) + [twist_model(d4, delta) for delta in (2, -3, 5)]
+    rng = random.Random(20)
+    for k in range(100):
+        try:
+            models.append(_random_model(rng, k))
+        except VerificationError:
+            pass
+    pairs = 0
+    for model in models:
+        try:
+            fibers = classify_fibers(model)
+            primes = [p for p in primes_up_to(199) if good_prime(model, p)]
+        except VerificationError:
+            continue
+        c4, c6 = c_invariants(model)
+        for p in primes:
+            pairs += 1
+            where = {}
+            for F in fibers:
+                for t0 in range(p) if F.poly is not None else ():
+                    if peval_mod(F.poly, t0, p) == 0:
+                        assert t0 not in where, (model.name, p, t0, F.place, where[t0])
+                        where[t0] = F.place
+            singular = {
+                t0 for t0 in range(p)
+                if _cubic_is_singular(peval_mod(c4, t0, p), peval_mod(c6, t0, p), p)
+            }
+            assert singular == set(where), (model.name, p)
+            at_infinity = _cubic_is_singular(_at(c4, INFINITY, 8), _at(c6, INFINITY, 12), p)
+            assert at_infinity == (fibers[-1].poly is None), (model.name, p)
+    assert pairs == 4339
 
 
 def test_gated_additive_fiber_at_inert_prime():

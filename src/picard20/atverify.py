@@ -15,7 +15,7 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -92,18 +92,39 @@ class VerifyReport:
     yp_gcd: Optional[Fraction]
 
 
-def _geom_for_prime(model: SurfaceModel, p: int):
-    """(p, status, reason, ap) for one prime; no exceptions escape."""
+def _geom_for_prime(model: SurfaceModel, D: int, p: int) -> VerifyRow:
+    """The row of one prime, all but its comparison with the CM stream; no
+    exceptions escape."""
     if p <= 3:
-        return p, "skipped", "p <= 3 excluded by policy", None
+        return VerifyRow(p, "skipped", "p <= 3 excluded by policy")
     if not good_prime(model, p):
-        return p, "skipped", "not a good prime", None
+        return VerifyRow(p, "skipped", "not a good prime")
     if kronecker(model.d, p) != 1:
-        return p, "skipped", "inert in K", None
+        return VerifyRow(p, "skipped", "inert in K")
     try:
-        return p, "ok", None, trace_ap(model, p)
+        ap = trace_ap(model, p)
     except VerificationError as exc:
-        return p, "error", f"{exc.code}: {exc.message}", None
+        return VerifyRow(p, "error", f"{exc.code}: {exc.message}")
+    M_squared = M = certificate = None
+    errors = []
+    try:
+        M_squared, M = brauer_square(p, ap, model.d)
+    except VerificationError as exc:
+        errors.append(f"{exc.code}: {exc.message}")
+    try:
+        certificate = principality_certificate(p, ap, D)
+    except VerificationError as exc:
+        errors.append(f"{exc.code}: {exc.message}")
+    return VerifyRow(
+        p=p,
+        status="ok",
+        reason="; ".join(errors) or None,
+        ap_geom=ap,
+        two_p_minus_ap=2 * p - ap,
+        M_squared=M_squared,
+        M=M,
+        certificate=certificate,
+    )
 
 
 def verify_surface(
@@ -129,46 +150,20 @@ def verify_surface(
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            geo = list(pool.map(functools.partial(_geom_for_prime, model), primes))
+            geo = list(pool.map(functools.partial(_geom_for_prime, model, rule.D), primes))
     else:
-        geo = [_geom_for_prime(model, p) for p in primes]
+        geo = [_geom_for_prime(model, rule.D, p) for p in primes]
 
-    ok_pairs = [(p, ap) for p, status, _, ap in geo if status == "ok"]
-    verdict = match_twist(ok_pairs, rule)
-
+    verdict = match_twist([(r.p, r.ap_geom) for r in geo if r.status == "ok"], rule)
     rows = []
-    for p, status, reason, ap in geo:
-        if status != "ok":
-            rows.append(VerifyRow(p=p, status=status, reason=reason))
-            continue
-        # cubic_class has no expected stream, so the data is compared with
-        # itself: a circular verdict (ROADMAP item 1)
-        ap_hecke = ap if verdict.expected is None else verdict.expected[p]
-        two_p_minus_ap = 2 * p - ap
-        M_squared = M = certificate = None
-        errors = []
-        try:
-            M_squared, M = brauer_square(p, ap, model.d)
-        except VerificationError as exc:
-            errors.append(f"{exc.code}: {exc.message}")
-        try:
-            certificate = principality_certificate(p, ap, rule.D)
-        except VerificationError as exc:
-            errors.append(f"{exc.code}: {exc.message}")
-        rows.append(
-            VerifyRow(
-                p=p,
-                status="ok",
-                reason="; ".join(errors) or None,
-                ap_geom=ap,
-                ap_hecke=ap_hecke,
-                match=ap == ap_hecke,
-                two_p_minus_ap=two_p_minus_ap,
-                M_squared=M_squared,
-                M=M,
-                certificate=certificate,
-            )
-        )
+    for row in geo:
+        if row.status == "ok":
+            p, ap = row.p, row.ap_geom
+            # cubic_class has no expected stream, so the data is compared with
+            # itself: a circular verdict (ROADMAP item 1)
+            ap_hecke = ap if verdict.expected is None else verdict.expected[p]
+            row = replace(row, ap_hecke=ap_hecke, match=ap == ap_hecke)
+        rows.append(row)
 
     ok_rows = [r for r in rows if r.status == "ok"]
     with_cert = [r for r in ok_rows if r.certificate is not None]

@@ -5,9 +5,11 @@ Fiber types come from the characteristic-0 valuation table, so no Tate algorithm
 is run in residue characteristic p; instead good_prime() certifies that the
 reduction mod p has the same local data as the model over Q, and counting at
 p > 3 works fiberwise on the smooth model through component bookkeeping.  The
-Weierstrass cubic of each smooth or multiplicative fiber is counted by one
-lookup in three per-prime tables of cubic character sums, built in O(p) by
-exact integer correlation; the direct sum _charsum_count is their oracle.
+Weierstrass cubic of each fiber is counted by one lookup in three per-prime
+tables of cubic character sums, built in O(p) by exact integer correlation;
+the direct sum _charsum_count is their oracle.  The cubic's discriminant marks
+the singular fibers (1728 Delta = c4^3 - c6^2), and only at its roots mod p is
+the fiber's place looked up.
 
 A prime p > 3 is good when it divides neither d nor one cached integer,
 lead Res(R, R' u4 u6): lead = lead(Delta) lead(c4) lead(c6), R the product of
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -418,8 +420,6 @@ class _CountingContext(NamedTuple):
     s_kk: array  # S(k, k)
     s_0b: array  # S(0, k)
     s_a0: array  # S(k, 0)
-    finite: dict
-    at_infinity: Optional[FiberDatum]
     main: _ChartData
     chart: _ChartData
     rank20_split: bool  # rank 20 over Q at a split prime
@@ -487,15 +487,6 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     inverse = array("i", inverse)
     s_kk, s_0b, s_a0 = _cubic_sum_tables(p, chi, inverse)
     inv = _invariants(model)
-    finite = {}
-    at_infinity = None
-    for F in classify_fibers(model):
-        if F.poly is None:
-            at_infinity = F
-            continue
-        for t0 in range(p):
-            if peval_mod(F.poly, t0, p) == 0:
-                finite[t0] = F
     return _CountingContext(
         p=p,
         chi=chi,
@@ -503,8 +494,6 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         s_kk=s_kk,
         s_0b=s_0b,
         s_a0=s_a0,
-        finite=finite,
-        at_infinity=at_infinity,
         main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
         chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
         rank20_split=rank20_effective(model) and kronecker(model.d, p) == 1,
@@ -537,15 +526,6 @@ def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
     return ctx.chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
 
 
-def _fiber_sum(ctx: _CountingContext, side: _ChartData, t0: int) -> int:
-    # points on the projective cubic, as _charsum_count counts them: for p > 3
-    # X = 36x + 3b2 maps y^2 = 4x^3+b2x^2+2b4x+b6 to 108^2 y^2 = X^3 - 27c4 X - 54c6
-    p = ctx.p
-    a = -27 * peval_mod(side.c4, t0, p) % p
-    b = -54 * peval_mod(side.c6, t0, p) % p
-    return p + 1 + _cubic_sum(ctx, a, b)
-
-
 def _shifted_value(fbar: Poly, t0: int, k: int, p: int) -> int:
     """(f / (t - t0)^k)(t0) mod p, for f of valuation >= k at t0."""
     if not fbar:
@@ -571,23 +551,31 @@ def _star_splits(ctx: _CountingContext, side: _ChartData, t0: int) -> bool:
 def count_fiber(model: SurfaceModel, p: int, t0) -> int:
     """Points on the fiber of the smooth model at t0 in P^1(F_p).
 
-    t0 is an integer (finite place) or the INFINITY constant.
+    t0 is an integer (finite place) or the INFINITY constant.  The fiber is
+    singular exactly when its Weierstrass cubic is, since 1728 Delta = c4^3 - c6^2.
     """
     ctx = _counting_context(model, p)
-    if t0 == INFINITY:
-        side, datum, t0v = ctx.chart, ctx.at_infinity, 0
-    else:
-        t0v = int(t0) % p
-        side, datum = ctx.main, ctx.finite.get(t0v)
-    if datum is None:
-        return _fiber_sum(ctx, side, t0v)
+    t0v = 0 if t0 == INFINITY else int(t0) % p
+    side = ctx.chart if t0 == INFINITY else ctx.main
+    # points on the projective cubic, as _charsum_count counts them: for p > 3
+    # X = 36x + 3b2 maps y^2 = 4x^3+b2x^2+2b4x+b6 to 108^2 y^2 = X^3 + aX + b
+    a = -27 * peval_mod(side.c4, t0v, p) % p
+    b = -54 * peval_mod(side.c6, t0v, p) % p
+    count = p + 1 + _cubic_sum(ctx, a, b)
+    if (4 * a * a * a + 27 * b * b) % p:
+        return count
+    # t0 is a root of Delta mod p; good_prime keeps the places pairwise coprime
+    # mod p, so it lies on exactly one of them (t=oo comes last)
+    fibers = classify_fibers(model)
+    datum = fibers[-1] if t0 == INFINITY else next(
+        F for F in fibers if F.poly is not None and peval_mod(F.poly, t0v, p) == 0
+    )
     sym = datum.kodaira_type
     k = kodaira(sym)
     if k.family == "I":
         # the Weierstrass cubic is nodal (good_prime keeps v(c4) = 0): p points
         # when the node's tangents are rational, p + 2 when they are conjugate;
         # for n >= 2 the smooth model replaces the node by an n-cycle of rational curves
-        count = _fiber_sum(ctx, side, t0v)
         if k.n == 1:
             return count
         if count == p:
@@ -662,28 +650,17 @@ def twist_model(model: SurfaceModel, delta: int) -> SurfaceModel:
     if delta == 1:
         return model
     kept = tuple(
-        SectionData(
-            x_num=pscale(s.x_num, delta),
-            x_den=s.x_den,
-            y_num=(),
-            y_den=(1,),
-            torsion_order=s.torsion_order,
-            component_hits=s.component_hits,
-        )
+        replace(s, x_num=pscale(s.x_num, delta), y_den=(1,))
         for s in model.sections
         if s.y_num == ()
     )
-    return SurfaceModel(
+    return replace(
+        model,
         name=f"{model.name}[{delta}]",
-        a1=(),
         a2=pscale(model.a2, delta),
-        a3=(),
         a4=pscale(model.a4, delta * delta),
         a6=pscale(model.a6, delta**3),
-        d=model.d,
-        rank20_over_Q=model.rank20_over_Q,
         sections=kept,
-        expected_config=model.expected_config,
         twist_by=squarefree_part(model.twist_by * delta),
     )
 

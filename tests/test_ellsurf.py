@@ -15,6 +15,7 @@ pipeline.
 
 import json
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -301,14 +302,19 @@ def test_cubic_sum_tables_match_the_direct_sum():
     model = get_model("d19")
     primes = [p for p in primes_up_to(43) if good_prime(model, p)]
     assert primes == [5, 7, 11, 13, 17, 23, 29, 31, 37, 41, 43]
-    for p in primes:
+    # and the rows A = 0 and B = 0 at every good p < 200, which meet every
+    # pair gcd(4, p - 1) in {2, 4}, gcd(6, p - 1) in {2, 6}
+    rows = [p for p in primes_up_to(199) if good_prime(model, p)]
+    assert {(gcd(4, p - 1), gcd(6, p - 1)) for p in rows} == {(2, 2), (2, 6), (4, 2), (4, 6)}
+    inputs = [(p, [(a, b) for a in range(p) for b in range(p)]) for p in primes]
+    inputs += [(p, [(0, k) for k in range(p)] + [(k, 0) for k in range(p)]) for p in rows]
+    for p, pairs in inputs:
         squares = {x * x % p for x in range(1, p)}
         chi = [0] + [1 if v in squares else -1 for v in range(1, p)]
         ctx = _counting_context(model, p)
-        for a in range(p):
-            for b in range(p):
-                direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
-                assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
+        for a, b in pairs:
+            direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+            assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
 
 
 def _cubic_is_singular(c4v: int, c6v: int, p: int) -> bool:

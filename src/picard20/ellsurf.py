@@ -5,11 +5,12 @@ Fiber types come from the characteristic-0 valuation table, so no Tate algorithm
 is run in residue characteristic p; instead good_prime() certifies that the
 reduction mod p has the same local data as the model over Q, and counting at
 p > 3 works fiberwise on the smooth model through component bookkeeping.  The
-Weierstrass cubic of each fiber is counted by one lookup in three per-prime
-tables of cubic character sums, built in O(p) by exact integer correlation;
-the direct sum _charsum_count is their oracle.  The cubic's discriminant marks
-the singular fibers (1728 Delta = c4^3 - c6^2), and only at its roots mod p is
-the fiber's place looked up.
+Weierstrass cubic of each fiber is counted by one lookup: in a per-prime table
+of the cubic character sums S(k, k), built in O(p) by one exact integer
+product, or, when c4 or c6 vanishes there, in a cache of at most eleven direct
+sums; the direct sum _charsum_count is their oracle.  The cubic's discriminant
+marks the singular fibers (1728 Delta = c4^3 - c6^2), and only at its roots mod
+p is the fiber's place looked up.
 
 A prime p > 3 is good when it divides neither d nor one cached integer,
 lead Res(R, R' u4 u6): lead = lead(Delta) lead(c4) lead(c6), R the product of
@@ -27,6 +28,7 @@ import sys
 from array import array
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple, Optional
 
 from .arith import is_prime, is_squarefree, kronecker, squarefree_part
@@ -415,56 +417,44 @@ class _CountingContext(NamedTuple):
     p: int
     chi: tuple
     inverse: array  # inverse[x] = 1/x mod p, inverse[0] = 0
-    # S(A, B) = sum over X of chi(X^3 + A X + B), indexed by k in F_p; arrays,
-    # not tuples of ints, keep the cached context from adding to peak memory
-    s_kk: array  # S(k, k)
-    s_0b: array  # S(0, k)
-    s_a0: array  # S(k, 0)
+    # S(A, B) = sum over X of chi(X^3 + A X + B); S(k, k) is indexed by k in
+    # F_p, in an array, not a tuple of ints, to keep the cached context from
+    # adding to peak memory
+    s_kk: array
+    s_classes: dict  # S(A, B) with AB = 0, filled by _cubic_sum
     main: _ChartData
     chart: _ChartData
     rank20_split: bool  # rank 20 over Q at a split prime
 
 
-# surface_count is O(p) work per prime, three exact correlations and one table
-# lookup per fiber: about 0.04 s at p = 3001 and 0.2 s at 9973 (2-core Xeon,
-# Python 3.11)
+# surface_count is O(p) work per prime, one exact product, at most eleven
+# direct sums and one lookup per fiber: about 0.02 s at p = 3001 and 0.07 s at
+# 9973 (2-core Xeon, Python 3.11)
 COUNT_LIMIT = 10**4
 
 
-def _correlation(w: list, chi: tuple, shift: int = 0) -> array:
-    """R[k] + shift for every k in F_p, R[k] = sum over y in F_p of w[y] chi(y + k),
-    from one exact product of integers (Kronecker substitution).
+def _cubic_sum_table(p: int, chi: tuple, inverse: array) -> array:
+    """S(k, k) for every k in F_p, from one exact product of integers.
 
-    The reversed w + 3 and two periods of chi + 1 are packed into 32-bit
-    slots; coefficient p - 1 + k of their product is R[k] + sum(w) + 3p.  With
-    |w| <= 3 no coefficient exceeds 12p, so no slot carries into the next.
+    x^3 + k x + k = (x + 1)(x^3/(x + 1) + k) for x != -1, so S(k, k) is
+    chi(-1) + R[k], R[k] = sum over y in F_p of w[y] chi(y + k) with
+    w[y] = sum of chi(x + 1) over x^3/(x + 1) = y.  R is a Kronecker
+    substitution: the reversed w + 3 and two periods of chi + 1 are packed into
+    32-bit slots; coefficient p - 1 + k of their product is R[k] + sum(w) + 3p,
+    and sum(w) is the sum of chi over F_p^*, 0.  With |w| <= 3 no coefficient
+    exceeds 12p, so no slot carries into the next.
     """
-    p = len(chi)
     if 12 * p >= 1 << 32:
         raise VerificationError("PRECONDITION", f"p={p} overflows the 32-bit correlation slots")
+    w = [0] * p
+    for x in range(p - 1):
+        w[x * x * x * inverse[x + 1] % p] += chi[x + 1]
     u = array("I", [c + 3 for c in reversed(w)])
     v = array("I", [c + 1 for c in chi]) * 2
     product = int.from_bytes(u, sys.byteorder) * int.from_bytes(v, sys.byteorder)
     slots = memoryview(product.to_bytes(4 * 3 * p, sys.byteorder)).cast("I")
-    offset = sum(w) + 3 * p - shift
+    offset = 3 * p - chi[p - 1]
     return array("i", [c - offset for c in slots[p - 1 : 2 * p - 1]])
-
-
-def _cubic_sum_tables(p: int, chi: tuple, inverse: array) -> tuple[array, array, array]:
-    """(S(k, k), S(0, k), S(k, 0)) for k in F_p, each a correlation with chi:
-    x^3 + k x + k = (x + 1)(x^3/(x + 1) + k) for x != -1, so S(k, k) is
-    chi(-1) plus the correlation of w(y) = sum of chi(x + 1) over x^3/(x + 1) = y;
-    S(0, k) correlates w(y) = #{x : x^3 = y}, and S(k, 0) correlates
-    w(y) = sum of chi(x) over x^2 = y, since chi(x^3 + k x) = chi(x) chi(x^2 + k)."""
-    w_kk, w_0b, w_a0 = [0] * p, [0] * p, [0] * p
-    for x in range(p):
-        x2 = x * x % p
-        x3 = x2 * x % p
-        w_0b[x3] += 1
-        w_a0[x2] += chi[x]
-        if x != p - 1:
-            w_kk[x3 * inverse[x + 1] % p] += chi[x + 1]
-    return _correlation(w_kk, chi, chi[p - 1]), _correlation(w_0b, chi), _correlation(w_a0, chi)
 
 
 # counting goes one prime at a time, so only the current prime's context is kept
@@ -485,15 +475,13 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     for x in range(2, p):
         inverse[x] = (p - p // x) * inverse[p % x] % p
     inverse = array("i", inverse)
-    s_kk, s_0b, s_a0 = _cubic_sum_tables(p, chi, inverse)
     inv = _invariants(model)
     return _CountingContext(
         p=p,
         chi=chi,
         inverse=inverse,
-        s_kk=s_kk,
-        s_0b=s_0b,
-        s_a0=s_a0,
+        s_kk=_cubic_sum_table(p, chi, inverse),
+        s_classes={},
         main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
         chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
         rank20_split=rank20_effective(model) and kronecker(model.d, p) == 1,
@@ -513,17 +501,24 @@ def _charsum_count(ctx: _CountingContext, side: _ChartData, t0: int) -> int:
 
 
 def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
-    """S(a, b) = sum over X in F_p of chi(X^3 + a X + b), by one table lookup.
+    """S(a, b) = sum over X in F_p of chi(X^3 + a X + b), by one lookup.
 
     X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b); with v = a/b and ab != 0
-    that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2.
+    that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2.  With v = u^2 it gives
+    S(u^4 a, u^6 b) = S(a, b), so when ab = 0 the sum depends only on the class
+    of a modulo fourth powers and of b modulo sixth powers.  Since F_p^* is
+    cyclic, the power a^((p - 1)/gcd(4, p - 1)) names the class of a (0 for
+    a = 0), and likewise for b; so at most gcd(4, p - 1) + gcd(6, p - 1) + 1
+    <= 11 sums are taken directly, once each.
     """
-    if a == 0:
-        return ctx.s_0b[b]
-    if b == 0:
-        return ctx.s_a0[a]
-    p, inverse = ctx.p, ctx.inverse
-    return ctx.chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
+    p, chi = ctx.p, ctx.chi
+    if a and b:
+        inverse = ctx.inverse
+        return chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
+    key = (pow(a, (p - 1) // gcd(4, p - 1), p), pow(b, (p - 1) // gcd(6, p - 1), p))
+    if key not in ctx.s_classes:
+        ctx.s_classes[key] = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+    return ctx.s_classes[key]
 
 
 def _shifted_value(fbar: Poly, t0: int, k: int, p: int) -> int:

@@ -5,12 +5,12 @@ it agrees with count_fiber exactly on irreducible fibers (smooth, I1, II),
 which pins down the counting machinery. On I_n fibers (n >= 2) it decides
 rationality: count_fiber gives n p exactly when the nodal cubic has p points
 (split node) and refuses exactly when it has p + 2. count_fiber reads each
-smooth and multiplicative fiber off three per-prime tables of cubic character
-sums; the direct character sum _charsum_count is the oracle of that table
-kernel, fiber by fiber, and every table entry is checked against the sum it
-stands for. The other multi-component formulas are validated globally through
-the trace identity against the CM coefficients, an independently implemented
-pipeline.
+smooth and multiplicative fiber off a per-prime table of cubic character sums
+and a cache of direct sums; the direct character sum _charsum_count is the
+oracle of that kernel, fiber by fiber, and the table and the cache are checked
+against the sums they stand for. The other multi-component formulas are
+validated globally through the trace identity against the CM coefficients, an
+independently implemented pipeline.
 """
 
 import json
@@ -315,6 +315,23 @@ def test_cubic_sum_tables_match_the_direct_sum():
         for a, b in pairs:
             direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
             assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
+
+
+def test_axis_sums_stay_within_the_power_residue_classes():
+    # c4 = 0 on d3 and c6 = 0 on d4, so every fiber's cubic has A = 0 or B = 0
+    # and is read from the class cache; one direct sum per fiber instead would
+    # be O(p^2) per prime and leave the cache empty
+    for name in ("d3", "d4"):
+        model = get_model(name)
+        primes = [
+            p for p in primes_up_to(199)
+            if good_prime(model, p) and kronecker(model.d, p) == 1
+        ]
+        assert len(primes) == 21, name
+        for p in primes:
+            trace_ap(model, p)
+            cached = len(_counting_context(model, p).s_classes)
+            assert 1 <= cached <= gcd(4, p - 1) + gcd(6, p - 1) + 1, (name, p, cached)
 
 
 def _cubic_is_singular(c4v: int, c6v: int, p: int) -> bool:

@@ -92,6 +92,26 @@ class TestAp:
             "message": "pmax=10000001 exceeds the ap limit 10000000",
         }
 
+    def test_sieved_primes_are_not_proved_again(self, capsys, monkeypatch):
+        # the sieve is the only primality proof on the CM stream
+        import picard20.arith
+        import picard20.ellsurf
+        import picard20.heckecm
+        import picard20.polys
+
+        calls = []
+        is_prime = picard20.arith.is_prime
+
+        def counted(n):
+            calls.append(n)
+            return is_prime(n)
+
+        for module in (picard20.heckecm, picard20.ellsurf, picard20.polys, picard20.arith):
+            monkeypatch.setattr(module, "is_prime", counted, raising=False)
+        code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100000")
+        assert code == 0 and len(blob["rows"]) == 9590
+        assert calls == []
+
 
 class TestCount:
     def test_d19_at_5(self, capsys):

@@ -130,7 +130,7 @@ def _cmd_classify(args) -> int:
 
 
 # ap sieves pmax + 1 bytes and lists every prime up to pmax before its first
-# row; --pmax 10^6 takes about 2.7 s
+# row; --pmax 10^6 takes about 1.8 s
 _AP_LIMIT = 10**7
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import cornacchia, is_prime, is_square, is_squarefree, kronecker
+from .arith import cornacchia, is_square, is_squarefree, kronecker
 from .errors import VerificationError
 from .qforms import class_number, is_fundamental_discriminant, twist_discriminant
 
@@ -64,8 +64,11 @@ class CMRule:
 
 
 def split_type(d_K: int, p: int) -> str:
-    if not is_prime(p):
-        raise VerificationError("PRECONDITION", f"{p} is not prime")
+    """How the prime p behaves in Q(sqrt(d_K)), read from kronecker(d_K, p).
+
+    p must be prime. This is not checked: every caller takes p from
+    primes_up_to, and the sieve is the proof.
+    """
     chi = kronecker(d_K, p)
     return SPLIT if chi == 1 else INERT if chi == -1 else RAMIFIED
 

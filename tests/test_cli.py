@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from picard20.cli import main
+from picard20.errors import VerificationError
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +112,14 @@ class TestAp:
         code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100000")
         assert code == 0 and len(blob["rows"]) == 9590
         assert calls == []
+
+    def test_twist_must_be_squarefree(self, capsys):
+        code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "30", "--twist", "4")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "twist 4 is not squarefree",
+        }
 
 
 class TestCount:
@@ -335,6 +344,14 @@ class TestModelLoading:
             "torsion": with_edit("d27", ("sections", 0, "torsion_order"), "z"),
             "bool_coefficient": with_edit("d4", ("a", "a4", 3), True),
             "d_string": with_edit("d19", ("d",), "-19"),
+            "d_positive": with_edit("d19", ("d",), 5),
+            "twist_square": with_edit("d4", ("twist_by",), 4),
+            "torsion_negative": with_edit("d27", ("sections", 0, "torsion_order"), -1),
+        }
+        messages = {
+            "d_positive": "declared discriminant must be a negative integer",
+            "twist_square": "twist_by must be squarefree and nonzero",
+            "torsion_negative": "negative torsion order",
         }
         for label, text in cases.items():
             path = tmp_path / f"{label}.json"
@@ -342,6 +359,57 @@ class TestModelLoading:
             code, blob = run_cli(capsys, "fibers", "--model", str(path))
             assert code == 1, label
             assert blob["error"]["code"] == "PRECONDITION", label
+            if label in messages:
+                assert blob["error"]["message"] == messages[label], label
+
+    def test_model_claiming_rank_20_without_it(self, capsys, tmp_path):
+        # y^2 = x^3 + t^7 + 1: II at t = -1 and at the degree-6 place, II* at
+        # t = oo, so the lattice ranks sum to 10
+        from picard20.arith import kronecker, primes_up_to
+        from picard20.ellsurf import good_prime, model_from_json, trace_ap
+
+        obj = {
+            "name": "x7",
+            "d": -3,
+            "rank20_over_Q": True,
+            "a": {"a1": [], "a2": [], "a3": [], "a4": [], "a6": [1, 0, 0, 0, 0, 0, 0, 1]},
+        }
+        path = tmp_path / "x7.json"
+        path.write_text(json.dumps(obj))
+        code, blob = run_cli(capsys, "fibers", "--model", str(path))
+        assert code == 0
+        assert [(row["type"], row["degree"]) for row in blob["fibers"]] == [
+            ("II", 1),
+            ("II", 6),
+            ("II*", 1),
+        ]
+        code, blob = run_cli(capsys, "nsdisc", "--model", str(path))
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "lattice ranks of x7 sum to 10, not 20",
+        }
+        code, blob = run_cli(capsys, "verify", "--model", str(path), "--pmax", "200")
+        assert code == 1
+        assert blob["error"] == {
+            "code": "INSUFFICIENT_DATA",
+            "message": "need at least 5 split primes, got 0",
+        }
+        # every good split row is refused by the Weil bound
+        model = model_from_json(obj)
+        split = [
+            p for p in primes_up_to(200)
+            if p > 3 and good_prime(model, p) and kronecker(model.d, p) == 1
+        ]
+        refusals = []
+        for p in split:
+            with pytest.raises(VerificationError) as exc:
+                trace_ap(model, p)
+            refusals.append((exc.value.code, exc.value.message))
+        assert refusals[0] == ("PRECONDITION", "a_13=-130 breaks the Weil bound")
+        for p, (code, message) in zip(split, refusals):
+            assert code == "PRECONDITION", p
+            assert message.startswith(f"a_{p}=") and message.endswith(" breaks the Weil bound"), p
 
 
 class TestArgparseContract:

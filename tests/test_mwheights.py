@@ -184,6 +184,20 @@ def test_ns_discriminant_is_negative_and_integral():
     assert ns_discriminant(config) == -27
 
 
+def test_two_by_two_gram_determinants():
+    # plain elimination, a zero pivot that needs a row swap, and a singular matrix
+    def config(gram):
+        return ConfigLattice(fibers=(("I2", 2),), mw_rank=2, mw_gram=gram)
+
+    assert ns_discriminant(config(((2, 1), (1, 2)))) == -12
+    with pytest.raises(VerificationError) as exc:
+        ns_discriminant(config(((0, 1), (1, 0))))
+    assert (exc.value.code, exc.value.message) == ("PRECONDITION", "discriminant 4 is not negative")
+    with pytest.raises(VerificationError) as exc:
+        ns_discriminant(config(((1, 2), (2, 4))))
+    assert exc.value.code == "PRECONDITION"
+
+
 def test_gram_size_mismatch_rejected():
     with pytest.raises(VerificationError):
         ConfigLattice(

@@ -93,6 +93,14 @@ class TestAp:
             "message": "pmax=10000001 exceeds the ap limit 10000000",
         }
 
+    @pytest.mark.parametrize("pmax", [-5, 0, 1, 4, 5])
+    def test_pmax_below_the_first_row(self, capsys, pmax):
+        # 2 and 3 never get a row, so 5 is the first prime that does
+        code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", str(pmax))
+        assert code == 0
+        rows = [[5, "split", -6]] if pmax >= 5 else []
+        assert blob == {"dK": -4, "twist": 1, "pmax": pmax, "rows": rows}
+
     def test_sieved_primes_are_not_proved_again(self, capsys, monkeypatch):
         # the sieve is the only primality proof on the CM stream
         import picard20.arith

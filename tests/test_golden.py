@@ -35,6 +35,8 @@ GOLDEN = {
     "ap --dK -20 --pmax 5": (1, "789b150011a24030fc1ddc67d1844c56e6e2fa3dc124dcc4f13001ee50baf5a0"),
     "ap --dK -3 --pmax 200": (0, "8cc69f2db0201ba928e001b1bd2890f5401a585aa73073b17639004eead24fa3"),
     "ap --dK -4 --pmax 1000": (0, "acc86622c981203c400291c37c6c57c7756e4444ebf25017cb013a8401d4714d"),
+    "ap --dK -4 --pmax 100000": (0, "456b098114e699416b7f326980b8dfa0cc91bfaea7a92a8aee2425fc10416ea7"),
+    "ap --dK -4 --pmax 100000 --twist -3": (0, "bb489684923ed6e0629d06071308f7b3ae133986ac9fe3e38fd96a511780d1af"),
     "ap --dK -4 --pmax 200": (0, "d03efc6c926da5fb8fe1f7dbc12d059217c8e85f7ee42f547d9406e3ee7686ce"),
     "ap --dK -4 --pmax 30 --twist 5": (0, "dc7279aced5217000d7906ac1ad8280f9e5516570abee22a08fc1c7cee2cefe1"),
     "ap --dK -43 --pmax 200": (0, "6a7ee78daaa2c79e33c2281f310069013690e32fe20737b43033b02bfd9351c1"),

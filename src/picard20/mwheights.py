@@ -85,9 +85,9 @@ class ConfigLattice:
 
 
 def _det(gram: tuple) -> Fraction:
-    # fraction-free enough for the tiny matrices that occur here
+    # exact elimination over Q: int entries must not meet true division
     n = len(gram)
-    m = [list(row) for row in gram]
+    m = [[Fraction(v) for v in row] for row in gram]
     det = Fraction(1)
     for i in range(n):
         pivot = next((r for r in range(i, n) if m[r][i] != 0), None)

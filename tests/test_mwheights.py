@@ -8,6 +8,7 @@ from picard20.errors import VerificationError
 from picard20.models import REGISTRY, TABLE_ROWS, get_model
 from picard20.mwheights import (
     ConfigLattice,
+    _det,
     compute_PO,
     config_from_model,
     contribution,
@@ -182,6 +183,12 @@ def test_ns_discriminant_is_negative_and_integral():
         mw_gram=((Fraction(3, 2),),),
     )
     assert ns_discriminant(config) == -27
+
+
+def test_determinant_of_int_entries_is_exact():
+    for gram, want in ((((0, 1), (1, 0)), -1), (((2, 1), (1, 2)), 3)):
+        det = _det(gram)
+        assert det == want and isinstance(det, (Fraction, int)), det
 
 
 def test_two_by_two_gram_determinants():

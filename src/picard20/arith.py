@@ -8,6 +8,7 @@ clarity plus exhaustive-oracle testability over cleverness.
 from __future__ import annotations
 
 import math
+from itertools import compress
 
 from .errors import VerificationError
 
@@ -15,6 +16,7 @@ __all__ = [
     "is_prime",
     "kronecker",
     "cornacchia",
+    "prime_flags",
     "primes_up_to",
     "factorize",
     "squarefree_part",
@@ -119,16 +121,24 @@ def cornacchia(D: int, m: int) -> tuple[int, int] | None:
     return fallback
 
 
+def prime_flags(bound: int) -> bytearray:
+    """Sieve flags: flags[n] is 1 exactly when n <= bound is prime.
+
+    Never shorter than two bytes, so flags[0] and flags[1] always exist.
+    """
+    bound = max(bound, 1)
+    flags = bytearray([1]) * (bound + 1)
+    flags[0] = flags[1] = 0
+    for i in range(2, math.isqrt(bound) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return flags
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, by sieve."""
-    if bound < 2:
-        return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for i in range(2, math.isqrt(bound) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    flags = prime_flags(bound)
+    return list(compress(range(len(flags)), flags))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

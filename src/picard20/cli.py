@@ -4,7 +4,8 @@ Every subcommand prints a single deterministic JSON document (sorted keys,
 two-space indent) and exits 0.  Domain failures exit 1 with an error object;
 usage errors exit 2 via argparse.  Integers that could exceed 2^53 and all
 exact fractions are emitted as strings so the output survives any JSON
-parser.
+parser.  _render writes the bytes json.dumps(sort_keys=True, indent=2) would
+write for that document, without building a converted copy first.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
 
-from .arith import primes_up_to
+from .arith import kronecker, prime_flags
 from .atverify import (
     classify_h1,
     classify_two_torsion,
@@ -33,7 +36,7 @@ from .ellsurf import (
     twist_model,
 )
 from .errors import VerificationError
-from .heckecm import CMRule, ap_h1, split_type
+from .heckecm import SPLIT, CMRule, norm_form_ap, split_stream, split_type
 from .models import REGISTRY, get_model
 from .mwheights import (
     compute_PO,
@@ -42,7 +45,7 @@ from .mwheights import (
     height,
     ns_discriminant,
 )
-from .qforms import FormClassGroup
+from .qforms import FormClassGroup, twist_discriminant
 
 _JSON_INT_LIMIT = 2**53
 
@@ -53,23 +56,40 @@ _TWO_TORSION_NOTE = (
 )
 
 
-def _jsonable(obj):
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, bool):
-        return obj
+def _render(obj, pad: str = "") -> str:
+    """obj as JSON at the indent pad, the next level two spaces deeper."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, int):
-        return str(obj) if abs(obj) >= _JSON_INT_LIMIT else obj
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return _quote(str(obj)) if abs(obj) >= _JSON_INT_LIMIT else str(obj)
+    if isinstance(obj, Fraction):
+        return _quote(str(obj))
+    inner = pad + "  "
+    sep = ",\n" + inner
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+        if not obj:
+            return "[]"
+        body = sep.join([_render(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # a key that is not a string takes json's conversion, and its TypeError
+        body = sep.join([
+            (_quote(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+            + ": " + _render(v, inner)
+            for k, v in sorted(obj.items())
+        ])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    # floats, and a TypeError for what JSON cannot hold
+    return json.dumps(obj)
 
 
 def _emit(obj, out: str | None = None, code: int = 0) -> int:
     """Write obj as JSON to stdout and, when out is given, to that file too."""
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n"
+    text = _render(obj) + "\n"
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -129,21 +149,39 @@ def _cmd_classify(args) -> int:
     return _emit(out)
 
 
-# ap sieves pmax + 1 bytes and lists every prime up to pmax before its first
-# row; --pmax 10^6 takes about 1.8 s
+# ap sieves pmax + 1 bytes and walks the norm form once before its first
+# row; --pmax 10^6 takes about 0.6 s and --pmax 10^7 about 6 s
 _AP_LIMIT = 10**7
+
+
+def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
+    """(p, kind, a_p) for each prime 3 < p <= pmax, a_p from one norm-form walk.
+
+    A split p missing from the stream is NO_REPRESENTATION. The rows are
+    tuples, and the stream is freed on return, to keep the render's peak low.
+    """
+    CMRule(d_K, twist if twist != 1 else None)
+    dstar = twist_discriminant(twist)
+    flags = prime_flags(pmax)
+    stream = split_stream(d_K, pmax, flags)
+    rows = []
+    for p in compress(range(len(flags)), flags):
+        if p <= 3:
+            continue
+        kind = split_type(d_K, p)
+        ap = None
+        if kind == SPLIT:
+            ap = norm_form_ap(d_K, p, stream.get(p))
+            if dstar != 1:
+                ap *= kronecker(dstar, p)
+        rows.append((p, kind, ap))
+    return rows
 
 
 def _cmd_ap(args) -> int:
     if args.pmax > _AP_LIMIT:
         raise VerificationError("PRECONDITION", f"pmax={args.pmax} exceeds the ap limit {_AP_LIMIT}")
-    rule = CMRule(args.dK, args.twist if args.twist != 1 else None)
-    rows = []
-    for p in primes_up_to(args.pmax):
-        if p <= 3:
-            continue
-        kind = split_type(args.dK, p)
-        rows.append([p, kind, ap_h1(rule, p) if kind == "split" else None])
+    rows = _ap_rows(args.dK, args.twist, args.pmax)
     return _emit(
         {"dK": args.dK, "twist": args.twist, "pmax": args.pmax, "rows": rows}
     )

@@ -4,9 +4,12 @@ matching.
 For an imaginary quadratic field of class number one the Hecke character of
 infinity-type 2 gives a newform whose coefficient at a split prime p is
 a_p = 2(x^2 - D'y^2) where p = x^2 + D'y^2 with x, y in (1/2)N. The constant
-D' normalizes away the extra units for d_K = -3 and -4. ap_h1 maps p to a_p
-through this norm form; principality_certificate is its inverse, reading
-p = x^2 + Dy^2 back from a_p.
+D' normalizes away the extra units for d_K = -3 and -4. split_stream reads
+the solutions of every split p up to a bound off one walk of the norm form
+against the prime sieve; norm_form_ap turns a solution into a_p. ap_h1
+solves one prime at a time and is the stream's oracle.
+principality_certificate is the inverse, reading p = x^2 + Dy^2 back from
+a_p.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import cornacchia, is_square, is_squarefree, kronecker
+from .arith import cornacchia, is_square, is_squarefree, kronecker, prime_flags
 from .errors import VerificationError
 from .qforms import class_number, is_fundamental_discriminant, twist_discriminant
 
@@ -26,6 +29,9 @@ __all__ = [
     "CMRule",
     "TwistVerdict",
     "split_type",
+    "norm_form",
+    "split_stream",
+    "norm_form_ap",
     "ap_h1",
     "principality_certificate",
     "match_twist",
@@ -73,23 +79,52 @@ def split_type(d_K: int, p: int) -> str:
     return SPLIT if chi == 1 else INERT if chi == -1 else RAMIFIED
 
 
-def ap_h1(rule: CMRule, p: int) -> int:
-    """Coefficient a_p of the newform of the rule.
+def norm_form(d_K: int) -> tuple[int, int]:
+    """(D', scale): a split p has scale*p = X^2 + D'Y^2 with X, Y > 0.
 
-    Split p: solve scale*p = X^2 + D'Y^2, with scale 4 for odd d_K (which
-    realizes x = X/2, y = Y/2) and 1 for even d_K (where the normalization
-    forces integral x, y), and return 2(X^2 - D'Y^2)/scale. Inert p gives 0.
-    A twist by delta multiplies the result by kronecker(delta*, p), delta*
-    the discriminant of Q(sqrt(delta)).
+    scale is 4 for odd d_K, which realizes x = X/2, y = Y/2, and 1 for even
+    d_K, where the normalization forces integral x, y.
     """
-    st = split_type(rule.d_K, p)
-    if st == RAMIFIED:
-        raise VerificationError("PRECONDITION", f"p = {p} is not unramified")
-    if st == INERT:
-        return 0
-    Dp = 27 if rule.d_K == -3 else 4 if rule.d_K == -4 else rule.D
-    scale = 1 if rule.d_K % 4 == 0 else 4
-    sol = cornacchia(Dp, scale * p)
+    if d_K == -3:
+        return 27, 4
+    if d_K == -4:
+        return 4, 1
+    return (-d_K, 4) if d_K % 4 else (-d_K // 4, 1)
+
+
+def split_stream(
+    d_K: int, pmax: int, flags: bytearray | None = None
+) -> dict[int, tuple[int, int]]:
+    """The solution (X, Y) of scale*p = X^2 + D'Y^2 at each split 3 < p <= pmax.
+
+    One walk over X, Y >= 0 up to X^2 + D'Y^2 <= scale*pmax, with X of the
+    parity that makes scale divide the sum (odd for scale 1, that of Y for
+    scale 4), looked up in flags = prime_flags(pmax); pass flags to share one
+    sieve. Once D' absorbs the extra units, +-pi and +-conj(pi) are the only
+    elements of norm p, so each split p has exactly one solution with X, Y > 0:
+    the one cornacchia(D', scale*p) returns in ap_h1. Ramified p are dropped.
+    """
+    Dp, scale = norm_form(d_K)
+    if flags is None:
+        flags = prime_flags(pmax)
+    limit = scale * max(pmax, 0)
+    stream = {}
+    for y in range(math.isqrt(limit // Dp) + 1):
+        dy = Dp * y * y
+        for x in range(y % 2 if scale == 4 else 1, math.isqrt(limit - dy) + 1, 2):
+            p = (x * x + dy) // scale
+            if flags[p] and p > 3 and d_K % p:
+                stream[p] = (x, y)
+    return stream
+
+
+def norm_form_ap(d_K: int, p: int, sol: tuple[int, int] | None) -> int:
+    """a_p = 2(X^2 - D'Y^2)/scale of the untwisted newform at a split p.
+
+    sol is the norm-form solution (X, Y) of p, from split_stream or
+    cornacchia; None, when p has none, is NO_REPRESENTATION.
+    """
+    Dp, scale = norm_form(d_K)
     if sol is None:
         raise VerificationError(
             "NO_REPRESENTATION", f"{scale * p} = x^2 + {Dp}y^2 has no solution"
@@ -97,6 +132,24 @@ def ap_h1(rule: CMRule, p: int) -> int:
     x, y = sol
     ap = 2 * (x * x - Dp * y * y) // scale
     assert abs(ap) <= 2 * p
+    return ap
+
+
+def ap_h1(rule: CMRule, p: int) -> int:
+    """Coefficient a_p of the newform of the rule, one prime at a time.
+
+    Split p: solve scale*p = X^2 + D'Y^2 by cornacchia and return
+    norm_form_ap. Inert p gives 0. A twist by delta multiplies the result by
+    kronecker(delta*, p), delta* the discriminant of Q(sqrt(delta)). This is
+    the per-prime oracle of split_stream; the CLI reads the stream.
+    """
+    st = split_type(rule.d_K, p)
+    if st == RAMIFIED:
+        raise VerificationError("PRECONDITION", f"p = {p} is not unramified")
+    if st == INERT:
+        return 0
+    Dp, scale = norm_form(rule.d_K)
+    ap = norm_form_ap(rule.d_K, p, cornacchia(Dp, scale * p))
     if rule.twist is not None:
         ap *= kronecker(twist_discriminant(rule.twist), p)
     return ap
@@ -175,8 +228,8 @@ def match_twist(
             "INSUFFICIENT_DATA",
             f"need at least {_MIN_MATCH_PRIMES} split primes, got {len(rows)}",
         )
-    base_rule = CMRule(rule.d_K)
-    base = {p: ap_h1(base_rule, p) for p, _ in rows}
+    stream = split_stream(rule.d_K, max(p for p, _ in rows))
+    base = {p: norm_form_ap(rule.d_K, p, stream.get(p)) for p, _ in rows}
 
     def fits(row_fits) -> bool:
         return all(row_fits(p, ap) for p, ap in rows)

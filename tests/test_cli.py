@@ -3,9 +3,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from picard20 import cli
 from picard20.cli import main
 from picard20.errors import VerificationError
 
@@ -120,6 +122,42 @@ class TestAp:
         code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100000")
         assert code == 0 and len(blob["rows"]) == 9590
         assert calls == []
+
+    def test_stream_is_walked_not_solved(self, capsys, monkeypatch):
+        # cornacchia is the per-prime oracle of the stream, never on the CLI path
+        import picard20.arith
+        import picard20.heckecm
+
+        calls = []
+        cornacchia = picard20.arith.cornacchia
+
+        def counted(D, m):
+            calls.append(m)
+            return cornacchia(D, m)
+
+        for module in (picard20.heckecm, picard20.arith, cli):
+            monkeypatch.setattr(module, "cornacchia", counted, raising=False)
+        code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100000")
+        assert code == 0 and len(blob["rows"]) == 9590
+        assert calls == []
+
+    @pytest.mark.parametrize("twist", ["1", "-3"])
+    def test_split_prime_missing_from_the_stream(self, capsys, monkeypatch, twist):
+        # the Kronecker symbol and the norm-form walk check each other
+        split_stream = cli.split_stream
+
+        def without_13(d_K, pmax, flags=None):
+            stream = split_stream(d_K, pmax, flags)
+            del stream[13]
+            return stream
+
+        monkeypatch.setattr(cli, "split_stream", without_13)
+        code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100", "--twist", twist)
+        assert code == 1
+        assert blob["error"] == {
+            "code": "NO_REPRESENTATION",
+            "message": "13 = x^2 + 4y^2 has no solution",
+        }
 
     def test_twist_must_be_squarefree(self, capsys):
         code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "30", "--twist", "4")
@@ -464,6 +502,97 @@ def test_lemma_r_command(capsys):
     code, blob = run_cli(capsys, "lemma-r", "-d", "-4", "-r", "2", "--bound", "10000")
     assert code == 0
     assert blob["verdict"] is True
+
+
+def _jsonable(obj):
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) >= 2**53 else obj
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    return obj
+
+
+def oracle_text(obj) -> str:
+    """The serializer the renderer replaced: a converted copy, then json.dumps."""
+    return json.dumps(_jsonable(obj), sort_keys=True, indent=2)
+
+
+RENDER_CASES = [
+    {},
+    [],
+    (),
+    {"a": {}, "b": [], "c": [[], {}, [[]]], "d": {"e": {"f": []}}},
+    [[], {}, [{}], [[[]]]],
+    [2**53 - 1, -(2**53 - 1), 2**53, -(2**53), 2**60, 0],
+    {"under": 2**53 - 1, "at": 2**53, "minus_at": -(2**53), "minus_under": 1 - 2**53},
+    [True, 1, False, 0, [True], {"t": True, "one": 1, "f": False, "zero": 0}],
+    {"none": None, "x": [None, Fraction(3, 4), Fraction(-7), Fraction(0)]},
+    (1, (2, (3,)), [(4, 5)], {"t": (6,)}),
+    {10: "ten", 9: "nine", -1: "minus", 2**53: "big", 0: ()},
+    {False: "f", 2: "two"},
+    {None: "null key"},
+    ["Néron–Severi", "\u2603", "tab\t", "new\nline", '"quoted"', "back\\slash", "\x00", ""],
+    {"ümlaut": "ü", "snowman\u2603": ["\U0001f600"]},
+    [0.5, -1e300, {"h": 1.25}],
+    {"nested": {"deep": [{"x": [Fraction(1, 3), 2**53, True, None, "s"]}]}},
+]
+
+
+@pytest.mark.parametrize("obj", RENDER_CASES, ids=range(len(RENDER_CASES)))
+def test_render_matches_the_json_oracle(obj):
+    assert cli._render(obj) == oracle_text(obj)
+
+
+def test_render_refuses_what_json_refuses():
+    for obj in (object(), [1, {1j}], {"a": b"bytes"}, {(1, 2): 3}):
+        with pytest.raises(TypeError):
+            oracle_text(obj)
+        with pytest.raises(TypeError):
+            cli._render(obj)
+
+
+# one document of every subcommand, an error document included
+COMMAND_DOCUMENTS = [
+    ["classgroup", "-d", "-84"],
+    ["classgroup", "-d", "-5"],
+    ["classify", "--bound", "200"],
+    ["classify", "--bound", "300", "--two-torsion"],
+    ["ap", "--dK", "-7", "--pmax", "100", "--twist", "5"],
+    ["count", "--model", "d19", "--p", "13"],
+    ["fibers", "--model", "d4"],
+    ["verify", "--model", "d19", "--pmax", "60"],
+    ["height", "--model", "d27", "--section", "0"],
+    ["nsdisc", "--model", "d27"],
+    ["lemma-r", "-d", "-4", "-r", "2", "--bound", "1000"],
+    ["table-check"],
+    ["list-models"],
+]
+
+
+def test_command_documents_cover_every_subcommand():
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in COMMAND_DOCUMENTS} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv", COMMAND_DOCUMENTS, ids=" ".join)
+def test_command_document_matches_the_json_oracle(argv, capsys, monkeypatch):
+    docs = []
+    emit = cli._emit
+
+    def recorded(obj, *args, **kwargs):
+        docs.append(obj)
+        return emit(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_emit", recorded)
+    main(argv)
+    assert len(docs) == 1
+    assert capsys.readouterr().out == oracle_text(docs[0]) + "\n"
 
 
 class TestByteDeterminism:

@@ -6,13 +6,16 @@ against independent surface point counts (see test_ellsurf) before freezing.
 
 import pytest
 
-from picard20.arith import is_square, kronecker, primes_up_to
+from picard20.arith import cornacchia, is_square, kronecker, primes_up_to
 from picard20.errors import VerificationError
 from picard20.heckecm import (
     CMRule,
     ap_h1,
     match_twist,
+    norm_form,
+    norm_form_ap,
     principality_certificate,
+    split_stream,
     split_type,
 )
 from picard20.qforms import is_fundamental_discriminant, twist_discriminant
@@ -37,6 +40,23 @@ def test_frozen_coefficient_streams():
         rule = CMRule(dK)
         for p, ap in rows:
             assert ap_h1(rule, p) == ap, (dK, p)
+
+
+@pytest.mark.parametrize("dK", H1_FIELDS)
+def test_split_stream_against_the_per_prime_oracle(dK):
+    stream = split_stream(dK, 100000)
+    split = [p for p in primes_up_to(100000) if p > 3 and kronecker(dK, p) == 1]
+    assert sorted(stream) == split
+    Dp, scale = norm_form(dK)
+    rule = CMRule(dK)
+    for p in split:
+        assert stream[p] == cornacchia(Dp, scale * p), p
+        assert norm_form_ap(dK, p, stream[p]) == ap_h1(rule, p), p
+
+
+@pytest.mark.parametrize("pmax", [-5, 0, 1, 2, 4])
+def test_split_stream_below_the_first_split_prime(pmax):
+    assert all(split_stream(dK, pmax) == {} for dK in H1_FIELDS)
 
 
 def test_split_type_matches_kronecker():
@@ -224,6 +244,19 @@ class TestMatchTwist:
         verdict = match_twist(rows, CMRule(-3))
         assert verdict.kind == "cubic_class"
         assert verdict.expected is None
+
+    def test_split_row_missing_from_the_stream(self, monkeypatch):
+        import picard20.heckecm
+
+        def without_13(d_K, pmax, flags=None):
+            stream = split_stream(d_K, pmax, flags)
+            del stream[13]
+            return stream
+
+        monkeypatch.setattr(picard20.heckecm, "split_stream", without_13)
+        with pytest.raises(VerificationError) as err:
+            match_twist(FROZEN_STREAMS[-4], CMRule(-4))
+        assert err.value.code == "NO_REPRESENTATION"
 
     def test_insufficient_rows(self):
         with pytest.raises(VerificationError) as err:

@@ -102,8 +102,9 @@ def cornacchia(D: int, m: int) -> tuple[int, int] | None:
     if only imprimitive solutions exist, the one with maximal y overall.
     None exactly when no solution exists. A descent over y from isqrt(m/D)
     that stops at the first primitive solution: up to about sqrt(m/D) steps
-    of one isqrt each, about 1,600 near p = 10^7 for the d_K = -4 stream
-    (m = p, D = 4).
+    of one isqrt each, about 1,600 near p = 10^7 for d_K = -4 (m = p, D = 4).
+    Through heckecm.ap_h1 this is the per-prime oracle of the CM stream,
+    which heckecm.split_stream reads off one walk of the norm form.
     """
     if D < 1 or m < 1:
         raise ValueError("cornacchia requires D >= 1 and m >= 1")

@@ -340,12 +340,9 @@ def _cubic_is_singular(c4v: int, c6v: int, p: int) -> bool:
     return (4 * a * a * a + 27 * b * b) % p == 0
 
 
-def test_singular_fibers_are_where_the_cubic_is_singular():
-    # at every good p < 200 of the registry, three d4 twists and the seeded
-    # random models of the golden sweep: the Weierstrass cubic at t0 is
-    # singular exactly at the roots mod p of the finite places, each root lies
-    # on one place, and the cubic of the chart s = 1/t at s = 0 is singular
-    # exactly when classify_fibers ends in a fiber at t=oo
+def _sweep():
+    # (model, fibers, good p < 200) for the registry, three d4 twists and the
+    # seeded random models of the golden sweep that classify: 4,339 pairs
     from test_golden import _random_model
 
     d4 = get_model("d4")
@@ -356,13 +353,22 @@ def test_singular_fibers_are_where_the_cubic_is_singular():
             models.append(_random_model(rng, k))
         except VerificationError:
             pass
-    pairs = 0
     for model in models:
         try:
             fibers = classify_fibers(model)
             primes = [p for p in primes_up_to(199) if good_prime(model, p)]
         except VerificationError:
             continue
+        yield model, fibers, primes
+
+
+def test_singular_fibers_are_where_the_cubic_is_singular():
+    # at every pair of the sweep: the Weierstrass cubic at t0 is singular
+    # exactly at the roots mod p of the finite places, each root lies on one
+    # place, and the cubic of the chart s = 1/t at s = 0 is singular exactly
+    # when classify_fibers ends in a fiber at t=oo
+    pairs = 0
+    for model, fibers, primes in _sweep():
         c4, c6 = c_invariants(model)
         for p in primes:
             pairs += 1
@@ -380,6 +386,33 @@ def test_singular_fibers_are_where_the_cubic_is_singular():
             at_infinity = _cubic_is_singular(_at(c4, INFINITY, 8), _at(c6, INFINITY, 12), p)
             assert at_infinity == (fibers[-1].poly is None), (model.name, p)
     assert pairs == 4339
+
+
+def _outcome(count, *args):
+    # the count, or the code and message of the VerificationError it raises
+    try:
+        return count(*args)
+    except VerificationError as err:
+        return err.code, err.message
+
+
+def _fiberwise_count(model: SurfaceModel, p: int) -> int:
+    # the oracle of surface_count: count_fiber at every t in P^1(F_p), in t
+    # order, so the first fiber that raises names the error
+    return sum(count_fiber(model, p, t0) for t0 in [*range(p), INFINITY])
+
+
+def test_surface_count_is_the_sum_of_its_fibers():
+    # at every pair of the sweep, surface_count is the fiberwise sum, and where
+    # that sum raises, surface_count raises the same code and message
+    tally = {}
+    for model, _, primes in _sweep():
+        for p in primes:
+            expected = _outcome(_fiberwise_count, model, p)
+            assert _outcome(surface_count, model, p) == expected, (model.name, p)
+            key = expected[0] if isinstance(expected, tuple) else "count"
+            tally[key] = tally.get(key, 0) + 1
+    assert tally == {"count": 3797, "COMPONENTS_NOT_RATIONAL": 542}
 
 
 def test_gated_additive_fiber_at_inert_prime():

@@ -41,6 +41,7 @@ __all__ = [
     "resultant",
     "pmod",
     "peval_mod",
+    "pvalues_mod",
     "pdivmod_mod",
 ]
 
@@ -402,6 +403,27 @@ def peval_mod(f: Poly, x: int, p: int) -> int:
     for a in reversed(f):
         acc = (acc * x + a) % p
     return acc
+
+
+def pvalues_mod(f: Poly, p: int) -> list[int]:
+    """[f(t) mod p for t in range(p)], by forward differences.
+
+    The differences of f at t = 0 come from its values at 0 .. deg f; each of
+    deg f running sums then turns k-th differences into (k-1)-th ones, so the
+    work is deg f integer additions per t and one reduction mod p at the end.
+    """
+    n = pdeg(f)
+    if n < 0:
+        return [0] * p
+    values = [peval_mod(f, t, p) for t in range(n + 1)]
+    diffs = []
+    for _ in range(n + 1):
+        diffs.append(values[0] % p)
+        values = [b - a for a, b in zip(values, values[1:])]
+    run = itertools.repeat(diffs[n], max(p - n, 0))
+    for d in reversed(diffs[:n]):
+        run = itertools.accumulate(run, initial=d)
+    return [v % p for v in itertools.islice(run, p)]
 
 
 def pdivmod_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:

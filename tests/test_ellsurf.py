@@ -334,6 +334,38 @@ def test_axis_sums_stay_within_the_power_residue_classes():
             assert 1 <= cached <= gcd(4, p - 1) + gcd(6, p - 1) + 1, (name, p, cached)
 
 
+def test_surface_count_looks_up_only_the_singular_fibers(monkeypatch):
+    # the smooth fibers are summed in surface_count's own pass: count_fiber,
+    # looked up as the module global, sees only the roots of Delta mod p and
+    # then t=oo, in that order, up to the first fiber that raises; a fallback
+    # to one count_fiber call per fiber fails here
+    import picard20.ellsurf as ellsurf
+
+    calls = []
+
+    def recording(model, p, t0):
+        calls.append(t0)
+        return count_fiber(model, p, t0)
+
+    monkeypatch.setattr(ellsurf, "count_fiber", recording)
+    refused = 0
+    for name in ("d19", "d3", "d4", "d27"):
+        model = get_model(name)
+        delta = discriminant(model)
+        for p in (5, 7, 13, 101, 199):
+            if not good_prime(model, p):
+                continue
+            calls.clear()
+            outcome = _outcome(surface_count, model, p)
+            assert outcome == _outcome(_fiberwise_count, model, p), (name, p)
+            singular = [t0 for t0 in range(p) if peval_mod(delta, t0, p) == 0] + [INFINITY]
+            if isinstance(outcome, tuple):
+                refused += 1
+                singular = singular[: len(calls)]
+            assert calls == singular, (name, p)
+    assert refused == 3
+
+
 def _cubic_is_singular(c4v: int, c6v: int, p: int) -> bool:
     # X^3 + a X + b with a = -27 c4, b = -54 c6: the cubic count_fiber reads
     a, b = -27 * c4v % p, -54 * c6v % p

@@ -27,6 +27,7 @@ from picard20.polys import (
     pscale,
     psub,
     ptrim,
+    pvalues_mod,
     reciprocal,
     resultant,
     valuation,
@@ -247,6 +248,22 @@ def test_mod_p_helpers_match_direct_arithmetic():
         lhs = peval_mod(f, x, p)
         rhs = (peval_mod(fq, x, p) * peval_mod(g, x, p) + peval_mod(fr, x, p)) % p
         assert lhs == rhs
+
+
+def test_values_at_every_point_match_peval_mod():
+    # the zero polynomial and degrees 0 .. 24 at every prime 5 <= p <= 61, so
+    # p <= deg f is met too; coefficients of either sign reach well past p
+    rng = random.Random(17)
+    primes = [p for p in range(5, 62) if all(p % q for q in range(2, p))]
+    assert len(primes) == 16
+    for p in primes:
+        assert pvalues_mod((), p) == [0] * p
+        for n in range(25):
+            f = tuple(rng.randint(-10**6, 10**6) for _ in range(n)) + (rng.randint(1, 10**6),)
+            assert pvalues_mod(f, p) == [peval_mod(f, t, p) for t in range(p)], (p, f)
+            # a leading coefficient that vanishes mod p
+            f = f[:-1] + (p * rng.randint(1, 9),)
+            assert pvalues_mod(f, p) == [peval_mod(f, t, p) for t in range(p)], (p, f)
 
 
 small = st.lists(st.integers(min_value=-5, max_value=5), min_size=0, max_size=5)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
@@ -149,6 +148,9 @@ def verify_surface(
     # the fork start method launches every worker on the first submit
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers > 1:
+        # imported here: the pool machinery costs every other run its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             geo = list(pool.map(functools.partial(_geom_for_prime, model, rule.D), primes))
     else:

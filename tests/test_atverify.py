@@ -127,7 +127,10 @@ class TestVerifySurface:
         assert serial == pooled
 
     def test_worker_pool_capped_at_cpu_count(self, monkeypatch):
-        # a stand-in pool that records its size and maps serially: no process starts
+        # a stand-in pool that records its size and maps serially: no process
+        # starts; verify_surface imports the pool class only when it uses it
+        import concurrent.futures
+
         import picard20.atverify as atverify
 
         sizes = []
@@ -145,7 +148,7 @@ class TestVerifySurface:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(atverify, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial = verify_surface(get_model("d11"), pmax=60)
         monkeypatch.setattr(atverify.os, "cpu_count", lambda: 2)
         assert verify_surface(get_model("d11"), pmax=60, workers=10**6) == serial

@@ -628,3 +628,20 @@ def test_commands_do_not_import_sympy():
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert done.stdout == "False\n"
+
+
+def test_commands_without_a_pool_do_not_import_it():
+    # verify imports the process pool only for --workers > 1
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from picard20.cli import main",
+        "for argv in (['verify', '--model', 'd19', '--pmax', '100', '--workers', '1'],",
+        "             ['ap', '--dK', '-4', '--pmax', '1000'],",
+        "             ['classify', '--bound', '1000'],",
+        "             ['list-models']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

@@ -20,6 +20,7 @@ from picard20.qforms import (
     fundamental_decomposition,
     principal_form,
     reduce_form,
+    reduced_form_flags,
     represented_primes,
 )
 
@@ -249,3 +250,34 @@ def test_invalid_discriminants_rejected():
     for bad in (0, 5, -1, -2, -5, -6):
         with pytest.raises(VerificationError):
             class_number(bad)
+
+
+def _walked_form_flags(bound: int) -> tuple[bytearray, bytearray]:
+    # one primitive reduced form (a, b, c) with a >= 2 and b >= 0 at a time
+    nonprincipal = bytearray(bound + 1)
+    nonambiguous = bytearray(bound + 1)
+    for a in range(2, math.isqrt(bound // 3) + 1):
+        for b in range(a + 1):
+            g = math.gcd(a, b)
+            for c in range(a, (b * b + bound) // (4 * a) + 1):
+                if g > 1 and math.gcd(g, c) > 1:
+                    continue
+                n = 4 * a * c - b * b
+                nonprincipal[n] = 1
+                if 0 < b < a < c:
+                    nonambiguous[n] = 1
+    return nonprincipal, nonambiguous
+
+
+@pytest.mark.parametrize("bounds", [range(401), (7392, 30000, 10**5)], ids=["0-400", "large"])
+def test_reduced_form_flags_match_the_form_walk(bounds):
+    for bound in bounds:
+        flags = reduced_form_flags(bound)
+        assert all(type(f) is bytearray for f in flags), bound
+        assert flags == _walked_form_flags(bound), bound
+
+
+def test_reduced_form_flags_bound_range():
+    for bad in (-1, 10**6 + 1):
+        with pytest.raises(VerificationError, match=rf"^PRECONDITION: bound {bad} out of range$"):
+            reduced_form_flags(bad)

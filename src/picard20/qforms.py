@@ -274,28 +274,44 @@ class FormClassGroup:
 
 
 def reduced_form_flags(bound: int) -> tuple[bytearray, bytearray]:
-    """Two flags per n = |d| <= bound, from one walk over the primitive
-    reduced forms (a, b, c) with a >= 2 and b >= 0.
+    """Two flags per n = |d| <= bound, from the primitive reduced forms
+    (a, b, c) with a >= 2 and b >= 0.
 
     nonprincipal[n] is set when some primitive reduced form of discriminant
     -n has a >= 2, so h(-n) > 1.  nonambiguous[n] is set when one has
     0 < b < a < c, so its class is not its own inverse.  A reduced form with
-    b < 0 has the same a and c as its b > 0 companion, so the walk skips it.
+    b < 0 has the same a and c as its b > 0 companion, so it adds no flag.
+
+    The forms are never listed one by one.  For fixed a and b, with
+    g = gcd(a, b), (a, b, c) is primitive exactly when gcd(c, g) = 1, so the
+    admissible c are the residue classes r mod g with gcd(r, g) = 1 (the one
+    class mod 1 when g = 1).  On such a class n = 4ac - b^2 runs through an
+    arithmetic progression of step 4ag, and n <= bound exactly when
+    c <= (b^2 + bound) / 4a.  Each progression sets its flags in one
+    bytearray slice assignment from a buffer of ones: nonprincipal from the
+    first c >= a of the class, nonambiguous (when 0 < b < a) from the first
+    c > a.
     """
     if not 0 <= bound <= 10**6:
         raise VerificationError("PRECONDITION", f"bound {bound} out of range")
     nonprincipal = bytearray(bound + 1)
     nonambiguous = bytearray(bound + 1)
-    for a in range(2, math.isqrt(bound // 3) + 1):
+    # a >= 2 makes every step at least 8, so no slice is longer than this
+    ones = bytearray(b"\x01") * (bound // 8 + 1)
+    amax = math.isqrt(bound // 3)
+    units = [[r for r in range(g) if math.gcd(r, g) == 1] for g in range(amax + 1)]
+    for a in range(2, amax + 1):
         for b in range(a + 1):
             g = math.gcd(a, b)
-            for c in range(a, (b * b + bound) // (4 * a) + 1):
-                if g > 1 and math.gcd(g, c) > 1:
-                    continue
+            step = 4 * a * g
+            for r in units[g]:
+                c = a + (r - a) % g  # the least c >= a with c = r mod g
                 n = 4 * a * c - b * b
-                nonprincipal[n] = 1
-                if 0 < b < a < c:
-                    nonambiguous[n] = 1
+                nonprincipal[n::step] = ones[: len(range(n, bound + 1, step))]
+                if 0 < b < a:
+                    if c == a:
+                        n += step
+                    nonambiguous[n::step] = ones[: len(range(n, bound + 1, step))]
     return nonprincipal, nonambiguous
 
 

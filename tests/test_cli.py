@@ -49,6 +49,19 @@ class TestClassify:
         assert -120 in blob["discriminants"]
         assert "note" in blob
 
+    def test_both_scans_at_the_bound_cap(self, capsys):
+        code, blob = run_cli(capsys, "classify", "--bound", "1000000")
+        assert code == 0
+        assert blob["kind"] == "class_number_one"
+        assert blob["count"] == len(blob["discriminants"]) == 13
+        assert blob["discriminants"][-1] == -163
+        code, blob = run_cli(capsys, "classify", "--bound", "1000000", "--two-torsion")
+        assert code == 0
+        assert blob["kind"] == "two_torsion"
+        assert blob["count"] == len(blob["discriminants"]) == 101
+        assert blob["discriminants"][-1] == min(blob["discriminants"]) == -7392
+        assert blob["note"] == cli._TWO_TORSION_NOTE
+
     @pytest.mark.parametrize("flags", [[], ["--two-torsion"]])
     def test_bound_out_of_range(self, capsys, flags):
         for bound in ("-5", "1000001"):

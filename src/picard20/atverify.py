@@ -26,6 +26,7 @@ from .heckecm import CMRule, match_twist, principality_certificate
 from .models import TABLE_ROWS
 from .mwheights import (
     gram_denominator_bound,
+    lattice_config,
     ns_discriminant,
     required_gram_determinant,
 )
@@ -145,6 +146,9 @@ def verify_surface(
         raise VerificationError("PRECONDITION", f"pmax={pmax} exceeds the count limit {COUNT_LIMIT}")
     d_K, N = fundamental_decomposition(model.d)
     rule = CMRule(d_K)
+    # refuses a false rank-20 claim before any point is counted; the fiber
+    # classification it reads is the one good_prime needs anyway
+    lattice_config(model)
     primes = list(primes_up_to(pmax))
     # the fork start method launches every worker on the first submit
     workers = min(workers or 1, os.cpu_count() or 1)

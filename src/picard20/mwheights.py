@@ -151,6 +151,36 @@ def compute_PO(section: SectionData, model: SurfaceModel) -> int:
 
 
 @functools.lru_cache(maxsize=None)
+def lattice_config(model: SurfaceModel) -> ConfigLattice:
+    """ConfigLattice of a model without its Gram matrix: fibers from
+    classification, torsion order and MW rank from the sections.
+
+    No height is computed.  A model that claims rank 20 over Q is refused
+    when the Shioda-Tate sum of these ranks is not 20.
+    """
+    counts: dict[str, int] = {}
+    places = []
+    for F in classify_fibers(model):
+        counts[F.kodaira_type] = counts.get(F.kodaira_type, 0) + F.degree
+        places.append((F.place, F.kodaira_type))
+    torsion = 1
+    for s in model.sections:
+        if s.torsion_order:
+            torsion = torsion * s.torsion_order // math.gcd(torsion, s.torsion_order)
+    config = ConfigLattice(
+        fibers=tuple(sorted(counts.items())),
+        mw_rank=sum(1 for s in model.sections if not s.torsion_order),
+        torsion_order=torsion,
+        fiber_places=tuple(places),
+    )
+    if model.rank20_over_Q and config.picard_rank != 20:
+        raise VerificationError(
+            "PRECONDITION",
+            f"lattice ranks of {model.name} sum to {config.picard_rank}, not 20",
+        )
+    return config
+
+
 def config_from_model(model: SurfaceModel) -> ConfigLattice:
     """ConfigLattice of a model: fibers from classification, MW data from sections.
 
@@ -158,37 +188,15 @@ def config_from_model(model: SurfaceModel) -> ConfigLattice:
     free section the off-diagonal pairings are not determined by the stored
     data, so that case is refused.
     """
-    fibers = classify_fibers(model)
-    counts: dict[str, int] = {}
-    places = []
-    for F in fibers:
-        counts[F.kodaira_type] = counts.get(F.kodaira_type, 0) + F.degree
-        places.append((F.place, F.kodaira_type))
-    torsion = 1
-    free = []
-    for s in model.sections:
-        if s.torsion_order:
-            torsion = torsion * s.torsion_order // math.gcd(torsion, s.torsion_order)
-        else:
-            free.append(s)
+    config = lattice_config(model)
+    free = [s for s in model.sections if not s.torsion_order]
     if len(free) > 1:
         raise VerificationError(
             "PRECONDITION", "cannot derive a Gram matrix for MW rank > 1 from sections"
         )
-    config = ConfigLattice(
-        fibers=tuple(sorted(counts.items())),
-        mw_rank=len(free),
-        torsion_order=torsion,
-        fiber_places=tuple(places),
-    )
     if free:
         h = height(free[0], config, compute_PO(free[0], model))
         config = replace(config, mw_gram=((h,),))
-    if model.rank20_over_Q and config.picard_rank != 20:
-        raise VerificationError(
-            "PRECONDITION",
-            f"lattice ranks of {model.name} sum to {config.picard_rank}, not 20",
-        )
     return config
 
 

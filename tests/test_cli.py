@@ -421,7 +421,7 @@ class TestModelLoading:
             if label in messages:
                 assert blob["error"]["message"] == messages[label], label
 
-    def test_model_claiming_rank_20_without_it(self, capsys, tmp_path):
+    def test_model_claiming_rank_20_without_it(self, capsys, monkeypatch, tmp_path):
         # y^2 = x^3 + t^7 + 1: II at t = -1 and at the degree-6 place, II* at
         # t = oo, so the lattice ranks sum to 10
         from picard20.arith import kronecker, primes_up_to
@@ -448,13 +448,16 @@ class TestModelLoading:
             "code": "PRECONDITION",
             "message": "lattice ranks of x7 sum to 10, not 20",
         }
-        code, blob = run_cli(capsys, "verify", "--model", str(path), "--pmax", "200")
+        # verify refuses the claim up front, as nsdisc does, and counts no point
+        with monkeypatch.context() as m:
+            m.setattr("picard20.atverify.trace_ap", lambda *args: pytest.fail("counted"))
+            code, blob = run_cli(capsys, "verify", "--model", str(path), "--pmax", "200")
         assert code == 1
         assert blob["error"] == {
-            "code": "INSUFFICIENT_DATA",
-            "message": "need at least 5 split primes, got 0",
+            "code": "PRECONDITION",
+            "message": "lattice ranks of x7 sum to 10, not 20",
         }
-        # every good split row is refused by the Weil bound
+        # counting would not have helped: every good split row breaks the Weil bound
         model = model_from_json(obj)
         split = [
             p for p in primes_up_to(200)

@@ -136,7 +136,8 @@ def verify_surface(
     """Per-prime verification report for a rank-20-over-Q model up to pmax.
 
     Bad and inert primes appear as skipped rows; per-prime failures are
-    recorded in their row and never abort the batch.
+    recorded in their row and never abort the batch.  A model whose lattice
+    ranks do not sum to 20 is refused before any point is counted.
     """
     if not rank20_effective(model):
         raise VerificationError(
@@ -146,8 +147,7 @@ def verify_surface(
         raise VerificationError("PRECONDITION", f"pmax={pmax} exceeds the count limit {COUNT_LIMIT}")
     d_K, N = fundamental_decomposition(model.d)
     rule = CMRule(d_K)
-    # refuses a false rank-20 claim before any point is counted; the fiber
-    # classification it reads is the one good_prime needs anyway
+    # the fiber classification it reads is the one good_prime needs anyway
     lattice_config(model)
     primes = list(primes_up_to(pmax))
     # the fork start method launches every worker on the first submit

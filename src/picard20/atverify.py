@@ -147,7 +147,7 @@ def verify_surface(
         raise VerificationError("PRECONDITION", f"pmax={pmax} exceeds the count limit {COUNT_LIMIT}")
     d_K, N = fundamental_decomposition(model.d)
     rule = CMRule(d_K)
-    # the fiber classification it reads is the one good_prime needs anyway
+    # refuses a false rank-20 claim; good_prime needs the same fibers anyway
     lattice_config(model)
     primes = list(primes_up_to(pmax))
     # the fork start method launches every worker on the first submit

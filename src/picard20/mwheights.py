@@ -150,7 +150,6 @@ def compute_PO(section: SectionData, model: SurfaceModel) -> int:
     return total
 
 
-@functools.lru_cache(maxsize=None)
 def lattice_config(model: SurfaceModel) -> ConfigLattice:
     """ConfigLattice of a model without its Gram matrix: fibers from
     classification, torsion order and MW rank from the sections.
@@ -181,6 +180,7 @@ def lattice_config(model: SurfaceModel) -> ConfigLattice:
     return config
 
 
+@functools.lru_cache(maxsize=None)
 def config_from_model(model: SurfaceModel) -> ConfigLattice:
     """ConfigLattice of a model: fibers from classification, MW data from sections.
 

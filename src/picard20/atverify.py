@@ -24,19 +24,12 @@ from .errors import VerificationError
 from .ellsurf import COUNT_LIMIT, SurfaceModel, good_prime, rank20_effective, trace_ap
 from .heckecm import CMRule, match_twist, principality_certificate
 from .models import TABLE_ROWS
-from .mwheights import (
-    gram_denominator_bound,
-    lattice_config,
-    ns_discriminant,
-    required_gram_determinant,
-)
+from .mwheights import gram_denominator_bound, ns_discriminant, required_gram_determinant
 from .qforms import (
-    QuadForm,
     check_discriminant,
     class_number,
     fundamental_decomposition,
     principal_form,
-    reduce_form,
     reduced_form_flags,
     represented_primes,
 )
@@ -136,8 +129,10 @@ def verify_surface(
     """Per-prime verification report for a rank-20-over-Q model up to pmax.
 
     Bad and inert primes appear as skipped rows; per-prime failures are
-    recorded in their row and never abort the batch.  A model whose lattice
-    ranks do not sum to 20 is refused before any point is counted.
+    recorded in their row and never abort the batch.  ellsurf.rank20_effective
+    decides rank 20 over Q, and its one call refuses, before any point is
+    counted, a model that does not claim it, a twist that loses it and a false
+    claim whose lattice ranks do not sum to 20.
     """
     if not rank20_effective(model):
         raise VerificationError(
@@ -147,8 +142,6 @@ def verify_surface(
         raise VerificationError("PRECONDITION", f"pmax={pmax} exceeds the count limit {COUNT_LIMIT}")
     d_K, N = fundamental_decomposition(model.d)
     rule = CMRule(d_K)
-    # refuses a false rank-20 claim; good_prime needs the same fibers anyway
-    lattice_config(model)
     primes = list(primes_up_to(pmax))
     # the fork start method launches every worker on the first submit
     workers = min(workers or 1, os.cpu_count() or 1)
@@ -167,7 +160,7 @@ def verify_surface(
         if row.status == "ok":
             p, ap = row.p, row.ap_geom
             # cubic_class has no expected stream, so the data is compared with
-            # itself: a circular verdict (ROADMAP item 1)
+            # itself: a circular verdict (ROADMAP item 2)
             ap_hecke = ap if verdict.expected is None else verdict.expected[p]
             row = replace(row, ap_hecke=ap_hecke, match=ap == ap_hecke)
         rows.append(row)
@@ -240,7 +233,7 @@ def lemma_r_check(d: int, r: int, bound: int = 100000) -> dict:
     if not _LEMMA_CUTOFF < bound <= 10**6:
         raise VerificationError("PRECONDITION", f"bound {bound} out of range")
     Q = principal_form(d)
-    Qr = reduce_form(QuadForm(1, Q.b * r, Q.c * r * r))
+    Qr = principal_form(d * r * r)
     h_d = class_number(d)
     h_dr2 = class_number(d * r * r)
     s1 = {p for p in represented_primes(Q, bound) if p > _LEMMA_CUTOFF}

@@ -135,6 +135,12 @@ def kodaira(symbol: str) -> Kodaira:
     raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
 
 
+def shioda_tate_rank(fibers, mw_rank: int) -> int:
+    """Shioda-Tate: the zero section and a fiber, the root ranks of the
+    (Kodaira symbol, multiplicity) pairs, and the Mordell-Weil rank."""
+    return 2 + sum(kodaira(sym).root_rank * mult for sym, mult in fibers) + mw_rank
+
+
 def _kodaira_from_valuations(v4: int, v6: int, vd: int, place: str) -> str:
     # characteristic-0 table; v4/v6 may be the _INF sentinel for vanishing c4/c6
     if vd == 0:
@@ -319,15 +325,6 @@ def _invariants(model: SurfaceModel) -> dict[str, Poly]:
     return {"b2": b2, "b4": b4, "b6": b6, "c4": c4, "c6": c6, "delta": discriminant(model)}
 
 
-def rank20_effective(model: SurfaceModel) -> bool:
-    """Whether the Picard rank 20 over Q flag survives the accumulated twist.
-
-    Quadratic twisting destroys rank 20 over Q except for d = -4, where every
-    quadratic twist of the model stays in the family.
-    """
-    return model.rank20_over_Q and (model.twist_by == 1 or model.d == -4)
-
-
 # ---------------------------------------------------------------- classification
 
 
@@ -366,6 +363,29 @@ def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
             "NOT_K3", f"Euler numbers of {model.name} sum to {euler}, not 24"
         )
     return data
+
+
+@functools.lru_cache(maxsize=None)
+def rank20_effective(model: SurfaceModel) -> bool:
+    """Whether the model counts as rank 20 over Q: the one place that decides.
+
+    A model that does not claim rank20_over_Q does not.  A claim is refused
+    with PRECONDITION when the Shioda-Tate sum of the fibers (root rank times
+    place degree) and the free sections is not 20.  Quadratic twisting
+    destroys rank 20 over Q except for d = -4, where every quadratic twist of
+    the model stays in the family.
+    """
+    if not model.rank20_over_Q:
+        return False
+    rank = shioda_tate_rank(
+        ((F.kodaira_type, F.degree) for F in classify_fibers(model)),
+        sum(1 for s in model.sections if not s.torsion_order),
+    )
+    if rank != 20:
+        raise VerificationError(
+            "PRECONDITION", f"lattice ranks of {model.name} sum to {rank}, not 20"
+        )
+    return model.twist_by == 1 or model.d == -4
 
 
 # ---------------------------------------------------------------- good primes
@@ -465,6 +485,8 @@ def _cubic_sum_table(p: int, chi: tuple, inverse: array) -> array:
 def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     if p > COUNT_LIMIT:
         raise VerificationError("PRECONDITION", f"p={p} exceeds the count limit {COUNT_LIMIT}")
+    # a false rank-20 claim is refused here, before any table is built
+    rank20 = rank20_effective(model)
     if not good_prime(model, p):
         raise VerificationError(
             "PRECONDITION", f"p={p} is not a good prime for {model.name}"
@@ -487,7 +509,7 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         s_classes={},
         main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
         chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
-        rank20_split=rank20_effective(model) and kronecker(model.d, p) == 1,
+        rank20_split=rank20 and kronecker(model.d, p) == 1,
     )
 
 
@@ -643,7 +665,8 @@ def algebraic_count(p: int) -> int:
 def trace_ap(model: SurfaceModel, p: int) -> int:
     """a_p = #X(F_p) - algebraic_count(p) at a good split prime of a rank-20 model.
 
-    The preconditions are checked before the count.
+    The preconditions are checked before the count: rank20_effective decides
+    rank 20 over Q, and refuses a false claim; p must be split.
     """
     if not rank20_effective(model):
         raise VerificationError(

@@ -16,6 +16,7 @@ from typing import Optional
 
 from .errors import VerificationError
 from .ellsurf import SectionData, SurfaceModel, classify_fibers, kodaira
+from .ellsurf import rank20_effective, shioda_tate_rank
 from .polys import factor_int_poly, pdeg, valuation
 
 
@@ -75,13 +76,8 @@ class ConfigLattice:
         return sum(kodaira(sym).euler * mult for sym, mult in self.fibers)
 
     @property
-    def root_rank_sum(self) -> int:
-        return sum(kodaira(sym).root_rank * mult for sym, mult in self.fibers)
-
-    @property
     def picard_rank(self) -> int:
-        """Shioda-Tate: the zero section and a fiber, the roots, and MW rank."""
-        return 2 + self.root_rank_sum + self.mw_rank
+        return shioda_tate_rank(self.fibers, self.mw_rank)
 
 
 def _det(gram: tuple) -> Fraction:
@@ -150,50 +146,33 @@ def compute_PO(section: SectionData, model: SurfaceModel) -> int:
     return total
 
 
-def lattice_config(model: SurfaceModel) -> ConfigLattice:
-    """ConfigLattice of a model without its Gram matrix: fibers from
-    classification, torsion order and MW rank from the sections.
+@functools.lru_cache(maxsize=None)
+def config_from_model(model: SurfaceModel) -> ConfigLattice:
+    """ConfigLattice of a model: fibers from classification, MW data from sections.
 
-    No height is computed.  A model that claims rank 20 over Q is refused
-    when the Shioda-Tate sum of these ranks is not 20.
+    ellsurf.rank20_effective decides rank 20 over Q and is asked first, so a
+    false rank-20 claim is refused before any height.  The Gram matrix is the
+    diagonal of section heights; with more than one free section the
+    off-diagonal pairings are not determined by the stored data, so that case
+    is refused.
     """
+    rank20_effective(model)  # refuses a false rank-20 claim
     counts: dict[str, int] = {}
     places = []
     for F in classify_fibers(model):
         counts[F.kodaira_type] = counts.get(F.kodaira_type, 0) + F.degree
         places.append((F.place, F.kodaira_type))
-    torsion = 1
-    for s in model.sections:
-        if s.torsion_order:
-            torsion = torsion * s.torsion_order // math.gcd(torsion, s.torsion_order)
-    config = ConfigLattice(
-        fibers=tuple(sorted(counts.items())),
-        mw_rank=sum(1 for s in model.sections if not s.torsion_order),
-        torsion_order=torsion,
-        fiber_places=tuple(places),
-    )
-    if model.rank20_over_Q and config.picard_rank != 20:
-        raise VerificationError(
-            "PRECONDITION",
-            f"lattice ranks of {model.name} sum to {config.picard_rank}, not 20",
-        )
-    return config
-
-
-@functools.lru_cache(maxsize=None)
-def config_from_model(model: SurfaceModel) -> ConfigLattice:
-    """ConfigLattice of a model: fibers from classification, MW data from sections.
-
-    The Gram matrix is the diagonal of section heights; with more than one
-    free section the off-diagonal pairings are not determined by the stored
-    data, so that case is refused.
-    """
-    config = lattice_config(model)
     free = [s for s in model.sections if not s.torsion_order]
     if len(free) > 1:
         raise VerificationError(
             "PRECONDITION", "cannot derive a Gram matrix for MW rank > 1 from sections"
         )
+    config = ConfigLattice(
+        fibers=tuple(sorted(counts.items())),
+        mw_rank=len(free),
+        torsion_order=math.lcm(*(s.torsion_order for s in model.sections if s.torsion_order)),
+        fiber_places=tuple(places),
+    )
     if free:
         h = height(free[0], config, compute_PO(free[0], model))
         config = replace(config, mw_gram=((h,),))

@@ -457,7 +457,7 @@ class TestModelLoading:
             "code": "PRECONDITION",
             "message": "lattice ranks of x7 sum to 10, not 20",
         }
-        # counting would not have helped: every good split row breaks the Weil bound
+        # trace_ap refuses the claim at every good split prime, before it counts
         model = model_from_json(obj)
         split = [
             p for p in primes_up_to(200)
@@ -465,10 +465,33 @@ class TestModelLoading:
         ]
         assert split[0] == 13
         for p in split:
-            with pytest.raises(VerificationError, match=rf"^PRECONDITION: a_{p}=-?\d+ breaks the Weil bound$"):
+            with pytest.raises(VerificationError, match="^PRECONDITION: lattice ranks of x7 sum to 10, not 20$"):
                 trace_ap(model, p)
-        with pytest.raises(VerificationError, match="^PRECONDITION: a_13=-130 breaks the Weil bound$"):
-            trace_ap(model, 13)
+
+    def test_count_refuses_a_false_claim_before_any_table(self, capsys, monkeypatch, tmp_path):
+        # y^2 = x^3 - t^3 x^2 - t^3 (t-1)^2 x: I4 at t = 1, III* at t = 0, I1 at a
+        # cubic place and I2* at t = oo, so the lattice ranks sum to 18
+        from picard20.ellsurf import count_fiber, model_from_json, surface_count, trace_ap
+
+        obj = {
+            "name": "r18",
+            "d": -4,
+            "rank20_over_Q": True,
+            "a": {"a1": [], "a2": [0, 0, 0, -1], "a3": [], "a4": [0, 0, 0, -1, 2, -1], "a6": []},
+        }
+        path = tmp_path / "r18.json"
+        path.write_text(json.dumps(obj))
+        refusal = ("PRECONDITION", "lattice ranks of r18 sum to 18, not 20")
+        model = model_from_json(obj)
+        with monkeypatch.context() as m:
+            m.setattr("picard20.ellsurf._cubic_sum_table", lambda *args: pytest.fail("tabled"))
+            code, blob = run_cli(capsys, "count", "--model", str(path), "--p", "13")
+            assert code == 1
+            assert blob["error"] == dict(zip(("code", "message"), refusal))
+            for count in (trace_ap, surface_count, lambda m, p: count_fiber(m, p, 1)):
+                with pytest.raises(VerificationError) as exc:
+                    count(model, 13)
+                assert (exc.value.code, exc.value.message) == refusal
 
 class TestArgparseContract:
     def test_usage_error_exits_2(self):

@@ -139,9 +139,24 @@ def test_config_from_model_matches_declared_discriminant():
         assert ns_discriminant(config) == model.d, name
 
 
+def test_registry_models_match_their_table_rows():
+    # every model but d3 is its table row; the -3 row (I1 x3, I3, I12*,
+    # torsion 4) is another configuration than d3's (II*, IV, II*), and
+    # table_check's flagged == [-3] pins that row
+    rows = dict(TABLE_ROWS)
+    for name, model in REGISTRY.items():
+        if name == "d3":
+            continue
+        config, row = config_from_model(model), rows[model.d]
+        assert config.fibers == row.fibers, name
+        assert config.mw_rank == row.mw_rank, name
+        assert config.torsion_order == row.torsion_order, name
+        assert config.mw_gram == row.mw_gram, name
+
+
 def test_rank_twenty_accounting():
     for _, config in TABLE_ROWS:
-        assert 2 + config.root_rank_sum + config.mw_rank == 20
+        assert 2 + sum(kodaira(s).root_rank * m for s, m in config.fibers) + config.mw_rank == 20
         assert config.euler_sum == 24
 
 

@@ -2,11 +2,11 @@
 
 Subpackage map:
     arith     -- integer kernels: primality, Kronecker symbol, Cornacchia
-    qforms    -- binary quadratic forms and form class groups
+    qforms    -- binary quadratic forms, form class groups, discriminant scans
     heckecm   -- CM Hecke eigenvalue rules and twist matching
     ellsurf   -- elliptic surfaces over Q(t): fibers, reductions, point counts
     mwheights -- Mordell-Weil heights and Neron-Severi discriminants
-    atverify  -- Artin-Tate checks, discriminant searches, batch verification
+    atverify  -- Artin-Tate checks, batch verification, the table check
     models    -- the built-in surface registry
     cli       -- command line entry point
 """

@@ -1,18 +1,17 @@
-"""Verification pipeline: Artin-Tate squares, principality, classification scans.
+"""Verification pipeline: Artin-Tate squares, principality, the form lemma and
+the table check.
 
 verify_surface ties the geometric traces of a rank-20 model to its CM newform
 prime by prime: a_p comparison after twist identification, the Brauer square
 (2p - a_p)/|d| = M^2, and the explicit representation p = x^2 + D y^2 that
 certifies principal splitting.  That certificate is
 heckecm.principality_certificate, the inverse of heckecm.ap_h1.  The
-classification scans search discriminant ranges for class number one and for
-one class per genus.
+classification scans live in qforms, next to the flags they read.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -30,7 +29,6 @@ from .qforms import (
     class_number,
     fundamental_decomposition,
     principal_form,
-    reduced_form_flags,
     represented_primes,
 )
 
@@ -245,40 +243,6 @@ def lemma_r_check(d: int, r: int, bound: int = 100000) -> dict:
         "sets_equal": sets_equal,
         "verdict": sets_equal == (h_d == h_dr2),
     }
-
-
-
-# ---------------------------------------------------------------- searches
-
-
-# bytes.translate table: a clear flag becomes a compress selector, a set one not
-_CLEAR = bytes([1]) + bytes(255)
-
-
-def _unflagged(flags: bytearray) -> list[int]:
-    """The negative discriminants -n, by increasing n >= 3, whose flag is clear.
-
-    Only the slots n = 3 and n = 0 (mod 4) are read, as two strided slices.
-    """
-    ns = []
-    for start in (3, 4):
-        clear = flags[start::4].translate(_CLEAR)
-        ns += itertools.compress(range(start, len(flags), 4), clear)
-    return [-n for n in sorted(ns)]
-
-
-def classify_h1(bound: int) -> list[int]:
-    """All negative discriminants with |d| <= bound and class number one."""
-    return _unflagged(reduced_form_flags(bound)[0])
-
-
-def classify_two_torsion(bound: int) -> list[int]:
-    """All negative discriminants with |d| <= bound and Cl(d) of exponent <= 2.
-
-    That is the case precisely when every reduced form is ambiguous.  The
-    squaring-based test on FormClassGroup stays as the independent check.
-    """
-    return _unflagged(reduced_form_flags(bound)[1])
 
 
 # ---------------------------------------------------------------- table check

@@ -18,34 +18,7 @@ from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 
-from .arith import kronecker, prime_flags
-from .atverify import (
-    classify_h1,
-    classify_two_torsion,
-    lemma_r_check,
-    report_to_json,
-    table_check,
-    verify_surface,
-)
-from .ellsurf import (
-    algebraic_count,
-    classify_fibers,
-    model_from_json,
-    surface_count,
-    trace_ap,
-    twist_model,
-)
 from .errors import VerificationError
-from .heckecm import SPLIT, CMRule, norm_form_ap, split_stream, split_type
-from .models import REGISTRY, get_model
-from .mwheights import (
-    compute_PO,
-    config_from_model,
-    corrections,
-    height,
-    ns_discriminant,
-)
-from .qforms import FormClassGroup, twist_discriminant
 
 _JSON_INT_LIMIT = 2**53
 
@@ -101,6 +74,10 @@ def _emit(obj, out: str | None = None, code: int = 0) -> int:
 
 
 def _load_model(spec: str, delta: int = 1):
+    """The model of a registry name or a JSON file; loads the point-count stack."""
+    from .ellsurf import model_from_json, twist_model
+    from .models import get_model
+
     if os.sep in spec or spec.endswith(".json"):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
@@ -120,8 +97,14 @@ def _load_model(spec: str, delta: int = 1):
 
 # ---------------------------------------------------------------- subcommands
 
+# Each subcommand imports the layers it runs: a scan loads qforms and arith
+# alone, and does not import (or, without bytecode, compile) the point-count
+# stack.
+
 
 def _cmd_classgroup(args) -> int:
+    from .qforms import FormClassGroup
+
     group = FormClassGroup(args.d)
     return _emit(
         {
@@ -136,6 +119,8 @@ def _cmd_classgroup(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .qforms import classify_h1, classify_two_torsion
+
     scan = classify_two_torsion if args.two_torsion else classify_h1
     discs = scan(args.bound)
     out = {
@@ -150,8 +135,8 @@ def _cmd_classify(args) -> int:
 
 
 # ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores, --pmax 10^6 takes 0.6-0.74 s at a 42 MB peak RSS and
-# --pmax 10^7 5.1-5.3 s at 208 MB
+# row; cold on 2 cores, --pmax 10^6 takes 0.37-0.49 s at a 40 MB peak RSS and
+# --pmax 10^7 2.9-3.8 s at 204 MB
 _AP_LIMIT = 10**7
 
 
@@ -160,16 +145,22 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
 
     A split p missing from the stream is NO_REPRESENTATION. The rows are
     tuples, and the stream is freed on return, to keep the render's peak low.
+    Each kind is read from one table of split_types, at p mod |d_K|.
     """
+    from .arith import kronecker, prime_flags
+    from .heckecm import SPLIT, CMRule, norm_form_ap, split_stream, split_types
+    from .qforms import twist_discriminant
+
     CMRule(d_K, twist if twist != 1 else None)
     dstar = twist_discriminant(twist)
     flags = prime_flags(pmax)
     stream = split_stream(d_K, pmax, flags)
+    kinds = split_types(d_K)
     rows = []
     for p in compress(range(len(flags)), flags):
         if p <= 3:
             continue
-        kind = split_type(d_K, p)
+        kind = kinds[p % len(kinds)]
         ap = None
         if kind == SPLIT:
             ap = norm_form_ap(d_K, p, stream.get(p))
@@ -190,6 +181,8 @@ def _cmd_ap(args) -> int:
 
 def _cmd_count(args) -> int:
     model = _load_model(args.model, args.delta)
+    from .ellsurf import algebraic_count, surface_count, trace_ap
+
     try:
         ap = trace_ap(model, args.p)
     except VerificationError:
@@ -203,6 +196,8 @@ def _cmd_count(args) -> int:
 
 def _cmd_fibers(args) -> int:
     model = _load_model(args.model, args.delta)
+    from .ellsurf import classify_fibers
+
     fibers = classify_fibers(model)
     rows = [
         {
@@ -228,12 +223,16 @@ def _cmd_fibers(args) -> int:
 
 def _cmd_verify(args) -> int:
     model = _load_model(args.model, args.delta)
+    from .atverify import report_to_json, verify_surface
+
     report = verify_surface(model, args.pmax, workers=args.workers)
     return _emit(report_to_json(report), args.out)
 
 
 def _cmd_height(args) -> int:
     model = _load_model(args.model)
+    from .mwheights import compute_PO, config_from_model, corrections, height
+
     if not 0 <= args.section < len(model.sections):
         raise VerificationError(
             "PRECONDITION",
@@ -256,6 +255,8 @@ def _cmd_height(args) -> int:
 
 def _cmd_nsdisc(args) -> int:
     model = _load_model(args.model)
+    from .mwheights import config_from_model, ns_discriminant
+
     config = config_from_model(model)
     return _emit(
         {
@@ -270,16 +271,22 @@ def _cmd_nsdisc(args) -> int:
 
 
 def _cmd_lemma_r(args) -> int:
+    from .atverify import lemma_r_check
+
     result = lemma_r_check(args.d, args.r, args.bound)
     result.update({"d": args.d, "r": args.r, "bound": args.bound})
     return _emit(result)
 
 
 def _cmd_table_check(args) -> int:
+    from .atverify import table_check
+
     return _emit(table_check())
 
 
 def _cmd_list_models(args) -> int:
+    from .models import REGISTRY
+
     rows = []
     for name in sorted(REGISTRY):
         model = REGISTRY[name]

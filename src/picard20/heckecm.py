@@ -29,6 +29,7 @@ __all__ = [
     "CMRule",
     "TwistVerdict",
     "split_type",
+    "split_types",
     "norm_form",
     "split_stream",
     "norm_form_ap",
@@ -69,14 +70,28 @@ class CMRule:
         return -self.d_K if self.d_K % 4 != 0 else -self.d_K // 4
 
 
+# indexed by the Kronecker symbol: 0 ramified, 1 split, -1 inert
+_KINDS = (RAMIFIED, SPLIT, INERT)
+
+
 def split_type(d_K: int, p: int) -> str:
     """How the prime p behaves in Q(sqrt(d_K)), read from kronecker(d_K, p).
 
     p must be prime. This is not checked: every caller takes p from
     primes_up_to, and the sieve is the proof.
     """
-    chi = kronecker(d_K, p)
-    return SPLIT if chi == 1 else INERT if chi == -1 else RAMIFIED
+    return _KINDS[kronecker(d_K, p)]
+
+
+def split_types(d_K: int) -> list[str]:
+    """split_type(d_K, p) of every prime p, as a table read at p mod |d_K|.
+
+    kronecker(d_K, .) is a character mod |d_K| for a discriminant d_K, so one
+    symbol per residue 0 < r < |d_K| serves every prime. Residue 0 is the
+    prime |d_K| itself, when it is one, and is ramified; so is every p
+    dividing d_K. split_type is the table's oracle.
+    """
+    return [RAMIFIED] + [_KINDS[kronecker(d_K, r)] for r in range(1, abs(d_K))]
 
 
 def norm_form(d_K: int) -> tuple[int, int]:

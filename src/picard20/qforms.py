@@ -4,12 +4,15 @@ A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2 with discriminant
 d = b^2 - 4ac < 0 and a > 0. Class groups are always taken with respect to
 proper (determinant +1) equivalence of primitive forms, so (2, 1, 3) and
 (2, -1, 3) are distinct classes when they are not properly equivalent.
+classify_h1 and classify_two_torsion scan every |d| up to a bound for class
+number one and for one class per genus, from the flags of reduced_form_flags.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from .arith import factorize, is_squarefree, primes_up_to, squarefree_part
 from .errors import VerificationError
@@ -24,6 +27,8 @@ __all__ = [
     "FormClassGroup",
     "class_number",
     "reduced_form_flags",
+    "classify_h1",
+    "classify_two_torsion",
     "represented_primes",
     "check_discriminant",
     "twist_discriminant",
@@ -32,8 +37,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class QuadForm:
+class QuadForm(NamedTuple):
+    """The form a*x^2 + b*x*y + c*y^2; forms compare and hash as (a, b, c)."""
+
     a: int
     b: int
     c: int
@@ -313,6 +319,36 @@ def reduced_form_flags(bound: int) -> tuple[bytearray, bytearray]:
                         n += step
                     nonambiguous[n::step] = ones[: len(range(n, bound + 1, step))]
     return nonprincipal, nonambiguous
+
+
+# bytes.translate table: a clear flag becomes a compress selector, a set one not
+_CLEAR = bytes([1]) + bytes(255)
+
+
+def _unflagged(flags: bytearray) -> list[int]:
+    """The negative discriminants -n, by increasing n >= 3, whose flag is clear.
+
+    Only the slots n = 3 and n = 0 (mod 4) are read, as two strided slices.
+    """
+    ns = []
+    for start in (3, 4):
+        clear = flags[start::4].translate(_CLEAR)
+        ns += compress(range(start, len(flags), 4), clear)
+    return [-n for n in sorted(ns)]
+
+
+def classify_h1(bound: int) -> list[int]:
+    """All negative discriminants with |d| <= bound and class number one."""
+    return _unflagged(reduced_form_flags(bound)[0])
+
+
+def classify_two_torsion(bound: int) -> list[int]:
+    """All negative discriminants with |d| <= bound and Cl(d) of exponent <= 2.
+
+    That is the case precisely when every reduced form is ambiguous.  The
+    squaring-based test on FormClassGroup stays as the independent check.
+    """
+    return _unflagged(reduced_form_flags(bound)[1])
 
 
 def represented_primes(f: QuadForm, bound: int) -> list[int]:

@@ -7,10 +7,7 @@ import pytest
 
 from picard20.atverify import (
     VerifyRow,
-    _unflagged,
     brauer_square,
-    classify_h1,
-    classify_two_torsion,
     lemma_r_check,
     report_to_json,
     row_to_json,
@@ -25,8 +22,9 @@ from picard20.models import REGISTRY, get_model
 from picard20.qforms import (
     FormClassGroup,
     class_number,
+    classify_h1,
+    classify_two_torsion,
     fundamental_decomposition,
-    reduced_form_flags,
 )
 
 H1_DISCRIMINANTS = [-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163]
@@ -259,21 +257,6 @@ class TestClassify:
             if d % 4 in (0, 1):
                 assert (d in h1) == (class_number(d) == 1), d
                 assert (d in two_torsion) == FormClassGroup(d).is_two_torsion(), d
-
-
-def _unflagged_by_comprehension(flags: bytearray) -> list[int]:
-    return [-n for n in range(3, len(flags)) if n % 4 in (0, 3) and not flags[n]]
-
-
-@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 5, 30000, 10**6])
-def test_unflagged_matches_the_comprehension(bound):
-    for flags in reduced_form_flags(bound):
-        assert _unflagged(flags) == _unflagged_by_comprehension(flags), bound
-
-
-def test_unflagged_reads_any_nonzero_byte_as_set():
-    flags = bytearray(range(256)) * 3
-    assert _unflagged(flags) == _unflagged_by_comprehension(flags) == [-256, -512]
 
 
 class TestTableCheck:

@@ -157,14 +157,16 @@ class TestAp:
     @pytest.mark.parametrize("twist", ["1", "-3"])
     def test_split_prime_missing_from_the_stream(self, capsys, monkeypatch, twist):
         # the Kronecker symbol and the norm-form walk check each other
-        split_stream = cli.split_stream
+        import picard20.heckecm
+
+        split_stream = picard20.heckecm.split_stream
 
         def without_13(d_K, pmax, flags=None):
             stream = split_stream(d_K, pmax, flags)
             del stream[13]
             return stream
 
-        monkeypatch.setattr(cli, "split_stream", without_13)
+        monkeypatch.setattr(picard20.heckecm, "split_stream", without_13)
         code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100", "--twist", twist)
         assert code == 1
         assert blob["error"] == {
@@ -213,7 +215,6 @@ class TestCount:
         assert blob["trace_ap"] is None
 
     def test_surface_counted_once(self, capsys, monkeypatch):
-        import picard20.cli
         import picard20.ellsurf
 
         calls = []
@@ -224,7 +225,6 @@ class TestCount:
             return original(model, p)
 
         monkeypatch.setattr(picard20.ellsurf, "surface_count", counted)
-        monkeypatch.setattr(picard20.cli, "surface_count", counted)
         # split at 11 (a trace), inert at 13 (no trace)
         for p, traced in ((11, True), (13, False)):
             calls.clear()
@@ -684,3 +684,29 @@ def test_commands_without_a_pool_do_not_import_it():
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_scans_and_ap_import_only_the_layers_they_run():
+    # classify and classgroup run qforms alone, and ap adds heckecm; neither
+    # imports (or, without bytecode, compiles) the point-count stack
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "had_dataclasses = 'dataclasses' in sys.modules",
+        "from picard20.cli import main",
+        "def run(*argvs):",
+        "    for argv in argvs:",
+        "        with contextlib.redirect_stdout(io.StringIO()):",
+        "            assert main(argv) == 0, argv",
+        "    print(sorted(m for m in sys.modules if m.startswith('picard20.')))",
+        "run(['classify', '--bound', '1000'],",
+        "    ['classify', '--bound', '1000', '--two-torsion'],",
+        "    ['classgroup', '-d', '-84'])",
+        "print(had_dataclasses or 'dataclasses' not in sys.modules)",
+        "run(['ap', '--dK', '-7', '--pmax', '1000', '--twist', '-3'])",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == [
+        "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.qforms']",
+        "True",
+        "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.heckecm', 'picard20.qforms']",
+    ]

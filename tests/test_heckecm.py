@@ -17,6 +17,7 @@ from picard20.heckecm import (
     principality_certificate,
     split_stream,
     split_type,
+    split_types,
 )
 from picard20.qforms import is_fundamental_discriminant, twist_discriminant
 
@@ -57,6 +58,15 @@ def test_split_stream_against_the_per_prime_oracle(dK):
 @pytest.mark.parametrize("pmax", [-5, 0, 1, 2, 4])
 def test_split_stream_below_the_first_split_prime(pmax):
     assert all(split_stream(dK, pmax) == {} for dK in H1_FIELDS)
+
+
+def test_split_types_table_against_split_type():
+    # the table is read at p mod |d_K|; split_type is its oracle
+    primes = [p for p in primes_up_to(100000) if p > 3]
+    for dK in H1_FIELDS:
+        kinds = split_types(dK)
+        assert len(kinds) == -dK
+        assert [kinds[p % -dK] for p in primes] == [split_type(dK, p) for p in primes], dK
 
 
 def test_split_type_matches_kronecker():

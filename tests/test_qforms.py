@@ -13,6 +13,7 @@ from picard20.errors import VerificationError
 from picard20.qforms import (
     FormClassGroup,
     QuadForm,
+    _unflagged,
     class_number,
     compose,
     enumerate_reduced,
@@ -281,3 +282,18 @@ def test_reduced_form_flags_bound_range():
     for bad in (-1, 10**6 + 1):
         with pytest.raises(VerificationError, match=rf"^PRECONDITION: bound {bad} out of range$"):
             reduced_form_flags(bad)
+
+
+def _unflagged_by_comprehension(flags: bytearray) -> list[int]:
+    return [-n for n in range(3, len(flags)) if n % 4 in (0, 3) and not flags[n]]
+
+
+@pytest.mark.parametrize("bound", [0, 1, 2, 3, 4, 5, 30000, 10**6])
+def test_unflagged_matches_the_comprehension(bound):
+    for flags in reduced_form_flags(bound):
+        assert _unflagged(flags) == _unflagged_by_comprehension(flags), bound
+
+
+def test_unflagged_reads_any_nonzero_byte_as_set():
+    flags = bytearray(range(256)) * 3
+    assert _unflagged(flags) == _unflagged_by_comprehension(flags) == [-256, -512]

@@ -180,9 +180,9 @@ def _cmd_ap(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    model = _load_model(args.model, args.delta)
     from .ellsurf import algebraic_count, surface_count, trace_ap
 
+    model = _load_model(args.model, args.delta)
     try:
         ap = trace_ap(model, args.p)
     except VerificationError:
@@ -195,9 +195,9 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_fibers(args) -> int:
-    model = _load_model(args.model, args.delta)
     from .ellsurf import classify_fibers
 
+    model = _load_model(args.model, args.delta)
     fibers = classify_fibers(model)
     rows = [
         {
@@ -222,17 +222,17 @@ def _cmd_fibers(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    model = _load_model(args.model, args.delta)
     from .atverify import report_to_json, verify_surface
 
+    model = _load_model(args.model, args.delta)
     report = verify_surface(model, args.pmax, workers=args.workers)
     return _emit(report_to_json(report), args.out)
 
 
 def _cmd_height(args) -> int:
-    model = _load_model(args.model)
     from .mwheights import compute_PO, config_from_model, corrections, height
 
+    model = _load_model(args.model)
     if not 0 <= args.section < len(model.sections):
         raise VerificationError(
             "PRECONDITION",
@@ -254,9 +254,9 @@ def _cmd_height(args) -> int:
 
 
 def _cmd_nsdisc(args) -> int:
-    model = _load_model(args.model)
     from .mwheights import config_from_model, ns_discriminant
 
+    model = _load_model(args.model)
     config = config_from_model(model)
     return _emit(
         {

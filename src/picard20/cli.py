@@ -30,22 +30,43 @@ _TWO_TORSION_NOTE = (
 
 
 def _render(obj, pad: str = "") -> str:
-    """obj as JSON at the indent pad, the next level two spaces deeper."""
+    """obj as JSON at the indent pad, the next level two spaces deeper.
+
+    The exact types str, small int, None, list and tuple are tested first,
+    and list items of the scalar ones are formatted inline, without a call
+    per item; bools, subclasses, Fractions, big ints, floats and dicts take
+    the isinstance chain below.
+    """
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int and -_JSON_INT_LIMIT < obj < _JSON_INT_LIMIT:
+        return str(obj)
+    if obj is None:
+        return "null"
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        # the items are joined straight from the comprehension, so they are
+        # freed before the f-string copies the body
+        body = sep.join([
+            _quote(v) if (t := type(v)) is str
+            else str(v) if t is int and -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT
+            else "null" if v is None
+            else _render(v, inner)
+            for v in obj
+        ])
+        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return _quote(obj)
-    if obj is None or isinstance(obj, bool):
-        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
     if isinstance(obj, int):
         return _quote(str(obj)) if abs(obj) >= _JSON_INT_LIMIT else str(obj)
     if isinstance(obj, Fraction):
         return _quote(str(obj))
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        body = sep.join([_render(v, inner) for v in obj])
-        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -135,8 +156,8 @@ def _cmd_classify(args) -> int:
 
 
 # ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores, --pmax 10^6 takes 0.37-0.49 s at a 40 MB peak RSS and
-# --pmax 10^7 2.9-3.8 s at 204 MB
+# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.27-0.43 s at a
+# 37-38 MB peak RSS and --pmax 10^7 2.0-2.6 s at 203 MB
 _AP_LIMIT = 10**7
 
 
@@ -144,11 +165,12 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
     """(p, kind, a_p) for each prime 3 < p <= pmax, a_p from one norm-form walk.
 
     A split p missing from the stream is NO_REPRESENTATION. The rows are
-    tuples, and the stream is freed on return, to keep the render's peak low.
-    Each kind is read from one table of split_types, at p mod |d_K|.
+    tuples, and the stream is emptied as they are built, to keep the
+    render's peak low. Each kind is read from one table of split_types, at
+    p mod |d_K|.
     """
     from .arith import kronecker, prime_flags
-    from .heckecm import SPLIT, CMRule, norm_form_ap, split_stream, split_types
+    from .heckecm import SPLIT, CMRule, no_representation, split_stream, split_types
     from .qforms import twist_discriminant
 
     CMRule(d_K, twist if twist != 1 else None)
@@ -156,14 +178,18 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
     flags = prime_flags(pmax)
     stream = split_stream(d_K, pmax, flags)
     kinds = split_types(d_K)
+    modulus = len(kinds)
     rows = []
-    for p in compress(range(len(flags)), flags):
-        if p <= 3:
-            continue
-        kind = kinds[p % len(kinds)]
+    for p in compress(range(4, len(flags)), memoryview(flags)[4:]):
+        kind = kinds[p % modulus]
         ap = None
         if kind == SPLIT:
-            ap = norm_form_ap(d_K, p, stream.get(p))
+            # popped, not read: the row's int for the next p takes the freed
+            # key's slot, where a key kept to the end would leave a hole
+            # among the kept a_p that the render's strings cannot reuse
+            ap = stream.pop(p, None)
+            if ap is None:
+                raise no_representation(d_K, p)
             if dstar != 1:
                 ap *= kronecker(dstar, p)
         rows.append((p, kind, ap))

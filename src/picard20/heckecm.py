@@ -5,18 +5,18 @@ For an imaginary quadratic field of class number one the Hecke character of
 infinity-type 2 gives a newform whose coefficient at a split prime p is
 a_p = 2(x^2 - D'y^2) where p = x^2 + D'y^2 with x, y in (1/2)N. The constant
 D' normalizes away the extra units for d_K = -3 and -4. split_stream reads
-the solutions of every split p up to a bound off one walk of the norm form
-against the prime sieve; norm_form_ap turns a solution into a_p. ap_h1
-solves one prime at a time and is the stream's oracle.
-principality_certificate is the inverse, reading p = x^2 + Dy^2 back from
-a_p.
+a_p of every split p up to a bound off one walk of the norm form against the
+prime sieve, computing each from the X^2 and D'Y^2 the walk already holds.
+norm_form_ap turns one solution into a_p, and ap_h1, which solves one prime
+at a time by cornacchia, is the stream's oracle. principality_certificate
+is the inverse, reading p = x^2 + Dy^2 back from a_p.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import cornacchia, is_square, is_squarefree, kronecker, prime_flags
 from .errors import VerificationError
@@ -33,6 +33,7 @@ __all__ = [
     "norm_form",
     "split_stream",
     "norm_form_ap",
+    "no_representation",
     "ap_h1",
     "principality_certificate",
     "match_twist",
@@ -43,27 +44,30 @@ INERT = "inert"
 RAMIFIED = "ramified"
 
 
-@dataclass(frozen=True)
-class CMRule:
-    """CM field data: fundamental discriminant d_K of class number one and
-    the form constant D. twist, when set, is the squarefree integer of a
-    quadratic twist; None means the untwisted normalization.
-    """
-
+class _CMFields(NamedTuple):
     d_K: int
     twist: int | None = None
 
-    def __post_init__(self):
-        if not is_fundamental_discriminant(self.d_K):
-            raise VerificationError(
-                "PRECONDITION", f"{self.d_K} is not a fundamental discriminant"
-            )
-        if self.twist is not None and not is_squarefree(self.twist):
-            raise VerificationError("PRECONDITION", f"twist {self.twist} is not squarefree")
-        if class_number(self.d_K) != 1:
-            raise VerificationError(
-                "PRECONDITION", f"class number of {self.d_K} is not one"
-            )
+
+class CMRule(_CMFields):
+    """CM field data: fundamental discriminant d_K of class number one and
+    the form constant D. twist, when set, is the squarefree integer of a
+    quadratic twist; None means the untwisted normalization.
+
+    A NamedTuple, so that ap does not import dataclasses; the fields are
+    checked in __new__, which a NamedTuple body cannot define itself.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d_K: int, twist: int | None = None):
+        if not is_fundamental_discriminant(d_K):
+            raise VerificationError("PRECONDITION", f"{d_K} is not a fundamental discriminant")
+        if twist is not None and not is_squarefree(twist):
+            raise VerificationError("PRECONDITION", f"twist {twist} is not squarefree")
+        if class_number(d_K) != 1:
+            raise VerificationError("PRECONDITION", f"class number of {d_K} is not one")
+        return super().__new__(cls, d_K, twist)
 
     @property
     def D(self) -> int:
@@ -107,10 +111,8 @@ def norm_form(d_K: int) -> tuple[int, int]:
     return (-d_K, 4) if d_K % 4 else (-d_K // 4, 1)
 
 
-def split_stream(
-    d_K: int, pmax: int, flags: bytearray | None = None
-) -> dict[int, tuple[int, int]]:
-    """The solution (X, Y) of scale*p = X^2 + D'Y^2 at each split 3 < p <= pmax.
+def split_stream(d_K: int, pmax: int, flags: bytearray | None = None) -> dict[int, int]:
+    """a_p of the untwisted newform at each split 3 < p <= pmax.
 
     One walk over X, Y >= 0 up to X^2 + D'Y^2 <= scale*pmax, with X of the
     parity that makes scale divide the sum (odd for scale 1, that of Y for
@@ -118,6 +120,9 @@ def split_stream(
     sieve. Once D' absorbs the extra units, +-pi and +-conj(pi) are the only
     elements of norm p, so each split p has exactly one solution with X, Y > 0:
     the one cornacchia(D', scale*p) returns in ap_h1. Ramified p are dropped.
+    At a hit the walk holds X^2 and D'Y^2, so it stores
+    a_p = 2(X^2 - D'Y^2)/scale there; norm_form_ap of the same solution is
+    its oracle.
     """
     Dp, scale = norm_form(d_K)
     if flags is None:
@@ -127,23 +132,29 @@ def split_stream(
     for y in range(math.isqrt(limit // Dp) + 1):
         dy = Dp * y * y
         for x in range(y % 2 if scale == 4 else 1, math.isqrt(limit - dy) + 1, 2):
-            p = (x * x + dy) // scale
+            xx = x * x
+            p = (xx + dy) // scale
             if flags[p] and p > 3 and d_K % p:
-                stream[p] = (x, y)
+                stream[p] = 2 * (xx - dy) // scale
     return stream
+
+
+def no_representation(d_K: int, p: int) -> VerificationError:
+    """The NO_REPRESENTATION error of a split p whose norm form has no solution."""
+    Dp, scale = norm_form(d_K)
+    return VerificationError("NO_REPRESENTATION", f"{scale * p} = x^2 + {Dp}y^2 has no solution")
 
 
 def norm_form_ap(d_K: int, p: int, sol: tuple[int, int] | None) -> int:
     """a_p = 2(X^2 - D'Y^2)/scale of the untwisted newform at a split p.
 
-    sol is the norm-form solution (X, Y) of p, from split_stream or
-    cornacchia; None, when p has none, is NO_REPRESENTATION.
+    sol is the norm-form solution (X, Y) of p, from cornacchia; None, when p
+    has none, is NO_REPRESENTATION. This is ap_h1's formula and the oracle of
+    the a_p that split_stream computes in its walk.
     """
-    Dp, scale = norm_form(d_K)
     if sol is None:
-        raise VerificationError(
-            "NO_REPRESENTATION", f"{scale * p} = x^2 + {Dp}y^2 has no solution"
-        )
+        raise no_representation(d_K, p)
+    Dp, scale = norm_form(d_K)
     x, y = sol
     ap = 2 * (x * x - Dp * y * y) // scale
     assert abs(ap) <= 2 * p
@@ -193,8 +204,7 @@ def principality_certificate(p: int, ap: int, D: int) -> tuple[Fraction, Fractio
     return x, y
 
 
-@dataclass(frozen=True)
-class TwistVerdict:
+class TwistVerdict(NamedTuple):
     """Outcome of comparing geometric coefficients with the CM rule.
 
     kind is one of:
@@ -244,7 +254,11 @@ def match_twist(
             f"need at least {_MIN_MATCH_PRIMES} split primes, got {len(rows)}",
         )
     stream = split_stream(rule.d_K, max(p for p, _ in rows))
-    base = {p: norm_form_ap(rule.d_K, p, stream.get(p)) for p, _ in rows}
+    base = {}
+    for p, _ in rows:
+        if p not in stream:
+            raise no_representation(rule.d_K, p)
+        base[p] = stream[p]
 
     def fits(row_fits) -> bool:
         return all(row_fits(p, ap) for p, ap in rows)

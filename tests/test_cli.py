@@ -1,11 +1,16 @@
 """CLI surface: output shapes, exit codes, and byte determinism."""
 
+import enum
 import json
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from picard20 import cli
 from picard20.cli import main
@@ -562,6 +567,20 @@ def oracle_text(obj) -> str:
     return json.dumps(_jsonable(obj), sort_keys=True, indent=2)
 
 
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Name(str):
+    pass
+
+
+class _Row(NamedTuple):
+    p: int
+    kind: str
+    ap: int | None
+
+
 RENDER_CASES = [
     {},
     [],
@@ -580,6 +599,11 @@ RENDER_CASES = [
     {"ümlaut": "ü", "snowman\u2603": ["\U0001f600"]},
     [0.5, -1e300, {"h": 1.25}],
     {"nested": {"deep": [{"x": [Fraction(1, 3), 2**53, True, None, "s"]}]}},
+    # items whose exact type is not a scalar's take the isinstance chain
+    [(5, _Level.LOW, True, _Name("split"), False)],
+    [_Row(5, "split", -6), _Row(7, "inert", None)],
+    (2**53 - 1, -(2**53 - 1), 2**53, -(2**53)),
+    [1, None, 2, None, None, 3],
 ]
 
 
@@ -594,6 +618,49 @@ def test_render_refuses_what_json_refuses():
             oracle_text(obj)
         with pytest.raises(TypeError):
             cli._render(obj)
+
+
+_scalars = (
+    st.integers(min_value=-(2**60), max_value=2**60)
+    | st.builds(lambda k, sign: sign * (2**53 + k), st.integers(-2, 2), st.sampled_from([1, -1]))
+    | st.fractions(max_denominator=50)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=4)
+)
+_documents = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+def test_render_matches_the_json_oracle_on_random_documents(obj):
+    assert cli._render(obj) == oracle_text(obj)
+
+
+def test_render_peak_memory_stays_under_half_of_json_dumps():
+    # the rendered items of a list are joined straight from the comprehension;
+    # holding them while the body is copied raised the peak by a third
+    doc = {"dK": -4, "twist": 1, "pmax": 10**5, "rows": cli._ap_rows(-4, 1, 10**5)}
+
+    def peak(render):
+        tracemalloc.start()
+        try:
+            text = render(doc)
+            return tracemalloc.get_traced_memory()[1], text
+        finally:
+            tracemalloc.stop()
+
+    ours, text = peak(cli._render)
+    # the rows hold small ints, strings and None, which json.dumps takes as they are
+    oracle, expected = peak(lambda d: json.dumps(d, sort_keys=True, indent=2))
+    assert text == expected
+    assert ours <= oracle / 2, (ours / len(text), oracle / len(text))
 
 
 # one document of every subcommand, an error document included
@@ -688,10 +755,11 @@ def test_commands_without_a_pool_do_not_import_it():
 
 def test_scans_and_ap_import_only_the_layers_they_run():
     # classify and classgroup run qforms alone, and ap adds heckecm; neither
-    # imports (or, without bytecode, compiles) the point-count stack
+    # imports (or, without bytecode, compiles) the point-count stack, nor
+    # dataclasses and inspect unless the interpreter's start loaded them
     script = "\n".join([
         "import contextlib, io, sys",
-        "had_dataclasses = 'dataclasses' in sys.modules",
+        "before = set(sys.modules)",
         "from picard20.cli import main",
         "def run(*argvs):",
         "    for argv in argvs:",
@@ -701,12 +769,14 @@ def test_scans_and_ap_import_only_the_layers_they_run():
         "run(['classify', '--bound', '1000'],",
         "    ['classify', '--bound', '1000', '--two-torsion'],",
         "    ['classgroup', '-d', '-84'])",
-        "print(had_dataclasses or 'dataclasses' not in sys.modules)",
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))",
         "run(['ap', '--dK', '-7', '--pmax', '1000', '--twist', '-3'])",
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == [
         "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.qforms']",
-        "True",
+        "[]",
         "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.heckecm', 'picard20.qforms']",
+        "[]",
     ]

@@ -51,8 +51,7 @@ def test_split_stream_against_the_per_prime_oracle(dK):
     Dp, scale = norm_form(dK)
     rule = CMRule(dK)
     for p in split:
-        assert stream[p] == cornacchia(Dp, scale * p), p
-        assert norm_form_ap(dK, p, stream[p]) == ap_h1(rule, p), p
+        assert stream[p] == norm_form_ap(dK, p, cornacchia(Dp, scale * p)) == ap_h1(rule, p), p
 
 
 @pytest.mark.parametrize("pmax", [-5, 0, 1, 2, 4])
@@ -122,6 +121,24 @@ def test_ap_h1_requires_class_number_one():
             CMRule(dK)
         assert err.value.code == "PRECONDITION"
         assert err.value.message == f"class number of {dK} is not one"
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-12,), "-12 is not a fundamental discriminant"),
+    ((-12, 4), "-12 is not a fundamental discriminant"),
+    ((-20, 4), "twist 4 is not squarefree"),
+    ((-4, -9), "twist -9 is not squarefree"),
+    ((-20, 5), "class number of -20 is not one"),
+])
+def test_cm_rule_refusals_in_order(args, message):
+    # the NamedTuple checks its fields in __new__, in the order the
+    # dataclass's __post_init__ did
+    with pytest.raises(VerificationError) as err:
+        CMRule(*args)
+    assert (err.value.code, err.value.message) == ("PRECONDITION", message)
+    rule = CMRule(-4, 5)
+    assert (rule.d_K, rule.twist, rule.D) == (-4, 5, 1)
+    assert CMRule(-7) == CMRule(-7, None) and hash(CMRule(-7)) == hash(CMRule(-7, None))
 
 
 def test_fundamental_discriminants():
@@ -267,6 +284,7 @@ class TestMatchTwist:
         with pytest.raises(VerificationError) as err:
             match_twist(FROZEN_STREAMS[-4], CMRule(-4))
         assert err.value.code == "NO_REPRESENTATION"
+        assert err.value.message == "13 = x^2 + 4y^2 has no solution"
 
     def test_insufficient_rows(self):
         with pytest.raises(VerificationError) as err:

@@ -5,8 +5,10 @@ verify_surface ties the geometric traces of a rank-20 model to its CM newform
 prime by prime: a_p comparison after twist identification, the Brauer square
 (2p - a_p)/|d| = M^2, and the explicit representation p = x^2 + D y^2 that
 certifies principal splitting.  That certificate is
-heckecm.principality_certificate, the inverse of heckecm.ap_h1.  The
-classification scans live in qforms, next to the flags they read.
+heckecm.principality_certificate, the inverse of heckecm.ap_h1.  Every
+report here (verify_surface, lemma_r_check, table_check) is the plain dict
+that the CLI prints; no other record of it is kept.  The classification scans
+live in qforms, next to the flags they read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -57,80 +58,54 @@ def brauer_square(p: int, ap: int, d: int) -> tuple[Fraction, Optional[int]]:
 # ---------------------------------------------------------------- verify rows
 
 
-@dataclass(frozen=True)
-class VerifyRow:
-    p: int
-    status: str  # "ok", "skipped", "error"
-    reason: Optional[str] = None
-    ap_geom: Optional[int] = None
-    ap_hecke: Optional[int] = None
-    match: Optional[bool] = None
-    two_p_minus_ap: Optional[int] = None
-    M_squared: Optional[Fraction] = None
-    M: Optional[int] = None
-    certificate: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class VerifyReport:
-    model: str
-    d: int
-    d_K: int
-    N: int
-    twist: str  # match_twist verdict kind
-    twist_delta: Optional[int]
-    rows: tuple
-    verdicts: dict
-    yp_gcd: Optional[Fraction]
-
-
-def _geom_for_prime(model: SurfaceModel, D: int, p: int) -> VerifyRow:
+def _geom_for_prime(model: SurfaceModel, D: int, p: int) -> dict:
     """The row of one prime, all but its comparison with the CM stream; no
-    exceptions escape."""
+    exceptions escape.
+
+    A skipped or error row is {p, status, reason}; an ok row carries its
+    trace, Brauer square and certificate, the last three None where their
+    check fails, and a reason only then.
+    """
     if p <= 3:
-        return VerifyRow(p, "skipped", "p <= 3 excluded by policy")
+        return {"p": p, "status": "skipped", "reason": "p <= 3 excluded by policy"}
     if not good_prime(model, p):
-        return VerifyRow(p, "skipped", "not a good prime")
+        return {"p": p, "status": "skipped", "reason": "not a good prime"}
     if kronecker(model.d, p) != 1:
-        return VerifyRow(p, "skipped", "inert in K")
+        return {"p": p, "status": "skipped", "reason": "inert in K"}
     try:
         ap = trace_ap(model, p)
     except VerificationError as exc:
-        return VerifyRow(p, "error", f"{exc.code}: {exc.message}")
-    M_squared = M = certificate = None
+        return {"p": p, "status": "error", "reason": f"{exc.code}: {exc.message}"}
+    row = {"p": p, "status": "ok", "ap_geom": ap, "two_p_minus_ap": 2 * p - ap}
+    row["M_squared"] = row["M"] = row["certificate"] = None
     errors = []
     try:
-        M_squared, M = brauer_square(p, ap, model.d)
+        row["M_squared"], row["M"] = brauer_square(p, ap, model.d)
     except VerificationError as exc:
         errors.append(f"{exc.code}: {exc.message}")
     try:
-        certificate = principality_certificate(p, ap, D)
+        row["certificate"] = principality_certificate(p, ap, D)
     except VerificationError as exc:
         errors.append(f"{exc.code}: {exc.message}")
-    return VerifyRow(
-        p=p,
-        status="ok",
-        reason="; ".join(errors) or None,
-        ap_geom=ap,
-        two_p_minus_ap=2 * p - ap,
-        M_squared=M_squared,
-        M=M,
-        certificate=certificate,
-    )
+    if errors:
+        row["reason"] = "; ".join(errors)
+    return row
 
 
 def verify_surface(
     model: SurfaceModel,
     pmax: int = 200,
     workers: Optional[int] = None,
-) -> VerifyReport:
+) -> dict:
     """Per-prime verification report for a rank-20-over-Q model up to pmax.
 
-    Bad and inert primes appear as skipped rows; per-prime failures are
-    recorded in their row and never abort the batch.  ellsurf.rank20_effective
-    decides rank 20 over Q, and its one call refuses, before any point is
-    counted, a model that does not claim it, a twist that loses it and a false
-    claim whose lattice ranks do not sum to 20.
+    The report is the document that `verify` prints: model, d, dK, N, twist,
+    twist_delta, one row per prime below pmax, verdicts and yp_gcd.  Bad and
+    inert primes appear as skipped rows; per-prime failures are recorded in
+    their row and never abort the batch.  ellsurf.rank20_effective decides
+    rank 20 over Q, and its one call refuses, before any point is counted, a
+    model that does not claim it, a twist that loses it and a false claim
+    whose lattice ranks do not sum to 20.
     """
     if not rank20_effective(model):
         raise VerificationError(
@@ -148,43 +123,40 @@ def verify_surface(
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            geo = list(pool.map(functools.partial(_geom_for_prime, model, rule.D), primes))
+            rows = list(pool.map(functools.partial(_geom_for_prime, model, rule.D), primes))
     else:
-        geo = [_geom_for_prime(model, rule.D, p) for p in primes]
+        rows = [_geom_for_prime(model, rule.D, p) for p in primes]
 
-    verdict = match_twist([(r.p, r.ap_geom) for r in geo if r.status == "ok"], rule)
-    rows = []
-    for row in geo:
-        if row.status == "ok":
-            p, ap = row.p, row.ap_geom
-            # cubic_class has no expected stream, so the data is compared with
-            # itself: a circular verdict (ROADMAP item 2)
-            ap_hecke = ap if verdict.expected is None else verdict.expected[p]
-            row = replace(row, ap_hecke=ap_hecke, match=ap == ap_hecke)
-        rows.append(row)
+    ok_rows = [r for r in rows if r["status"] == "ok"]
+    verdict = match_twist([(r["p"], r["ap_geom"]) for r in ok_rows], rule)
+    for row in ok_rows:
+        # cubic_class has no expected stream, so the data is compared with
+        # itself: a circular verdict (ROADMAP item 2)
+        ap = row["ap_geom"]
+        row["ap_hecke"] = ap if verdict.expected is None else verdict.expected[row["p"]]
+        row["match"] = ap == row["ap_hecke"]
 
-    ok_rows = [r for r in rows if r.status == "ok"]
-    with_cert = [r for r in ok_rows if r.certificate is not None]
+    with_cert = [r for r in ok_rows if r["certificate"] is not None]
     gcd_value = yp_gcd(with_cert, rule) if len(with_cert) >= 3 else None
     # match_twist refuses fewer than five split rows, so ok_rows is never empty
     verdicts = {
-        "hecke_match": verdict.kind != "no_match" and all(r.match for r in ok_rows),
-        "artin_tate_all_square": all(r.M is not None for r in ok_rows),
-        "principality_all": all(r.certificate is not None for r in ok_rows),
+        "hecke_match": verdict.kind != "no_match" and all(r["match"] for r in ok_rows),
+        "artin_tate_all_square": all(r["M"] is not None for r in ok_rows),
+        "principality_all": all(r["certificate"] is not None for r in ok_rows),
         "N_gcd_bound": gcd_value is not None
         and _divides_in_lattice(N, gcd_value, d_K),
     }
-    return VerifyReport(
-        model=model.name,
-        d=model.d,
-        d_K=d_K,
-        N=N,
-        twist=verdict.kind,
-        twist_delta=verdict.delta,
-        rows=tuple(rows),
-        verdicts=verdicts,
-        yp_gcd=gcd_value,
-    )
+    return {
+        "model": model.name,
+        "d": model.d,
+        "dK": d_K,
+        "N": N,
+        "twist": verdict.kind,
+        "twist_delta": verdict.delta,
+        "rows": rows,
+        "verdicts": verdicts,
+        "yp_gcd": gcd_value,
+    }
 
 
 def _divides_in_lattice(N: int, g: Fraction, d_K: int) -> bool:
@@ -197,7 +169,7 @@ def _divides_in_lattice(N: int, g: Fraction, d_K: int) -> bool:
 
 def yp_gcd(rows, rule: CMRule) -> Fraction:
     """gcd of the certificate y_p values, in the lattice matching d_K's parity."""
-    ys = [r.certificate[1] for r in rows if r.status == "ok" and r.certificate]
+    ys = [r["certificate"][1] for r in rows if r["status"] == "ok" and r["certificate"]]
     if len(ys) < 3:
         raise VerificationError(
             "PRECONDITION", f"need at least 3 certified rows, got {len(ys)}"
@@ -290,40 +262,3 @@ def table_check() -> dict:
         all_as_expected = all_as_expected and row["as_expected"]
         rows.append(row)
     return {"rows": rows, "flagged": flagged, "all_as_expected": all_as_expected}
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def row_to_json(row: VerifyRow) -> dict:
-    obj = {"p": row.p, "status": row.status}
-    if row.reason is not None:
-        obj["reason"] = row.reason
-    if row.status != "ok":
-        return obj
-    obj.update(
-        {
-            "ap_geom": row.ap_geom,
-            "ap_hecke": row.ap_hecke,
-            "match": row.match,
-            "two_p_minus_ap": row.two_p_minus_ap,
-            "M_squared": row.M_squared,
-            "M": row.M,
-            "certificate": row.certificate,
-        }
-    )
-    return obj
-
-
-def report_to_json(report: VerifyReport) -> dict:
-    return {
-        "model": report.model,
-        "d": report.d,
-        "dK": report.d_K,
-        "N": report.N,
-        "twist": report.twist,
-        "twist_delta": report.twist_delta,
-        "rows": [row_to_json(r) for r in report.rows],
-        "verdicts": report.verdicts,
-        "yp_gcd": report.yp_gcd,
-    }

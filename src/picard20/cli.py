@@ -248,11 +248,10 @@ def _cmd_fibers(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .atverify import report_to_json, verify_surface
+    from .atverify import verify_surface
 
     model = _load_model(args.model, args.delta)
-    report = verify_surface(model, args.pmax, workers=args.workers)
-    return _emit(report_to_json(report), args.out)
+    return _emit(verify_surface(model, args.pmax, workers=args.workers), args.out)
 
 
 def _cmd_height(args) -> int:

@@ -180,7 +180,15 @@ def config_from_model(model: SurfaceModel) -> ConfigLattice:
 
 
 def ns_discriminant(config: ConfigLattice) -> int:
-    """-(prod root discs) * det(Gram) / torsion^2; must be a negative integer."""
+    """-(prod root discs) * det(Gram) / torsion^2; must be a negative integer.
+
+    Only a rank-20 configuration is NS: below 20 the formula gives the
+    discriminant of the sublattice that the known fibers and sections span.
+    """
+    if config.picard_rank != 20:
+        raise VerificationError(
+            "PRECONDITION", f"lattice ranks sum to {config.picard_rank}, not 20"
+        )
     if config.mw_rank > 0 and config.mw_gram is None:
         raise VerificationError(
             "PRECONDITION", "Gram matrix required when the Mordell-Weil rank is positive"

@@ -218,22 +218,11 @@ class FormClassGroup:
     def __init__(self, d: int):
         self.d = d
         self.reduced_forms = enumerate_reduced(d)
-        self._index = {f: i for i, f in enumerate(self.reduced_forms)}
         self.identity = reduce_form(principal_form(d))
-        self._table: list[list[int]] | None = None
 
     @property
     def h(self) -> int:
         return len(self.reduced_forms)
-
-    def composition_table(self) -> list[list[int]]:
-        """Index table t[i][j] with forms[i] * forms[j] = forms[t[i][j]]."""
-        if self._table is None:
-            forms = self.reduced_forms
-            self._table = [
-                [self._index[compose(f, g)] for g in forms] for f in forms
-            ]
-        return self._table
 
     def element_order(self, f: QuadForm) -> int:
         f = reduce_form(f)

@@ -6,11 +6,8 @@ from fractions import Fraction
 import pytest
 
 from picard20.atverify import (
-    VerifyRow,
     brauer_square,
     lemma_r_check,
-    report_to_json,
-    row_to_json,
     table_check,
     verify_surface,
     yp_gcd,
@@ -77,42 +74,42 @@ class TestPrincipality:
 class TestVerifySurface:
     def test_d19_full_report(self):
         report = verify_surface(get_model("d19"), 200)
-        assert report.d == -19 and report.d_K == -19 and report.N == 1
-        assert report.twist == "matches_base"
-        assert all(report.verdicts.values())
-        assert report.yp_gcd == Fraction(1, 2)
+        assert report["d"] == -19 and report["dK"] == -19 and report["N"] == 1
+        assert report["twist"] == "matches_base"
+        assert all(report["verdicts"].values())
+        assert report["yp_gcd"] == Fraction(1, 2)
         from picard20.arith import primes_up_to
 
-        assert len(report.rows) == len(primes_up_to(200))
-        for row in report.rows:
-            if row.status == "ok":
-                assert row.match and row.M is not None
-                assert row.certificate is not None
-                x, y = row.certificate
-                assert x * x + 19 * y * y == row.p
+        assert len(report["rows"]) == len(primes_up_to(200))
+        for row in report["rows"]:
+            if row["status"] == "ok":
+                assert row["match"] and row["M"] is not None
+                assert row["certificate"] is not None
+                x, y = row["certificate"]
+                assert x * x + 19 * y * y == row["p"]
 
     def test_every_builtin_model_verifies(self):
         for name, model in REGISTRY.items():
             report = verify_surface(model, pmax=80)
-            assert report.twist == "matches_base", name
-            assert all(report.verdicts.values()), (name, report.verdicts)
+            assert report["twist"] == "matches_base", name
+            assert all(report["verdicts"].values()), (name, report["verdicts"])
 
     def test_d27_gcd_sees_the_conductor(self):
         report = verify_surface(get_model("d27"), 150)
-        assert report.N == 3
-        assert report.yp_gcd == Fraction(3, 2)
-        assert report.verdicts["N_gcd_bound"]
+        assert report["N"] == 3
+        assert report["yp_gcd"] == Fraction(3, 2)
+        assert report["verdicts"]["N_gcd_bound"]
 
     def test_twisted_model_identified_and_verified(self):
         twisted = twist_model(get_model("d4"), 5)
         report = verify_surface(twisted, 150)
-        assert report.twist == "quadratic_twist"
-        assert report.twist_delta == 5
-        assert all(report.verdicts.values())
+        assert report["twist"] == "quadratic_twist"
+        assert report["twist_delta"] == 5
+        assert all(report["verdicts"].values())
 
     def test_skipped_rows_keep_reasons(self):
         report = verify_surface(get_model("d19"), 60)
-        reasons = {r.reason for r in report.rows if r.status == "skipped"}
+        reasons = {r["reason"] for r in report["rows"] if r["status"] == "skipped"}
         assert "p <= 3 excluded by policy" in reasons
         assert "inert in K" in reasons
 
@@ -126,8 +123,8 @@ class TestVerifySurface:
         assert verify_surface(get_model("d19"), 120) == verify_surface(get_model("d19"), 120)
 
     def test_worker_pool_matches_serial(self):
-        serial = report_to_json(verify_surface(get_model("d11"), pmax=100))
-        pooled = report_to_json(verify_surface(get_model("d11"), pmax=100, workers=2))
+        serial = verify_surface(get_model("d11"), pmax=100)
+        pooled = verify_surface(get_model("d11"), pmax=100, workers=2)
         assert serial == pooled
 
     def test_worker_pool_capped_at_cpu_count(self, monkeypatch):
@@ -165,21 +162,21 @@ class TestVerifySurface:
         # d27's fibers under a d_K = -4 label: some primes fail in the point
         # count, and the rest are ok rows whose certificates fail for D = 1
         report = verify_surface(dataclasses.replace(get_model("d27"), d=-4), 200)
-        assert report.twist == "no_match"
-        errors = [r for r in report.rows if r.status == "error"]
-        assert errors[0].p == 17
-        assert errors[0].reason == (
+        assert report["twist"] == "no_match"
+        errors = [r for r in report["rows"] if r["status"] == "error"]
+        assert errors[0]["p"] == 17
+        assert errors[0]["reason"] == (
             "COMPONENTS_NOT_RATIONAL: I2 fiber at t=0: node tangents not rational at p=17"
         )
-        assert set(row_to_json(errors[0])) == {"p", "status", "reason"}
-        ok_rows = [r for r in report.rows if r.status == "ok"]
-        assert ok_rows and all("CHAIN_FAILURE" in r.reason for r in ok_rows)
+        assert set(errors[0]) == {"p", "status", "reason"}
+        ok_rows = [r for r in report["rows"] if r["status"] == "ok"]
+        assert ok_rows and all("CHAIN_FAILURE" in r["reason"] for r in ok_rows)
 
 
 def test_yp_gcd_requires_three_certificates():
     rows = [
-        VerifyRow(p=5, status="ok", certificate=(Fraction(1, 2), Fraction(1, 2))),
-        VerifyRow(p=7, status="ok", certificate=(Fraction(3, 2), Fraction(1, 2))),
+        {"p": 5, "status": "ok", "certificate": (Fraction(1, 2), Fraction(1, 2))},
+        {"p": 7, "status": "ok", "certificate": (Fraction(3, 2), Fraction(1, 2))},
     ]
     with pytest.raises(VerificationError) as err:
         yp_gcd(rows, CMRule(-19))
@@ -188,9 +185,9 @@ def test_yp_gcd_requires_three_certificates():
 
 def test_yp_gcd_half_integral_lattice():
     rows = [
-        VerifyRow(p=0, status="ok", certificate=(Fraction(0), Fraction(3, 2))),
-        VerifyRow(p=0, status="ok", certificate=(Fraction(0), Fraction(9, 2))),
-        VerifyRow(p=0, status="ok", certificate=(Fraction(0), Fraction(3))),
+        {"p": 0, "status": "ok", "certificate": (Fraction(0), Fraction(3, 2))},
+        {"p": 0, "status": "ok", "certificate": (Fraction(0), Fraction(9, 2))},
+        {"p": 0, "status": "ok", "certificate": (Fraction(0), Fraction(3))},
     ]
     assert yp_gcd(rows, CMRule(-19)) == Fraction(3, 2)
 
@@ -277,17 +274,34 @@ class TestTableCheck:
         assert rows[-67]["required_gram_det"] == Fraction(67, 28)
 
 
+OK_ROW_KEYS = {
+    "p", "status", "ap_geom", "ap_hecke", "match", "two_p_minus_ap", "M_squared", "M", "certificate",
+}
+
+
 def test_report_serialization_shape():
     report = verify_surface(get_model("d19"), 60)
-    blob = report_to_json(report)
-    assert blob["model"] == "d19" and blob["dK"] == -19
-    ok = [r for r in blob["rows"] if r["status"] == "ok"]
+    assert set(report) == {
+        "model", "d", "dK", "N", "twist", "twist_delta", "rows", "verdicts", "yp_gcd",
+    }
+    assert report["model"] == "d19" and report["dK"] == -19
+    ok = [r for r in report["rows"] if r["status"] == "ok"]
     assert ok[0]["p"] == 5 and ok[0]["certificate"] == (Fraction(1, 2), Fraction(1, 2))
     assert ok[0]["M_squared"] == Fraction(1)
+    # the four row shapes: skipped, error, ok, and ok with a failed check
+    assert report["rows"][0] == {"p": 2, "status": "skipped", "reason": "p <= 3 excluded by policy"}
+    assert set(ok[0]) == OK_ROW_KEYS
+    relabelled = verify_surface(dataclasses.replace(get_model("d27"), d=-4), 200)
+    by_p = {r["p"]: r for r in relabelled["rows"]}
+    assert by_p[17]["status"] == "error"
+    assert set(by_p[17]) == {"p", "status", "reason"}
+    failed = next(r for r in relabelled["rows"] if r["status"] == "ok")
+    assert set(failed) == OK_ROW_KEYS | {"reason"}
+    assert failed["certificate"] is None and "CHAIN_FAILURE" in failed["reason"]
 
 
 def test_fundamental_decomposition_feeds_default_rule():
     # verify_surface derives the field from the model
     report = verify_surface(get_model("d27"), pmax=80)
-    assert report.d_K == -3 and report.N == 3
+    assert report["dK"] == -3 and report["N"] == 3
     assert fundamental_decomposition(-27) == (-3, 3)

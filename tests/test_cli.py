@@ -473,6 +473,24 @@ class TestModelLoading:
             with pytest.raises(VerificationError, match="^PRECONDITION: lattice ranks of x7 sum to 10, not 20$"):
                 trace_ap(model, p)
 
+    def test_nsdisc_refuses_a_model_without_rank_20(self, capsys, tmp_path):
+        # the same y^2 = x^3 + t^7 + 1 with no rank-20 claim: its fibers and
+        # zero section span a rank-10 sublattice, whose discriminant -1 is not
+        # that of NS
+        obj = {
+            "name": "x7",
+            "d": -3,
+            "a": {"a1": [], "a2": [], "a3": [], "a4": [], "a6": [1, 0, 0, 0, 0, 0, 0, 1]},
+        }
+        path = tmp_path / "x7.json"
+        path.write_text(json.dumps(obj))
+        code, blob = run_cli(capsys, "nsdisc", "--model", str(path))
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "lattice ranks sum to 10, not 20",
+        }
+
     def test_count_refuses_a_false_claim_before_any_table(self, capsys, monkeypatch, tmp_path):
         # y^2 = x^3 - t^3 x^2 - t^3 (t-1)^2 x: I4 at t = 1, III* at t = 0, I1 at a
         # cubic place and I2* at t = oo, so the lattice ranks sum to 18

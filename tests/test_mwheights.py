@@ -207,14 +207,15 @@ def test_determinant_of_int_entries_is_exact():
 
 
 def test_two_by_two_gram_determinants():
-    # plain elimination, a zero pivot that needs a row swap, and a singular matrix
+    # plain elimination, a zero pivot that needs a row swap, and a singular
+    # matrix, on the rank-20 configuration of the -28 row (root discs 6 * 12)
     def config(gram):
-        return ConfigLattice(fibers=(("I2", 2),), mw_rank=2, mw_gram=gram)
+        return ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2, mw_gram=gram)
 
-    assert ns_discriminant(config(((2, 1), (1, 2)))) == -12
+    assert ns_discriminant(config(((2, 1), (1, 2)))) == -216
     with pytest.raises(VerificationError) as exc:
         ns_discriminant(config(((0, 1), (1, 0))))
-    assert (exc.value.code, exc.value.message) == ("PRECONDITION", "discriminant 4 is not negative")
+    assert (exc.value.code, exc.value.message) == ("PRECONDITION", "discriminant 72 is not negative")
     with pytest.raises(VerificationError) as exc:
         ns_discriminant(config(((1, 2), (2, 4))))
     assert exc.value.code == "PRECONDITION"

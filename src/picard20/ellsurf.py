@@ -7,8 +7,9 @@ reduction mod p has the same local data as the model over Q, and counting at
 p > 3 works fiberwise on the smooth model through component bookkeeping.  The
 Weierstrass cubic of each fiber is counted by one lookup: in a per-prime table
 of the cubic character sums S(k, k), built in O(p) by one exact integer
-product, or, when c4 or c6 vanishes there, in a cache of at most eleven direct
-sums; the direct sum _charsum_count is their oracle.  surface_count takes c4
+product where c4 and c6 are both nonzero mod p, or, when c4 or c6 vanishes
+at the fiber, in a cache of at most eleven direct sums, one per power-residue
+class; the direct sum _charsum_count is their oracle.  surface_count takes c4
 and c6 at every t in F_p in one pass of forward differences; the cubic's
 discriminant marks the singular fibers (1728 Delta = c4^3 - c6^2), and only
 those and t=oo go to count_fiber, the one-fiber API and the pass's oracle,
@@ -28,8 +29,9 @@ from __future__ import annotations
 import functools
 import sys
 from array import array
-from dataclasses import dataclass, replace
+from collections import Counter
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple, Optional
 
@@ -41,13 +43,13 @@ from .polys import (
     padd,
     pdeg,
     pderiv,
-    pdivmod,
     pdivmod_mod,
     peval_mod,
     pmod,
     pmul,
     poly_str,
     ppow,
+    pquo_exact,
     pscale,
     psub,
     ptrim,
@@ -175,33 +177,48 @@ def _kodaira_from_valuations(v4: int, v6: int, vd: int, place: str) -> str:
 # ---------------------------------------------------------------- model data
 
 
-@dataclass(frozen=True)
-class SectionData:
+# The records are NamedTuples, so that no subcommand imports dataclasses; the
+# fields are checked and normalised in __new__, which a NamedTuple body cannot
+# define itself, and replace() makes a checked copy through it.
+
+
+def replace(record, **changes):
+    """A copy of a record with some fields changed, checked as a new one.
+
+    Unlike NamedTuple._replace, the copy goes through the record's __new__.
+    """
+    return type(record)(**{**record._asdict(), **changes})
+
+
+class _SectionFields(NamedTuple):
+    x_num: Poly
+    x_den: Poly
+    y_num: Poly
+    y_den: Poly
+    torsion_order: int  # 0 means infinite order
+    component_hits: tuple  # ((place label, component index), ...)
+
+
+class SectionData(_SectionFields):
     """A point of the generic fiber, coordinates as integer rational functions."""
 
-    x_num: Poly
-    x_den: Poly = (1,)
-    y_num: Poly = ()
-    y_den: Poly = (1,)
-    torsion_order: int = 0  # 0 means infinite order
-    component_hits: tuple = ()  # ((place label, component index), ...)
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("x_num", "x_den", "y_num", "y_den"):
-            object.__setattr__(self, name, ptrim(tuple(getattr(self, name))))
-        if not self.x_den or not self.y_den:
+    def __new__(cls, x_num, x_den=(1,), y_num=(), y_den=(1,), torsion_order=0, component_hits=()):
+        coords = [ptrim(tuple(f)) for f in (x_num, x_den, y_num, y_den)]
+        if any(not isinstance(c, int) for f in coords for c in f):
+            # valuations and pole orders divide in Z[t]
+            raise VerificationError("PRECONDITION", "section has non-integer coefficients")
+        x_num, x_den, y_num, y_den = coords
+        if not x_den or not y_den:
             raise VerificationError("PRECONDITION", "section with zero denominator")
-        if self.torsion_order < 0:
+        if torsion_order < 0:
             raise VerificationError("PRECONDITION", "negative torsion order")
-        object.__setattr__(
-            self,
-            "component_hits",
-            tuple((str(pl), int(k)) for pl, k in self.component_hits),
-        )
+        hits = tuple((str(pl), int(k)) for pl, k in component_hits)
+        return super().__new__(cls, x_num, x_den, y_num, y_den, torsion_order, hits)
 
 
-@dataclass(frozen=True)
-class FiberDatum:
+class FiberDatum(NamedTuple):
     """One singular fiber (or a Galois orbit of them, for a place of degree > 1)."""
 
     place: str
@@ -219,10 +236,7 @@ class FiberDatum:
         return 1 if self.poly is None else pdeg(self.poly)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
-    """Weierstrass model y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
-
+class _SurfaceFields(NamedTuple):
     name: str
     a1: Poly
     a2: Poly
@@ -230,30 +244,36 @@ class SurfaceModel:
     a4: Poly
     a6: Poly
     d: int  # declared Neron-Severi discriminant
-    rank20_over_Q: bool = False
-    sections: tuple = ()
-    expected_config: tuple = ()
-    twist_by: int = 1  # accumulated squarefree quadratic twist, 1 = untwisted
+    rank20_over_Q: bool
+    sections: tuple
+    expected_config: tuple
+    twist_by: int  # accumulated squarefree quadratic twist, 1 = untwisted
 
-    def __post_init__(self):
-        for name, bound in _DEGREE_BOUND.items():
-            f = ptrim(tuple(getattr(self, name)))
-            object.__setattr__(self, name, f)
+
+class SurfaceModel(_SurfaceFields):
+    """Weierstrass model y^2 + a1 x y + a3 y = x^3 + a2 x^2 + a4 x + a6 over Q(t)."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name, a1, a2, a3, a4, a6, d, rank20_over_Q=False, sections=(),
+        expected_config=(), twist_by=1,
+    ):
+        coeffs = [ptrim(tuple(f)) for f in (a1, a2, a3, a4, a6)]
+        for (key, bound), f in zip(_DEGREE_BOUND.items(), coeffs):
             if pdeg(f) > bound:
                 raise VerificationError(
-                    "PRECONDITION", f"deg {name} = {pdeg(f)} exceeds K3 bound {bound}"
+                    "PRECONDITION", f"deg {key} = {pdeg(f)} exceeds K3 bound {bound}"
                 )
             if any(not isinstance(c, int) for c in f):
-                raise VerificationError("PRECONDITION", f"{name} has non-integer coefficients")
-        if not isinstance(self.d, int) or self.d >= 0:
+                raise VerificationError("PRECONDITION", f"{key} has non-integer coefficients")
+        if not isinstance(d, int) or d >= 0:
             raise VerificationError("PRECONDITION", "declared discriminant must be a negative integer")
-        if not is_squarefree(self.twist_by):
+        if not is_squarefree(twist_by):
             raise VerificationError("PRECONDITION", "twist_by must be squarefree and nonzero")
-        object.__setattr__(self, "sections", tuple(self.sections))
-        object.__setattr__(
-            self,
-            "expected_config",
-            tuple((str(pl), str(sym)) for pl, sym in self.expected_config),
+        config = tuple((str(pl), str(sym)) for pl, sym in expected_config)
+        self = super().__new__(
+            cls, name, *coeffs, d, rank20_over_Q, tuple(sections), config, twist_by
         )
         if not discriminant(self):
             raise VerificationError("PRECONDITION", "discriminant vanishes identically")
@@ -262,6 +282,7 @@ class SurfaceModel:
                 raise VerificationError(
                     "PRECONDITION", f"section does not satisfy the equation of {self.name}"
                 )
+        return self
 
 
 def _section_on_model(s: SectionData, m: SurfaceModel) -> bool:
@@ -402,9 +423,8 @@ def _bad_product(model: SurfaceModel) -> int:
         if c:
             lead *= c[-1]
             powers = (ppow(F.poly, getattr(F, name)) for F in finite)
-            q, r = pdivmod(c, functools.reduce(pmul, powers, (1,)))
-            u = tuple(int(a) for a in q)
-            assert not r and u == q  # in Z[t] by Gauss: every place is primitive
+            u = pquo_exact(c, functools.reduce(pmul, powers, (1,)))
+            assert u is not None  # every place is primitive, and so their product
             g = pmul(g, u)
     return lead * resultant(places, g)
 
@@ -442,17 +462,18 @@ class _CountingContext(NamedTuple):
     inverse: array  # inverse[x] = 1/x mod p, inverse[0] = 0
     # S(A, B) = sum over X of chi(X^3 + A X + B); S(k, k) is indexed by k in
     # F_p, in an array, not a tuple of ints, to keep the cached context from
-    # adding to peak memory
-    s_kk: array
+    # adding to peak memory; None when c4 or c6 is zero mod p
+    s_kk: Optional[array]
     s_classes: dict  # S(A, B) with AB = 0, filled by _cubic_sum
     main: _ChartData
     chart: _ChartData
     rank20_split: bool  # rank 20 over Q at a split prime
 
 
-# surface_count is O(p) work per prime, one exact product, at most eleven
-# direct sums and one pass over the fibers: about 0.01 s at p = 3001 and 0.05 s
-# at 9973, context included (2-core Xeon, Python 3.11)
+# surface_count is O(p) work per prime, at most one exact product, at most
+# eleven direct sums and one pass over the fibers: for d19 about 0.010 s at
+# p = 3001 and 0.051 s at 9973, and for d4, which builds no table, 0.011 s and
+# 0.038 s, context included (2-core Xeon, Python 3.11)
 COUNT_LIMIT = 10**4
 
 
@@ -461,23 +482,26 @@ def _cubic_sum_table(p: int, chi: tuple, inverse: array) -> array:
 
     x^3 + k x + k = (x + 1)(x^3/(x + 1) + k) for x != -1, so S(k, k) is
     chi(-1) + R[k], R[k] = sum over y in F_p of w[y] chi(y + k) with
-    w[y] = sum of chi(x + 1) over x^3/(x + 1) = y.  R is a Kronecker
-    substitution: the reversed w + 3 and two periods of chi + 1 are packed into
-    32-bit slots; coefficient p - 1 + k of their product is R[k] + sum(w) + 3p,
-    and sum(w) is the sum of chi over F_p^*, 0.  With |w| <= 3 no coefficient
-    exceeds 12p, so no slot carries into the next.
+    w[y] = sum of chi(x + 1) over x^3/(x + 1) = y.  R is a cyclic
+    correlation, taken by Kronecker substitution: the reversed w + 3 and one
+    period of chi + 1 are packed into slots, and coefficients p - 1 + k and
+    k - 1 of their product (the latter 0 for k = 0) sum to R[k] + sum(w) + 3p,
+    where sum(w) is the sum of chi over F_p^*, 0.  With |w| <= 3 no
+    coefficient exceeds 12p, so 16-bit slots hold them while 12p < 2^16, and
+    32-bit slots above that.
     """
     if 12 * p >= 1 << 32:
         raise VerificationError("PRECONDITION", f"p={p} overflows the 32-bit correlation slots")
+    slot = "H" if 12 * p < 1 << 16 else "I"
     w = [0] * p
     for x in range(p - 1):
         w[x * x * x * inverse[x + 1] % p] += chi[x + 1]
-    u = array("I", [c + 3 for c in reversed(w)])
-    v = array("I", [c + 1 for c in chi]) * 2
+    u = array(slot, [c + 3 for c in reversed(w)])
+    v = array(slot, [c + 1 for c in chi])
     product = int.from_bytes(u, sys.byteorder) * int.from_bytes(v, sys.byteorder)
-    slots = memoryview(product.to_bytes(4 * 3 * p, sys.byteorder)).cast("I")
+    c = memoryview(product.to_bytes(2 * p * u.itemsize, sys.byteorder)).cast(slot)
     offset = 3 * p - chi[p - 1]
-    return array("i", [c - offset for c in slots[p - 1 : 2 * p - 1]])
+    return array("i", [a + b - offset for a, b in zip(c[p - 1 : 2 * p - 1], [0, *c[: p - 1]])])
 
 
 # counting goes one prime at a time, so only the current prime's context is kept
@@ -501,13 +525,16 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         inverse[x] = (p - p // x) * inverse[p % x] % p
     inverse = array("i", inverse)
     inv = _invariants(model)
+    main = _ChartData(*(pmod(inv[k], p) for k in _ChartData._fields))
     return _CountingContext(
         p=p,
         chi=chi,
         inverse=inverse,
-        s_kk=_cubic_sum_table(p, chi, inverse),
+        # with c4 or c6 zero mod p (j = 0 or 1728) every fiber has a = 0 or
+        # b = 0, and the table would never be read
+        s_kk=_cubic_sum_table(p, chi, inverse) if main.c4 and main.c6 else None,
         s_classes={},
-        main=_ChartData(*(pmod(inv[k], p) for k in _ChartData._fields)),
+        main=main,
         chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
         rank20_split=rank20 and kronecker(model.d, p) == 1,
     )
@@ -544,6 +571,23 @@ def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
     if key not in ctx.s_classes:
         ctx.s_classes[key] = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
     return ctx.s_classes[key]
+
+
+def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
+    """The sum of S(a, 0) over a in a_axis and of S(0, b) over b in b_axis.
+
+    Each sum depends only on the class that _cubic_sum keys it by, a modulo
+    fourth powers or b modulo sixth powers, so the values are keyed in bulk
+    and _cubic_sum is called once per class, on one representative.
+    """
+    p, total = ctx.p, 0
+    for values, power in ((a_axis, 4), (b_axis, 6)):
+        keys = list(map(pow, values, repeat((p - 1) // gcd(power, p - 1)), repeat(p)))
+        representative = dict(zip(keys, values))
+        for key, count in Counter(keys).items():
+            v = representative[key]
+            total += count * (_cubic_sum(ctx, v, 0) if power == 4 else _cubic_sum(ctx, 0, v))
+    return total
 
 
 def _shifted_value(fbar: Poly, t0: int, k: int, p: int) -> int:
@@ -629,16 +673,17 @@ def surface_count(model: SurfaceModel, p: int) -> int:
     reads, are evaluated at every t in F_p at once.  With ab != 0 the fiber's
     sum is chi(ab) S(k, k) for k = a^3/b^2, and 4a^3 + 27b^2 = b^2 (4k + 27), so
     the fiber is singular exactly when 4k + 27 = 0; with ab = 0 the sum is
-    _cubic_sum's, and the fiber singular when a = b = 0.  Only the singular
-    fibers, in t order, and t=oo go through count_fiber, which keeps its place
-    lookup, its component rules and the first error in t order.
+    _cubic_sum's, taken once per class by _axis_sum, and the fiber singular
+    when a = b = 0.  Only the singular fibers, in t order, and t=oo go
+    through count_fiber, which keeps its place lookup, its component rules
+    and the first error in t order.
     """
     ctx = _counting_context(model, p)
     chi, inverse, s_kk = ctx.chi, ctx.inverse, ctx.s_kk
     node = -27 * inverse[4] % p  # the k with 4k + 27 = 0
     a_values = pvalues_mod(pscale(ctx.main.c4, -27), p)
     b_values = pvalues_mod(pscale(ctx.main.c6, -54), p)
-    sums, singular = 0, []
+    sums, singular, a_axis, b_axis = 0, [], [], []
     for t0, a, b in zip(range(p), a_values, b_values):
         if a and b:
             b_inverse = inverse[b]
@@ -647,11 +692,13 @@ def surface_count(model: SurfaceModel, p: int) -> int:
                 singular.append(t0)
             else:
                 sums += chi[a * b % p] * s_kk[k]
-        elif a or b:
-            sums += _cubic_sum(ctx, a, b)
+        elif a:
+            a_axis.append(a)
+        elif b:
+            b_axis.append(b)
         else:
             singular.append(t0)
-    total = (p + 1) * (p - len(singular)) + sums
+    total = (p + 1) * (p - len(singular)) + sums + _axis_sum(ctx, a_axis, b_axis)
     total += sum(count_fiber(model, p, t0) for t0 in singular)
     return total + count_fiber(model, p, INFINITY)
 

@@ -54,8 +54,9 @@ class CMRule(_CMFields):
     the form constant D. twist, when set, is the squarefree integer of a
     quadratic twist; None means the untwisted normalization.
 
-    A NamedTuple, so that ap does not import dataclasses; the fields are
-    checked in __new__, which a NamedTuple body cannot define itself.
+    A NamedTuple, as are the records of ellsurf and mwheights, so that no
+    subcommand imports dataclasses; the fields are checked in __new__, which
+    a NamedTuple body cannot define itself.
     """
 
     __slots__ = ()

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import VerificationError
 from .ellsurf import SectionData, SurfaceModel, classify_fibers, kodaira
-from .ellsurf import rank20_effective, shioda_tate_rank
+from .ellsurf import rank20_effective, replace, shioda_tate_rank
 from .polys import factor_int_poly, pdeg, valuation
 
 
@@ -39,30 +38,29 @@ def contribution(symbol: str, index: int) -> Fraction:
     return k.correction
 
 
-@dataclass(frozen=True)
-class ConfigLattice:
+class _ConfigFields(NamedTuple):
+    fibers: tuple  # ((kodaira symbol, multiplicity), ...)
+    mw_rank: int
+    torsion_order: int
+    mw_gram: Optional[tuple]  # row tuples of Fractions, size mw_rank
+    fiber_places: tuple  # ((place label, kodaira symbol), ...) when known
+
+
+class ConfigLattice(_ConfigFields):
     """Fiber configuration plus Mordell-Weil data of a rank-20 surface."""
 
-    fibers: tuple  # ((kodaira symbol, multiplicity), ...)
-    mw_rank: int = 0
-    torsion_order: int = 1
-    mw_gram: Optional[tuple] = None  # row tuples of Fractions, size mw_rank
-    fiber_places: tuple = ()  # ((place label, kodaira symbol), ...) when known
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fibers", tuple((str(s), int(m)) for s, m in self.fibers)
-        )
-        object.__setattr__(
-            self, "fiber_places", tuple((str(p), str(s)) for p, s in self.fiber_places)
-        )
-        if self.mw_gram is not None:
-            gram = tuple(tuple(Fraction(x) for x in row) for row in self.mw_gram)
-            if len(gram) != self.mw_rank or any(len(r) != self.mw_rank for r in gram):
+    def __new__(cls, fibers, mw_rank=0, torsion_order=1, mw_gram=None, fiber_places=()):
+        fibers = tuple((str(s), int(m)) for s, m in fibers)
+        fiber_places = tuple((str(p), str(s)) for p, s in fiber_places)
+        if mw_gram is not None:
+            mw_gram = tuple(tuple(Fraction(x) for x in row) for row in mw_gram)
+            if len(mw_gram) != mw_rank or any(len(r) != mw_rank for r in mw_gram):
                 raise VerificationError("PRECONDITION", "Gram matrix size != MW rank")
-            object.__setattr__(self, "mw_gram", gram)
-        if self.torsion_order < 1 or self.mw_rank < 0:
+        if torsion_order < 1 or mw_rank < 0:
             raise VerificationError("PRECONDITION", "bad Mordell-Weil data")
+        return super().__new__(cls, fibers, mw_rank, torsion_order, mw_gram, fiber_places)
 
     @property
     def root_discs(self) -> tuple:

@@ -1,12 +1,12 @@
 """Dense univariate polynomials as ascending coefficient tuples.
 
-Coefficients are ints or Fractions over Q, plain ints for the mod-p layer.
-The zero polynomial is the empty tuple. Nothing here knows about surfaces;
-this is shared plumbing for exact valuations, the chart at infinity, and
-reduction mod p.  Factoring over Z (Zassenhaus: factors mod a small prime,
-Hensel-lifted and recombined) and resultants (Euclid on primitive
-pseudo-remainders) are done here too, so the package needs nothing outside
-the standard library.
+Coefficients are ints (the ring operations also take Fractions), plain ints
+in [0, p) for the mod-p layer.  The zero polynomial is the empty tuple.
+Nothing here knows about surfaces; this is shared plumbing for exact
+valuations, the chart at infinity, and reduction mod p.  Factoring over Z
+(Zassenhaus: factors mod a small prime, Hensel-lifted and recombined) and
+resultants (Euclid on primitive pseudo-remainders) are done here too, so the
+package needs nothing outside the standard library.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ __all__ = [
     "ppow",
     "peval",
     "pderiv",
-    "pdivmod",
+    "pquo_exact",
     "valuation",
     "reciprocal",
     "poly_str",
@@ -107,36 +107,39 @@ def pderiv(f: Poly) -> Poly:
     return ptrim(i * a for i, a in enumerate(f) if i >= 1)
 
 
-def pdivmod(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Division over Q (exact rational arithmetic)."""
+def pquo_exact(f: Poly, g: Poly) -> Poly | None:
+    """f / g when the primitive integer polynomial g divides the integer
+    polynomial f, and None when it does not.
+
+    By Gauss's lemma a primitive g that divides f over Q divides it in Z[t],
+    so the long division runs in Z with exact divmod and stops at the first
+    nonzero remainder: that already rules out division over Q.
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = [Fraction(a) for a in f]
-    quo = [Fraction(0)] * max(0, len(f) - len(g) + 1)
-    g = [Fraction(b) for b in g]
-    for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] / g[-1]
-        if c == 0:
-            continue
-        quo[i] = c
-        for j, b in enumerate(g):
-            rem[i + j] -= c * b
-    return ptrim(quo), ptrim(rem)
+    rem, n = list(f), len(g)
+    quo = [0] * max(0, len(f) - n + 1)
+    for i in range(len(rem) - n, -1, -1):
+        c, r = divmod(rem[i + n - 1], g[-1])
+        if r:
+            return None
+        if c:
+            quo[i] = c
+            rem[i : i + n] = [a - c * b for a, b in zip(rem[i : i + n], g)]
+    return None if any(rem[: n - 1]) else tuple(quo)
 
 
 def valuation(f: Poly, g: Poly) -> int:
-    """Largest k with g^k dividing f over Q; f must be nonzero."""
+    """Largest k with g^k dividing f over Q; f a nonzero integer polynomial,
+    g an integer one."""
     if not f:
         raise VerificationError("PRECONDITION", "valuation of the zero polynomial")
     if pdeg(g) < 1:
         raise VerificationError("PRECONDITION", "valuation needs deg >= 1 place")
-    v = 0
-    while True:
-        q, r = pdivmod(f, g)
-        if r:
-            return v
-        f = q
+    g, v = _primitive(g), 0
+    while (f := pquo_exact(f, g)) is not None:
         v += 1
+    return v
 
 
 def reciprocal(f: Poly, weight: int) -> Poly:
@@ -187,8 +190,8 @@ def factor_int_poly(f: Poly) -> tuple[int, list[tuple[Poly, int]]]:
     const = int(f[-1]) // g[-1]
     out = []
     if pdeg(g) > 0:
-        sqfree = pdivmod(g, _gcd(g, _primitive(pderiv(g))))[0]
-        for h in _factor_squarefree(tuple(int(a) for a in sqfree)):
+        sqfree = pquo_exact(g, _gcd(g, _primitive(pderiv(g))))
+        for h in _factor_squarefree(sqfree):
             out.append((h, valuation(g, h)))
     out.sort(key=lambda hm: (pdeg(hm[0]), hm[0]))
     check = (const,)
@@ -298,10 +301,10 @@ def _factor_squarefree(f: Poly) -> list[Poly]:
             for i in subset:
                 g = pmod(pmul(g, lifted[i]), q)
             g = _primitive(tuple(_symmetric(a, q) for a in g))
-            quo, rem = pdivmod(f, g)
-            if not rem:
+            quo = pquo_exact(f, g)
+            if quo is not None:
                 out.append(g)
-                f = tuple(int(a) for a in quo)
+                f = quo
                 lifted = [h for i, h in enumerate(lifted) if i not in subset]
                 break
         else:

@@ -1,6 +1,5 @@
 """Verification pipeline, classification scans, and the built-in table."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from picard20.atverify import (
     verify_surface,
     yp_gcd,
 )
-from picard20.ellsurf import twist_model
+from picard20.ellsurf import replace, twist_model
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, principality_certificate
 from picard20.models import REGISTRY, get_model
@@ -161,7 +160,7 @@ class TestVerifySurface:
     def test_error_rows_keep_their_reason(self):
         # d27's fibers under a d_K = -4 label: some primes fail in the point
         # count, and the rest are ok rows whose certificates fail for D = 1
-        report = verify_surface(dataclasses.replace(get_model("d27"), d=-4), 200)
+        report = verify_surface(replace(get_model("d27"), d=-4), 200)
         assert report["twist"] == "no_match"
         errors = [r for r in report["rows"] if r["status"] == "error"]
         assert errors[0]["p"] == 17
@@ -291,7 +290,7 @@ def test_report_serialization_shape():
     # the four row shapes: skipped, error, ok, and ok with a failed check
     assert report["rows"][0] == {"p": 2, "status": "skipped", "reason": "p <= 3 excluded by policy"}
     assert set(ok[0]) == OK_ROW_KEYS
-    relabelled = verify_surface(dataclasses.replace(get_model("d27"), d=-4), 200)
+    relabelled = verify_surface(replace(get_model("d27"), d=-4), 200)
     by_p = {r["p"]: r for r in relabelled["rows"]}
     assert by_p[17]["status"] == "error"
     assert set(by_p[17]) == {"p", "status", "reason"}

@@ -798,3 +798,26 @@ def test_scans_and_ap_import_only_the_layers_they_run():
         "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.heckecm', 'picard20.qforms']",
         "[]",
     ]
+
+
+def test_model_commands_import_neither_dataclasses_nor_inspect():
+    # the records on the verify path are NamedTuples checked in __new__, so
+    # no subcommand pays for dataclasses (or the inspect it imports) unless
+    # the interpreter's start loaded them
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "before = set(sys.modules)",
+        "from picard20.cli import main",
+        "for argv in (['verify', '--model', 'd27', '--pmax', '100'],",
+        "             ['verify', '--model', 'd4', '--pmax', '100', '--delta', '-3'],",
+        "             ['count', '--model', 'd19', '--p', '101'],",
+        "             ['fibers', '--model', 'd27'],",
+        "             ['nsdisc', '--model', 'd27'],",
+        "             ['height', '--model', 'd27', '--section', '0'],",
+        "             ['list-models']):",
+        "    with contextlib.redirect_stdout(io.StringIO()):",
+        "        assert main(argv) == 0, argv",
+        "    print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines() == ["[]"] * 7

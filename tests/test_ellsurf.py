@@ -14,7 +14,11 @@ independently implemented pipeline.
 """
 
 import json
+import pickle
 import random
+import sys
+from array import array
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -43,7 +47,9 @@ from picard20.ellsurf import (
     _charsum_count,
     _counting_context,
     _cubic_sum,
+    _cubic_sum_table,
     _kodaira_from_valuations,
+    replace,
 )
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, ap_h1
@@ -315,6 +321,84 @@ def test_cubic_sum_tables_match_the_direct_sum():
         for a, b in pairs:
             direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
             assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
+
+
+def _two_period_table(p: int, chi: list, inverse: list) -> list:
+    # the oracle of _cubic_sum_table: R[k] read off a linear correlation of
+    # the reversed w + 3 with two periods of chi + 1, in 32-bit slots, where
+    # coefficient p - 1 + k is R[k] + 3p
+    w = [0] * p
+    for x in range(p - 1):
+        w[x * x * x * inverse[x + 1] % p] += chi[x + 1]
+    u = array("I", [c + 3 for c in reversed(w)])
+    v = array("I", [c + 1 for c in chi]) * 2
+    product = int.from_bytes(u, sys.byteorder) * int.from_bytes(v, sys.byteorder)
+    slots = memoryview(product.to_bytes(4 * 3 * p, sys.byteorder)).cast("I")
+    return [c - 3 * p + chi[p - 1] for c in slots[p - 1 : 2 * p - 1]]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 997, 3001, 5449, 5471, 9973])
+def test_cubic_sum_table_matches_the_two_period_product(p):
+    # one period of chi + 1 in 16-bit slots up to 5449 (12p < 2^16) and in
+    # 32-bit slots from 5471 on, against two periods in 32-bit slots
+    squares = {x * x % p for x in range(1, p)}
+    chi = [0] + [1 if v in squares else -1 for v in range(1, p)]
+    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+    table = _cubic_sum_table(p, tuple(chi), array("i", inverse))
+    assert list(table) == _two_period_table(p, chi, inverse)
+    if p <= 13:
+        for k in range(p):
+            assert table[k] == sum(chi[(x * x * x + k * x + k) % p] for x in range(p))
+
+
+# trace_ap at every good split p < 200, as the parent of the axis-fiber
+# change computed them
+AXIS_TRACES = {
+    "d3": [-13, -1, 11, -46, 47, -22, -121, -109, -97, 131, 167, -37, -214, 146,
+           251, 59, -118, 299, -313, 143, -277],
+    "d4": [-6, 10, -30, 42, -70, 18, 90, -22, -110, -78, 130, -198, -182, -30, 210,
+           -102, 170, 330, -38, -190, -390],
+    "d4[2]": [6, -10, -30, -42, 70, 18, -90, 22, -110, -78, 130, 198, 182, -30, 210,
+              102, -170, -330, 38, -190, 390],
+    "d4[-3]": [6, 10, 30, -42, -70, -18, -90, -22, -110, 78, 130, 198, -182, 30,
+               -210, 102, 170, -330, -38, -190, 390],
+    "d4[5]": [-10, 30, 42, 70, 18, -90, -22, 110, -78, -130, -198, -182, 30, -210,
+              -102, -170, -330, -38, 190, 390],
+}
+
+
+def test_axis_surfaces_never_build_the_table(monkeypatch):
+    # c4 = 0 on d3 and c6 = 0 on d4 and its twists, so no fiber reads S(k, k):
+    # with the table made to fail, the traces are still the ones above; and
+    # _cubic_sum runs once per power-residue class (at most 11) and once per
+    # singular fiber (at most 24, t=oo included), not once per fiber
+    import picard20.ellsurf as ellsurf
+
+    def refuse(*args):
+        raise AssertionError("the S(k, k) table was built")
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _cubic_sum(*args)
+
+    monkeypatch.setattr(ellsurf, "_cubic_sum_table", refuse)
+    monkeypatch.setattr(ellsurf, "_cubic_sum", counted)
+    _counting_context.cache_clear()
+    d4 = get_model("d4")
+    models = [get_model("d3"), d4] + [twist_model(d4, delta) for delta in (2, -3, 5)]
+    for model in models:
+        primes = [
+            p for p in primes_up_to(199)
+            if good_prime(model, p) and kronecker(model.d, p) == 1
+        ]
+        traces = []
+        for p in primes:
+            calls.clear()
+            traces.append(trace_ap(model, p))
+            assert len(calls) <= 11 + 24, (model.name, p, len(calls))
+        assert traces == AXIS_TRACES[model.name]
 
 
 def test_axis_sums_stay_within_the_power_residue_classes():
@@ -646,6 +730,44 @@ def test_off_curve_section_rejected():
             d=base.d,
             sections=(bad,),
         )
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"d": 0}, "declared discriminant must be a negative integer"),
+    ({"twist_by": 12}, "twist_by must be squarefree and nonzero"),
+    ({"twist_by": 0}, "twist_by must be squarefree and nonzero"),
+    ({"a6": (0,) * 13 + (1,)}, "deg a6 = 13 exceeds K3 bound 12"),
+])
+def test_checked_copy_refuses_what_the_constructor_refuses(changes, message):
+    with pytest.raises(VerificationError) as err:
+        replace(get_model("d4"), **changes)
+    assert (err.value.code, err.value.message) == ("PRECONDITION", message)
+    section = get_model("d27").sections[0]
+    with pytest.raises(VerificationError) as err:
+        replace(section, x_den=())
+    assert err.value.message == "section with zero denominator"
+    # valuations divide in Z[t], so a rational coefficient is refused
+    with pytest.raises(VerificationError) as err:
+        replace(section, x_num=(Fraction(1, 2), 1))
+    assert err.value.message == "section has non-integer coefficients"
+
+
+def test_checked_copy_normalises_like_the_constructor():
+    model = replace(get_model("d4"), a1=[0, 0, 0], expected_config=[["t=0", "III*"]])
+    assert model.a1 == () and model.expected_config == (("t=0", "III*"),)
+    assert type(model) is SurfaceModel and replace(model) == model
+
+
+def test_unpickling_runs_the_checks():
+    # the process pool hands models to its workers by pickle, and unpickling
+    # goes through __new__: a model is rebuilt equal, and an unchecked tuple
+    # with d = 0 is refused on the way back
+    model = twist_model(get_model("d4"), -3)
+    assert pickle.loads(pickle.dumps(model)) == model
+    unchecked = tuple.__new__(SurfaceModel, model[:6] + (0,) + model[7:])
+    with pytest.raises(VerificationError) as err:
+        pickle.loads(pickle.dumps(unchecked))
+    assert err.value.code == "PRECONDITION"
 
 
 def test_degree_bound_enforced():

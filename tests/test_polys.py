@@ -1,6 +1,8 @@
 """Dense integer polynomial helpers."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -8,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picard20 import ellsurf
-from picard20.ellsurf import discriminant
+from picard20.ellsurf import c_invariants, discriminant, twist_model
 from picard20.errors import VerificationError
-from picard20.models import REGISTRY
+from picard20.models import REGISTRY, get_model
 from picard20.polys import (
     factor_int_poly,
     padd,
     pdeg,
     pderiv,
-    pdivmod,
     pdivmod_mod,
     peval,
     peval_mod,
@@ -24,6 +25,7 @@ from picard20.polys import (
     pmul,
     pneg,
     ppow,
+    pquo_exact,
     pscale,
     psub,
     ptrim,
@@ -42,6 +44,24 @@ coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=7
 def test_mul_is_pointwise(f, g, x):
     f, g = ptrim(tuple(f)), ptrim(tuple(g))
     assert peval(pmul(f, g), x) == peval(f, x) * peval(g, x)
+
+
+def pdivmod(f, g):
+    """Division over Q in exact rational arithmetic: the oracle of
+    polys.pquo_exact, which divides in Z."""
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [Fraction(a) for a in f]
+    quo = [Fraction(0)] * max(0, len(f) - len(g) + 1)
+    g = [Fraction(b) for b in g]
+    for i in range(len(rem) - len(g), -1, -1):
+        c = rem[i + len(g) - 1] / g[-1]
+        if c == 0:
+            continue
+        quo[i] = c
+        for j, b in enumerate(g):
+            rem[i + j] -= c * b
+    return ptrim(quo), ptrim(rem)
 
 
 @given(coeffs, coeffs)
@@ -76,6 +96,54 @@ def test_valuation_counts_factor_multiplicity():
     assert valuation(f, (1, 1)) == 0
     with pytest.raises(VerificationError):
         valuation((), t)
+
+
+def _oracle_valuation(f, g):
+    # (k, f / g^k) for the largest k with g^k | f over Q, by pdivmod
+    k, q = 0, f
+    while True:
+        quo, rem = pdivmod(q, g)
+        if rem:
+            return k, q
+        k, q = k + 1, quo
+
+
+@given(coeffs, coeffs, st.integers(min_value=0, max_value=3))
+@settings(deadline=None)
+def test_exact_quotient_matches_the_rational_division(f, g, k):
+    # g made primitive, and f given a factor g^k, so that both answers occur
+    f, g = ptrim(tuple(f)), ptrim(tuple(g))
+    if not f or not g:
+        return
+    g = tuple(a // math.gcd(*g) for a in g)
+    f = pmul(f, ppow(g, k))
+    quo, rem = pdivmod(f, g)
+    assert pquo_exact(f, g) == (None if rem else quo)
+
+
+def test_integer_division_matches_the_oracle_at_every_place():
+    # Delta, c4 and c6 at every place of Delta, over the registry, three d4
+    # twists and the seeded random models of test_golden: the valuation and
+    # the cofactor f / g^v in Z[t] are the ones the division over Q gives
+    from test_golden import _random_model
+
+    d4 = get_model("d4")
+    models = list(REGISTRY.values()) + [twist_model(d4, delta) for delta in (2, -3, 5)]
+    rng = random.Random(20)
+    models += [_random_model(rng, k) for k in range(100)]
+    pairs = 0
+    for model in models:
+        delta = discriminant(model)
+        for g, _ in factor_int_poly(delta)[1]:
+            for f in (delta, *c_invariants(model)):
+                if not f:
+                    continue
+                v, cofactor = _oracle_valuation(f, g)
+                assert valuation(f, g) == v, (model.name, g, f)
+                assert pquo_exact(f, ppow(g, v)) == cofactor, (model.name, g, f)
+                assert pquo_exact(f, ppow(g, v + 1)) is None, (model.name, g, f)
+                pairs += 1
+    assert pairs == 359
 
 
 def test_reciprocal_pads_to_weight():

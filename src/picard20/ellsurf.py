@@ -552,6 +552,11 @@ def _charsum_count(ctx: _CountingContext, side: _ChartData, t0: int) -> int:
     return p + 1 + s
 
 
+def _class_exponent(p: int, power: int) -> int:
+    """e such that v^e mod p names the class of v modulo power-th powers in F_p."""
+    return (p - 1) // gcd(power, p - 1)
+
+
 def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
     """S(a, b) = sum over X in F_p of chi(X^3 + a X + b), by one lookup.
 
@@ -567,7 +572,7 @@ def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
     if a and b:
         inverse = ctx.inverse
         return chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
-    key = (pow(a, (p - 1) // gcd(4, p - 1), p), pow(b, (p - 1) // gcd(6, p - 1), p))
+    key = (pow(a, _class_exponent(p, 4), p), pow(b, _class_exponent(p, 6), p))
     if key not in ctx.s_classes:
         ctx.s_classes[key] = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
     return ctx.s_classes[key]
@@ -577,12 +582,13 @@ def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
     """The sum of S(a, 0) over a in a_axis and of S(0, b) over b in b_axis.
 
     Each sum depends only on the class that _cubic_sum keys it by, a modulo
-    fourth powers or b modulo sixth powers, so the values are keyed in bulk
-    and _cubic_sum is called once per class, on one representative.
+    fourth powers or b modulo sixth powers, both named by _class_exponent; so
+    the values are keyed in bulk and _cubic_sum is called once per class, on
+    one representative.
     """
     p, total = ctx.p, 0
     for values, power in ((a_axis, 4), (b_axis, 6)):
-        keys = list(map(pow, values, repeat((p - 1) // gcd(power, p - 1)), repeat(p)))
+        keys = list(map(pow, values, repeat(_class_exponent(p, power)), repeat(p)))
         representative = dict(zip(keys, values))
         for key, count in Counter(keys).items():
             v = representative[key]

@@ -33,7 +33,6 @@ import time
 
 import picard20.ellsurf as ellsurf
 from picard20.arith import kronecker, primes_up_to
-from picard20.ellsurf import twist_model
 from picard20.models import get_model
 
 STAGES = ("context", "table", "values", "axis", "pass", "total")
@@ -88,11 +87,10 @@ def stages(model, pmax: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--model", default="d19")
-    parser.add_argument("--delta", type=int, default=1)
     parser.add_argument("--pmax", type=int, default=1000)
     parser.add_argument("--repeat", type=int, default=5)
     args = parser.parse_args()
-    model = twist_model(get_model(args.model), args.delta)
+    model = get_model(args.model)
     runs = [stages(model, args.pmax) for _ in range(args.repeat)]
     out = {key: round(statistics.median(r[key] for r in runs), 4) for key in STAGES}
     out.update(

@@ -2,11 +2,13 @@
 
 Subpackage map:
     arith     -- integer kernels: primality, Kronecker symbol, Cornacchia
-    qforms    -- binary quadratic forms, form class groups, discriminant scans
+    qforms    -- binary quadratic forms, form class groups, discriminant scans,
+                 the form lemma
     heckecm   -- CM Hecke eigenvalue rules and twist matching
     ellsurf   -- elliptic surfaces over Q(t): fibers, reductions, point counts
-    mwheights -- Mordell-Weil heights and Neron-Severi discriminants
-    atverify  -- Artin-Tate checks, batch verification, the table check
+    mwheights -- Mordell-Weil heights, Neron-Severi discriminants, the 13-row
+                 classification table and its check
+    atverify  -- Artin-Tate checks and batch verification
     models    -- the built-in surface registry
     cli       -- command line entry point
 """

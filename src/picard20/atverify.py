@@ -1,14 +1,12 @@
-"""Verification pipeline: Artin-Tate squares, principality, the form lemma and
-the table check.
+"""Verification pipeline: Artin-Tate squares and principality.
 
 verify_surface ties the geometric traces of a rank-20 model to its CM newform
 prime by prime: a_p comparison after twist identification, the Brauer square
 (2p - a_p)/|d| = M^2, and the explicit representation p = x^2 + D y^2 that
 certifies principal splitting.  That certificate is
-heckecm.principality_certificate, the inverse of heckecm.ap_h1.  Every
-report here (verify_surface, lemma_r_check, table_check) is the plain dict
-that the CLI prints; no other record of it is kept.  The classification scans
-live in qforms, next to the flags they read.
+heckecm.principality_certificate, the inverse of heckecm.ap_h1.  The report
+of verify_surface is the plain dict that the CLI prints; no other record of
+it is kept.
 """
 
 from __future__ import annotations
@@ -23,17 +21,7 @@ from .arith import is_square, kronecker, primes_up_to
 from .errors import VerificationError
 from .ellsurf import COUNT_LIMIT, SurfaceModel, good_prime, rank20_effective, trace_ap
 from .heckecm import CMRule, match_twist, principality_certificate
-from .models import TABLE_ROWS
-from .mwheights import gram_denominator_bound, ns_discriminant, required_gram_determinant
-from .qforms import (
-    check_discriminant,
-    class_number,
-    fundamental_decomposition,
-    principal_form,
-    represented_primes,
-)
-
-_LEMMA_CUTOFF = 100  # "almost all": ignore represented primes up to here
+from .qforms import fundamental_decomposition
 
 
 # ---------------------------------------------------------------- identities
@@ -186,79 +174,3 @@ def yp_gcd(rows, rule: CMRule) -> Fraction:
             "PRECONDITION", f"gcd {g} is not integral although d_K = {rule.d_K} is even"
         )
     return g
-
-
-# ---------------------------------------------------------------- form lemmas
-
-
-def lemma_r_check(d: int, r: int, bound: int = 100000) -> dict:
-    """Compare prime sets of the principal forms of disc d and d r^2.
-
-    The represented-prime sets (above a small cutoff) agree exactly when the
-    class numbers agree; the verdict records that the equivalence holds.
-    """
-    check_discriminant(d)
-    if r < 2:
-        raise VerificationError("PRECONDITION", "r must be at least 2")
-    if not _LEMMA_CUTOFF < bound <= 10**6:
-        raise VerificationError("PRECONDITION", f"bound {bound} out of range")
-    Q = principal_form(d)
-    Qr = principal_form(d * r * r)
-    h_d = class_number(d)
-    h_dr2 = class_number(d * r * r)
-    s1 = {p for p in represented_primes(Q, bound) if p > _LEMMA_CUTOFF}
-    s2 = {p for p in represented_primes(Qr, bound) if p > _LEMMA_CUTOFF}
-    sets_equal = s1 == s2
-    return {
-        "h_d": h_d,
-        "h_dr2": h_dr2,
-        "sets_equal": sets_equal,
-        "verdict": sets_equal == (h_d == h_dr2),
-    }
-
-
-# ---------------------------------------------------------------- table check
-
-
-def table_check() -> dict:
-    """Consistency report over the built-in classification table."""
-    rows = []
-    flagged = []
-    all_as_expected = True
-    for d, cfg in TABLE_ROWS:
-        row = {
-            "d": d,
-            "configuration": ["%s x%d" % (sym, mult) if mult > 1 else sym for sym, mult in cfg.fibers],
-            "euler_sum": cfg.euler_sum,
-            "euler_ok": cfg.euler_sum == 24,
-            "rank_sum": cfg.picard_rank,
-            "rank_ok": cfg.picard_rank == 20,
-        }
-        if cfg.mw_rank > 0 and cfg.mw_gram is None:
-            need = required_gram_determinant(d, cfg)
-            bound = gram_denominator_bound(cfg)
-            row["check"] = "divisibility"
-            row["required_gram_det"] = need
-            row["status"] = (
-                "ok" if need > 0 and bound % need.denominator == 0 else "inconsistent"
-            )
-        else:
-            row["check"] = "exact"
-            try:
-                disc = ns_discriminant(cfg)
-                row["ns_discriminant"] = disc
-                row["status"] = "ok" if disc == d else "inconsistent"
-            except VerificationError as exc:
-                if exc.code != "NON_INTEGRAL":
-                    raise
-                row["status"] = "non_integral"
-                row["note"] = exc.message
-                flagged.append(d)
-        # the d = -3 row is a known inconsistency and must surface as such
-        expected_status = "non_integral" if d == -3 else "ok"
-        row["as_expected"] = (
-            row["status"] == expected_status and row["euler_ok"] and row["rank_ok"]
-        )
-        all_as_expected = all_as_expected and row["as_expected"]
-        rows.append(row)
-    return {"rows": rows, "flagged": flagged, "all_as_expected": all_as_expected}

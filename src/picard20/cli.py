@@ -296,7 +296,7 @@ def _cmd_nsdisc(args) -> int:
 
 
 def _cmd_lemma_r(args) -> int:
-    from .atverify import lemma_r_check
+    from .qforms import lemma_r_check
 
     result = lemma_r_check(args.d, args.r, args.bound)
     result.update({"d": args.d, "r": args.r, "bound": args.bound})
@@ -304,7 +304,7 @@ def _cmd_lemma_r(args) -> int:
 
 
 def _cmd_table_check(args) -> int:
-    from .atverify import table_check
+    from .mwheights import table_check
 
     return _emit(table_check())
 

@@ -12,7 +12,7 @@ __all__ = ["VerificationError"]
 class VerificationError(Exception):
     """A domain-level failure with a stable code string.
 
-    Codes in use: PRECONDITION, NON_MINIMAL, NOT_K3, COMPONENTS_NOT_RATIONAL,
+    Codes in use: PRECONDITION, NON_MINIMAL, COMPONENTS_NOT_RATIONAL,
     UNSUPPORTED_SHAPE, CHAIN_FAILURE, NEGATIVE, NON_INTEGRAL,
     INSUFFICIENT_DATA, NO_REPRESENTATION, UNKNOWN_MODEL.
     """

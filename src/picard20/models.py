@@ -1,4 +1,4 @@
-"""Built-in surface models and the rank-20 classification table.
+"""Built-in surface models.
 
 The registry holds one explicit elliptic fibration per worked discriminant,
 with sections and their fiber component hits.  Component indices at I_m
@@ -8,11 +8,8 @@ terms n(m - n)/m cannot distinguish anyway.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import VerificationError
 from .ellsurf import SectionData, SurfaceModel
-from .mwheights import ConfigLattice
 
 # y^2 = x^3 + (t^4+t^3+3t^2+1) x^2 + 2(t^3+t^2+2t) x + (t^2+t+1)
 _D19 = SurfaceModel(
@@ -157,33 +154,3 @@ def get_model(name: str) -> SurfaceModel:
             "UNKNOWN_MODEL",
             f"no built-in model {name!r}; known: {', '.join(sorted(REGISTRY))}",
         ) from None
-
-
-# Classification table: one model per class-number-one discriminant, given as
-# fiber configuration and Mordell-Weil group.  Rows whose Mordell-Weil lattice
-# has positive rank but no published Gram matrix can only be checked for
-# divisibility consistency; the d = -3 row is expected to fail the
-# discriminant identity as stated (known inconsistency, reported not hidden).
-TABLE_ROWS = (
-    (-3, ConfigLattice(fibers=(("I1", 3), ("I3", 1), ("I12*", 1)), torsion_order=4)),
-    (-4, ConfigLattice(fibers=(("I0*", 1), ("III*", 2)), torsion_order=2)),
-    (-7, ConfigLattice(fibers=(("I1", 3), ("I7", 3)), torsion_order=7)),
-    (-8, ConfigLattice(fibers=(("I1", 1), ("I4", 1), ("III*", 1), ("II*", 1)))),
-    (-11, ConfigLattice(fibers=(("I1", 3), ("I11", 1), ("II*", 1)))),
-    (-12, ConfigLattice(fibers=(("I2", 1), ("I3", 1), ("III*", 1), ("II*", 1)))),
-    (-16, ConfigLattice(fibers=(("I2", 1), ("I8", 1), ("I1*", 2)), torsion_order=4)),
-    (-19, ConfigLattice(fibers=(("I1", 5), ("I19", 1)),)),
-    (
-        -27,
-        ConfigLattice(
-            fibers=(("I1", 4), ("I2", 1), ("I9", 2)),
-            mw_rank=1,
-            torsion_order=3,
-            mw_gram=((Fraction(3, 2),),),
-        ),
-    ),
-    (-28, ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2)),
-    (-43, ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2)),
-    (-67, ConfigLattice(fibers=(("I1", 3), ("I4", 1), ("I7", 1), ("II*", 1)), mw_rank=1)),
-    (-163, ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2)),
-)

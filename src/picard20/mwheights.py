@@ -4,6 +4,9 @@ Everything is exact rational arithmetic.  The height of a section is
 h(P) = 4 + 2 (P.O) - sum of fiber correction terms, and the Neron-Severi
 discriminant of a rank-20 configuration is
 -(product of root lattice discriminants) * det(MW Gram) / torsion^2.
+TABLE_ROWS is the paper's rank-20 classification table, one configuration
+per class-number-one discriminant, and table_check tests each row against
+that identity.
 """
 
 from __future__ import annotations
@@ -76,6 +79,36 @@ class ConfigLattice(_ConfigFields):
     @property
     def picard_rank(self) -> int:
         return shioda_tate_rank(self.fibers, self.mw_rank)
+
+
+# Classification table: one model per class-number-one discriminant, given as
+# fiber configuration and Mordell-Weil group.  Rows whose Mordell-Weil lattice
+# has positive rank but no published Gram matrix can only be checked for
+# divisibility consistency; the d = -3 row is expected to fail the
+# discriminant identity as stated (known inconsistency, reported not hidden).
+TABLE_ROWS = (
+    (-3, ConfigLattice(fibers=(("I1", 3), ("I3", 1), ("I12*", 1)), torsion_order=4)),
+    (-4, ConfigLattice(fibers=(("I0*", 1), ("III*", 2)), torsion_order=2)),
+    (-7, ConfigLattice(fibers=(("I1", 3), ("I7", 3)), torsion_order=7)),
+    (-8, ConfigLattice(fibers=(("I1", 1), ("I4", 1), ("III*", 1), ("II*", 1)))),
+    (-11, ConfigLattice(fibers=(("I1", 3), ("I11", 1), ("II*", 1)))),
+    (-12, ConfigLattice(fibers=(("I2", 1), ("I3", 1), ("III*", 1), ("II*", 1)))),
+    (-16, ConfigLattice(fibers=(("I2", 1), ("I8", 1), ("I1*", 2)), torsion_order=4)),
+    (-19, ConfigLattice(fibers=(("I1", 5), ("I19", 1)),)),
+    (
+        -27,
+        ConfigLattice(
+            fibers=(("I1", 4), ("I2", 1), ("I9", 2)),
+            mw_rank=1,
+            torsion_order=3,
+            mw_gram=((Fraction(3, 2),),),
+        ),
+    ),
+    (-28, ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2)),
+    (-43, ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2)),
+    (-67, ConfigLattice(fibers=(("I1", 3), ("I4", 1), ("I7", 1), ("II*", 1)), mw_rank=1)),
+    (-163, ConfigLattice(fibers=(("I1", 6), ("I6", 1), ("I12", 1)), mw_rank=2)),
+)
 
 
 def _det(gram: tuple) -> Fraction:
@@ -219,3 +252,47 @@ def gram_denominator_bound(config: ConfigLattice) -> int:
         e = kodaira(sym).exponent
         bound = bound * e // math.gcd(bound, e)
     return (2 * bound) ** max(config.mw_rank, 1)
+
+
+def table_check() -> dict:
+    """Consistency report over the built-in classification table."""
+    rows = []
+    flagged = []
+    all_as_expected = True
+    for d, cfg in TABLE_ROWS:
+        row = {
+            "d": d,
+            "configuration": ["%s x%d" % (sym, mult) if mult > 1 else sym for sym, mult in cfg.fibers],
+            "euler_sum": cfg.euler_sum,
+            "euler_ok": cfg.euler_sum == 24,
+            "rank_sum": cfg.picard_rank,
+            "rank_ok": cfg.picard_rank == 20,
+        }
+        if cfg.mw_rank > 0 and cfg.mw_gram is None:
+            need = required_gram_determinant(d, cfg)
+            bound = gram_denominator_bound(cfg)
+            row["check"] = "divisibility"
+            row["required_gram_det"] = need
+            row["status"] = (
+                "ok" if need > 0 and bound % need.denominator == 0 else "inconsistent"
+            )
+        else:
+            row["check"] = "exact"
+            try:
+                disc = ns_discriminant(cfg)
+                row["ns_discriminant"] = disc
+                row["status"] = "ok" if disc == d else "inconsistent"
+            except VerificationError as exc:
+                if exc.code != "NON_INTEGRAL":
+                    raise
+                row["status"] = "non_integral"
+                row["note"] = exc.message
+                flagged.append(d)
+        # the d = -3 row is a known inconsistency and must surface as such
+        expected_status = "non_integral" if d == -3 else "ok"
+        row["as_expected"] = (
+            row["status"] == expected_status and row["euler_ok"] and row["rank_ok"]
+        )
+        all_as_expected = all_as_expected and row["as_expected"]
+        rows.append(row)
+    return {"rows": rows, "flagged": flagged, "all_as_expected": all_as_expected}

@@ -6,6 +6,9 @@ proper (determinant +1) equivalence of primitive forms, so (2, 1, 3) and
 (2, -1, 3) are distinct classes when they are not properly equivalent.
 classify_h1 and classify_two_torsion scan every |d| up to a bound for class
 number one and for one class per genus, from the flags of reduced_form_flags.
+lemma_r_check tests the form lemma: the principal forms of d and d r^2
+represent the same primes, up to finitely many, exactly when the class
+numbers agree.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "classify_h1",
     "classify_two_torsion",
     "represented_primes",
+    "lemma_r_check",
     "check_discriminant",
     "twist_discriminant",
     "fundamental_decomposition",
@@ -362,6 +366,35 @@ def represented_primes(f: QuadForm, bound: int) -> list[int]:
             if val <= bound:
                 hit[val] = 1
     return [p for p in primes_up_to(bound) if hit[p]]
+
+
+_LEMMA_CUTOFF = 100  # "almost all": ignore represented primes up to here
+
+
+def lemma_r_check(d: int, r: int, bound: int = 100000) -> dict:
+    """Compare prime sets of the principal forms of disc d and d r^2.
+
+    The represented-prime sets (above a small cutoff) agree exactly when the
+    class numbers agree; the verdict records that the equivalence holds.
+    """
+    check_discriminant(d)
+    if r < 2:
+        raise VerificationError("PRECONDITION", "r must be at least 2")
+    if not _LEMMA_CUTOFF < bound <= 10**6:
+        raise VerificationError("PRECONDITION", f"bound {bound} out of range")
+    Q = principal_form(d)
+    Qr = principal_form(d * r * r)
+    h_d = class_number(d)
+    h_dr2 = class_number(d * r * r)
+    s1 = {p for p in represented_primes(Q, bound) if p > _LEMMA_CUTOFF}
+    s2 = {p for p in represented_primes(Qr, bound) if p > _LEMMA_CUTOFF}
+    sets_equal = s1 == s2
+    return {
+        "h_d": h_d,
+        "h_dr2": h_dr2,
+        "sets_equal": sets_equal,
+        "verdict": sets_equal == (h_d == h_dr2),
+    }
 
 
 def twist_discriminant(delta: int) -> int:

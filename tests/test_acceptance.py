@@ -13,7 +13,7 @@ import time
 from fractions import Fraction
 
 from picard20.arith import is_prime, is_square, kronecker, primes_up_to
-from picard20.atverify import lemma_r_check, table_check, verify_surface
+from picard20.atverify import verify_surface
 from picard20.heckecm import CMRule, ap_h1, split_type
 from picard20.models import REGISTRY, get_model
 from picard20.mwheights import (
@@ -22,6 +22,7 @@ from picard20.mwheights import (
     contribution,
     height,
     ns_discriminant,
+    table_check,
 )
 from picard20.qforms import (
     FormClassGroup,
@@ -29,6 +30,7 @@ from picard20.qforms import (
     classify_h1,
     classify_two_torsion,
     fundamental_decomposition,
+    lemma_r_check,
 )
 
 from helpers import composition_table

@@ -1,26 +1,23 @@
-"""Verification pipeline, classification scans, and the built-in table."""
+"""The verify pipeline of atverify, and the results it rests on: the form
+lemma and the class-number scans of qforms, and the table check of mwheights."""
 
 from fractions import Fraction
 
 import pytest
 
-from picard20.atverify import (
-    brauer_square,
-    lemma_r_check,
-    table_check,
-    verify_surface,
-    yp_gcd,
-)
+from picard20.atverify import brauer_square, verify_surface, yp_gcd
 from picard20.ellsurf import replace, twist_model
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, principality_certificate
 from picard20.models import REGISTRY, get_model
+from picard20.mwheights import table_check
 from picard20.qforms import (
     FormClassGroup,
     class_number,
     classify_h1,
     classify_two_torsion,
     fundamental_decomposition,
+    lemma_r_check,
 )
 
 H1_DISCRIMINANTS = [-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163]

@@ -800,6 +800,36 @@ def test_scans_and_ap_import_only_the_layers_they_run():
     ]
 
 
+_MODEL_STACK = ["arith", "cli", "ellsurf", "errors", "models", "polys"]
+
+_LAYERS_RUN = [
+    (["verify", "--model", "d27", "--pmax", "100"], _MODEL_STACK + ["atverify", "heckecm", "qforms"]),
+    (["count", "--model", "d19", "--p", "101"], _MODEL_STACK),
+    (["fibers", "--model", "d27"], _MODEL_STACK),
+    (["list-models"], _MODEL_STACK),
+    (["height", "--model", "d27", "--section", "0"], _MODEL_STACK + ["mwheights"]),
+    (["nsdisc", "--model", "d27"], _MODEL_STACK + ["mwheights"]),
+    (["table-check"], ["arith", "cli", "ellsurf", "errors", "mwheights", "polys"]),
+    (["lemma-r", "-d", "-4", "-r", "2", "--bound", "1000"], ["arith", "cli", "errors", "qforms"]),
+]
+
+
+@pytest.mark.parametrize("argv, layers", _LAYERS_RUN, ids=[argv[0] for argv, _ in _LAYERS_RUN])
+def test_model_and_check_commands_import_only_the_layers_they_run(argv, layers):
+    # one fresh interpreter per subcommand: verify does not load the lattice
+    # layer, the table check does not load the verify pipeline, and the form
+    # lemma loads the forms layer alone
+    script = "\n".join([
+        "import contextlib, io, sys",
+        "from picard20.cli import main",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    assert main({argv!r}) == 0",
+        "print(sorted(m for m in sys.modules if m.startswith('picard20.')))",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    assert done.stdout == f"{sorted('picard20.' + m for m in layers)}\n"
+
+
 def test_model_commands_import_neither_dataclasses_nor_inspect():
     # the records on the verify path are NamedTuples checked in __new__, so
     # no subcommand pays for dataclasses (or the inspect it imports) unless

@@ -145,6 +145,46 @@ class TestKodairaTable:
         assert err.value.code == "PRECONDITION"
 
 
+def _kodaira_chain(v4, v6, vd):
+    # the classifier as a chain of one branch per type, the lookup's oracle
+    if vd == 0:
+        return "good"
+    if v4 >= 4 and vd >= 12:
+        raise VerificationError(
+            "NON_MINIMAL", "model is not minimal at t=0: v(c4)>=4, v(D)>=12"
+        )
+    if v4 == 0 and v6 == 0:
+        return f"I{vd}"
+    if v4 >= 1 and v6 == 1 and vd == 2:
+        return "II"
+    if v4 == 1 and v6 >= 2 and vd == 3:
+        return "III"
+    if v4 >= 2 and v6 == 2 and vd == 4:
+        return "IV"
+    if v4 == 2 and v6 == 3 and vd > 6:
+        return f"I{vd - 6}*"
+    if ((v4 == 2 and v6 >= 3) or (v4 >= 2 and v6 == 3)) and vd == 6:
+        return "I0*"
+    if v4 >= 3 and v6 == 4 and vd == 8:
+        return "IV*"
+    if v4 == 3 and v6 >= 5 and vd == 9:
+        return "III*"
+    if v4 >= 4 and v6 == 5 and vd == 10:
+        return "II*"
+    raise VerificationError(
+        "PRECONDITION", f"unclassifiable valuation triple ({v4},{v6},{vd}) at t=0"
+    )
+
+
+def test_kodaira_lookup_matches_the_branch_chain():
+    # every triple v4, v6 in 0..15 or vanishing, v(Delta) in 0..39: 11,560
+    valuations = [*range(16), _INF]
+    triples = [(v4, v6, vd) for v4 in valuations for v6 in valuations for vd in range(40)]
+    assert len(triples) == 11560
+    for triple in triples:
+        assert _outcome(kodaira, *triple) == _outcome(_kodaira_chain, *triple), triple
+
+
 def test_place_labels():
     assert place_label((0, 1)) == "t=0"
     assert place_label((1, 1)) == "t=-1"
@@ -164,6 +204,33 @@ def test_registry_euler_numbers_sum_to_24():
     for model in REGISTRY.values():
         total = sum(F.degree * F.euler_number for F in classify_fibers(model))
         assert total == 24, model.name
+
+
+def test_euler_number_of_each_fiber_is_its_discriminant_order():
+    # so the Euler numbers sum to 24 on every model that classifies, and
+    # classify_fibers needs no check of that sum
+    from test_golden import _random_model
+
+    d4 = get_model("d4")
+    models = list(REGISTRY.values()) + [twist_model(d4, delta) for delta in (-3, 5, 1009)]
+    rng = random.Random(20)
+    for k in range(100):
+        try:
+            models.append(_random_model(rng, k))
+        except VerificationError:
+            pass
+    classified = 0
+    for model in models:
+        try:
+            fibers = classify_fibers(model)
+        except VerificationError:
+            continue
+        classified += 1
+        for F in fibers:
+            assert F.euler_number == F.vdelta, (model.name, F.place)
+        assert sum(F.degree * F.euler_number for F in fibers) == 24, model.name
+    # 96 of the 100 random models classify
+    assert classified == len(REGISTRY) + 3 + 96
 
 
 def test_frozen_surface_counts():
@@ -505,7 +572,7 @@ def test_singular_fibers_are_where_the_cubic_is_singular():
 
 
 def _outcome(count, *args):
-    # the count, or the code and message of the VerificationError it raises
+    # the result, or the code and message of the VerificationError it raises
     try:
         return count(*args)
     except VerificationError as err:

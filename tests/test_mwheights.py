@@ -5,8 +5,9 @@ from fractions import Fraction
 import pytest
 
 from picard20.errors import VerificationError
-from picard20.models import REGISTRY, TABLE_ROWS, get_model
+from picard20.models import REGISTRY, get_model
 from picard20.mwheights import (
+    TABLE_ROWS,
     ConfigLattice,
     _det,
     compute_PO,

@@ -4,16 +4,21 @@ Models are globally minimal with integer polynomial coefficients, deg a_i <= 2i.
 Fiber types come from the characteristic-0 valuation table, so no Tate algorithm
 is run in residue characteristic p; instead good_prime() certifies that the
 reduction mod p has the same local data as the model over Q, and counting at
-p > 3 works fiberwise on the smooth model through component bookkeeping.  The
-Weierstrass cubic of each fiber is counted by one lookup: in a per-prime table
+p > 3 works fiberwise on the smooth model through component bookkeeping.
+Every fiber, t=oo included, is read from c4 and c6 mod p in the one chart t:
+_local takes (f / pi^k)(t0), which at t=oo is the coefficient of
+t^(weight - k).  count_fiber reads a character sum only for smooth and I_n
+fibers, whose Weierstrass cubic it counts by one lookup: in a per-prime table
 of the cubic character sums S(k, k), built in O(p) by one exact integer
 product where c4 and c6 are both nonzero mod p, or, when c4 or c6 vanishes
 at the fiber, in a cache of at most eleven direct sums, one per power-residue
-class; the direct sum _charsum_count is their oracle.  surface_count takes c4
-and c6 at every t in F_p in one pass of forward differences; the cubic's
-discriminant marks the singular fibers (1728 Delta = c4^3 - c6^2), and only
-those and t=oo go to count_fiber, the one-fiber API and the pass's oracle,
-which looks up the fiber's place.  See COUNT_LIMIT for the cost per prime.
+class; the direct sum _charsum_count is their oracle.  An additive fiber
+counts its components, and an I0* fiber splits when its residual cubic
+divides T^p - T.  surface_count takes c4 and c6 at every t in F_p in one pass
+of forward differences; the cubic's discriminant marks the singular fibers
+(1728 Delta = c4^3 - c6^2), and only those and t=oo go to count_fiber, the
+one-fiber API and the pass's oracle, which looks up the fiber's place.  See
+COUNT_LIMIT for the cost per prime.
 
 A prime p > 3 is good when it divides neither d nor one cached integer,
 lead Res(R, R' u4 u6): lead = lead(Delta) lead(c4) lead(c6), R the product of
@@ -32,7 +37,7 @@ from array import array
 from collections import Counter
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
+from math import comb, gcd
 from typing import NamedTuple, Optional
 
 from .arith import is_prime, is_squarefree, kronecker, squarefree_part
@@ -43,18 +48,17 @@ from .polys import (
     padd,
     pdeg,
     pderiv,
-    pdivmod_mod,
     peval_mod,
     pmod,
     pmul,
     poly_str,
     ppow,
+    ppow_mod,
     pquo_exact,
     pscale,
     psub,
     ptrim,
     pvalues_mod,
-    reciprocal,
     resultant,
     valuation,
 )
@@ -68,7 +72,7 @@ _DEGREE_BOUND = {"a1": 2, "a2": 4, "a3": 6, "a4": 8, "a6": 12}
 
 # weights of the invariants: in the chart s = 1/t an invariant f of weight w
 # is s^w f(1/s), so its order at t=oo is w - deg f
-_WEIGHT = {"b2": 4, "b4": 8, "b6": 12, "c4": 8, "c6": 12, "delta": 24}
+_WEIGHT = {"c4": 8, "c6": 12, "delta": 24}
 
 
 def place_label(f: Optional[Poly]) -> str:
@@ -335,9 +339,8 @@ def discriminant(model: SurfaceModel) -> Poly:
 
 def _invariants(model: SurfaceModel) -> dict[str, Poly]:
     """The invariants named in _WEIGHT."""
-    b2, b4, b6, _ = b_invariants(model)
     c4, c6 = c_invariants(model)
-    return {"b2": b2, "b4": b4, "b6": b6, "c4": c4, "c6": c6, "delta": discriminant(model)}
+    return {"c4": c4, "c6": c6, "delta": discriminant(model)}
 
 
 # ---------------------------------------------------------------- classification
@@ -441,14 +444,6 @@ def good_prime(model: SurfaceModel, p: int) -> bool:
 # ---------------------------------------------------------------- counting
 
 
-class _ChartData(NamedTuple):
-    b2: Poly
-    b4: Poly
-    b6: Poly
-    c4: Poly
-    c6: Poly
-
-
 class _CountingContext(NamedTuple):
     p: int
     chi: tuple
@@ -458,8 +453,10 @@ class _CountingContext(NamedTuple):
     # adding to peak memory; None when c4 or c6 is zero mod p
     s_kk: Optional[array]
     s_classes: dict  # S(A, B) with AB = 0, filled by _cubic_sum
-    main: _ChartData
-    chart: _ChartData
+    # c4 and c6 mod p, the one chart every fiber is read from: by pvalues_mod
+    # at every t in F_p, and by _local at a singular fiber and at t=oo
+    c4: Poly
+    c6: Poly
     rank20_split: bool  # rank 20 over Q at a split prime
 
 
@@ -517,28 +514,51 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     for x in range(2, p):
         inverse[x] = (p - p // x) * inverse[p % x] % p
     inverse = array("i", inverse)
-    inv = _invariants(model)
-    main = _ChartData(*(pmod(inv[k], p) for k in _ChartData._fields))
+    c4, c6 = (pmod(c, p) for c in c_invariants(model))
     return _CountingContext(
         p=p,
         chi=chi,
         inverse=inverse,
         # with c4 or c6 zero mod p (j = 0 or 1728) every fiber has a = 0 or
         # b = 0, and the table would never be read
-        s_kk=_cubic_sum_table(p, chi, inverse) if main.c4 and main.c6 else None,
+        s_kk=_cubic_sum_table(p, chi, inverse) if c4 and c6 else None,
         s_classes={},
-        main=main,
-        chart=_ChartData(*(pmod(reciprocal(inv[k], _WEIGHT[k]), p) for k in _ChartData._fields)),
+        c4=c4,
+        c6=c6,
         rank20_split=rank20 and kronecker(model.d, p) == 1,
     )
 
 
-def _charsum_count(ctx: _CountingContext, side: _ChartData, t0: int) -> int:
-    # points on the projective cubic: complete the square, 4x^3+b2x^2+2b4x+b6
-    p, chi = ctx.p, ctx.chi
-    b2v = peval_mod(side.b2, t0, p)
-    b4v = 2 * peval_mod(side.b4, t0, p) % p
-    b6v = peval_mod(side.b6, t0, p)
+def _local(f: Poly, weight: int, t0, k: int, p: int) -> int:
+    """(f / pi^k)(t0) mod p, where pi is t - t0, or 1/t at t0 = INFINITY.
+
+    f is an integer polynomial of weight >= its degree; at t=oo it reads
+    s^weight f(1/s) in the chart s = 1/t, so the value is the coefficient of
+    t^(weight - k).  The Taylor coefficients of f at t0 below the k-th must
+    vanish mod p, or PRECONDITION is raised: the order of f at the place
+    dropped under reduction.
+    """
+    if t0 == INFINITY:
+        taylor = [f[weight - j] if weight - j < len(f) else 0 for j in range(k + 1)]
+    else:
+        # the j-th Taylor coefficient at t0 is sum over i of C(i, j) f_i t0^(i - j)
+        taylor = [
+            peval_mod([comb(i, j) * a for i, a in enumerate(f[j:], j)], t0, p)
+            for j in range(k + 1)
+        ]
+    if any(c % p for c in taylor[:k]):
+        raise VerificationError("PRECONDITION", "valuation dropped under reduction")
+    return taylor[k] % p
+
+
+def _charsum_count(model: SurfaceModel, p: int, t0) -> int:
+    """Points on the fiber's projective Weierstrass cubic at t0, by the direct
+    character sum over x: the oracle of count_fiber at smooth and I_n fibers."""
+    # complete the square: y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
+    chi = _counting_context(model, p).chi
+    b2, b4, b6, _ = b_invariants(model)
+    b2v, b4v, b6v = (_local(f, w, t0, 0, p) for f, w in ((b2, 4), (b4, 8), (b6, 12)))
+    b4v = 2 * b4v % p
     s = 0
     for x in range(p):
         s += chi[(((4 * x + b2v) * x + b4v) * x + b6v) % p]
@@ -589,26 +609,17 @@ def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
     return total
 
 
-def _shifted_value(fbar: Poly, t0: int, k: int, p: int) -> int:
-    """(f / (t - t0)^k)(t0) mod p, for f of valuation >= k at t0."""
-    if not fbar:
-        return 0
-    lin = ((p - t0) % p, 1)
-    for _ in range(k):
-        fbar, r = pdivmod_mod(fbar, lin, p)
-        if r:
-            raise VerificationError("PRECONDITION", "valuation dropped under reduction")
-    return peval_mod(fbar, t0, p)
-
-
-def _star_splits(ctx: _CountingContext, side: _ChartData, t0: int) -> bool:
+def _star_splits(ctx: _CountingContext, t0) -> bool:
     # I_0*: four simple components, three of which match the roots of the
-    # residual cubic T^3 - 3 c4' T - 2 c6' with c4' = (c4/pi^2)(t0) etc.
+    # residual cubic T^3 - 3 c4' T - 2 c6' with c4' = (c4/pi^2)(t0) etc.  Its
+    # discriminant is 108 (c4'^3 - c6'^2), a unit times (Delta/pi^6)(t0), and
+    # good_prime keeps v(Delta) = 6 here: the cubic is squarefree mod p, so its
+    # three roots lie in F_p exactly when it divides T^p - T
     p = ctx.p
-    a = _shifted_value(side.c4, t0, 2, p)
-    b = _shifted_value(side.c6, t0, 3, p)
-    cubic = ptrim(((-2 * b) % p, (-3 * a) % p, 0, 1))
-    return sum(1 for T in range(p) if peval_mod(cubic, T, p) == 0) == 3
+    a = _local(ctx.c4, _WEIGHT["c4"], t0, 2, p)
+    b = _local(ctx.c6, _WEIGHT["c6"], t0, 3, p)
+    cubic = ((-2 * b) % p, (-3 * a) % p, 0, 1)
+    return ppow_mod((0, 1), p, cubic, p) == (0, 1)
 
 
 def count_fiber(model: SurfaceModel, p: int, t0) -> int:
@@ -618,20 +629,19 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
     singular exactly when its Weierstrass cubic is, since 1728 Delta = c4^3 - c6^2.
     """
     ctx = _counting_context(model, p)
-    t0v = 0 if t0 == INFINITY else int(t0) % p
-    side = ctx.chart if t0 == INFINITY else ctx.main
+    if t0 != INFINITY:
+        t0 = int(t0) % p
     # points on the projective cubic, as _charsum_count counts them: for p > 3
     # X = 36x + 3b2 maps y^2 = 4x^3+b2x^2+2b4x+b6 to 108^2 y^2 = X^3 + aX + b
-    a = -27 * peval_mod(side.c4, t0v, p) % p
-    b = -54 * peval_mod(side.c6, t0v, p) % p
-    count = p + 1 + _cubic_sum(ctx, a, b)
+    a = -27 * _local(ctx.c4, _WEIGHT["c4"], t0, 0, p) % p
+    b = -54 * _local(ctx.c6, _WEIGHT["c6"], t0, 0, p) % p
     if (4 * a * a * a + 27 * b * b) % p:
-        return count
+        return p + 1 + _cubic_sum(ctx, a, b)
     # t0 is a root of Delta mod p; good_prime keeps the places pairwise coprime
     # mod p, so it lies on exactly one of them (t=oo comes last)
     fibers = classify_fibers(model)
     datum = fibers[-1] if t0 == INFINITY else next(
-        F for F in fibers if F.poly is not None and peval_mod(F.poly, t0v, p) == 0
+        F for F in fibers if F.poly is not None and peval_mod(F.poly, t0, p) == 0
     )
     sym = datum.kodaira_type
     k = kodaira(sym)
@@ -639,6 +649,7 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         # the Weierstrass cubic is nodal (good_prime keeps v(c4) = 0): p points
         # when the node's tangents are rational, p + 2 when they are conjugate;
         # for n >= 2 the smooth model replaces the node by an n-cycle of rational curves
+        count = p + 1 + _cubic_sum(ctx, a, b)
         if k.n == 1:
             return count
         if count == p:
@@ -653,7 +664,7 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         )
     # additive: II, III* and II* need no test, since a graph symmetry that fixes
     # the identity component is trivial there, so Frobenius fixes every component
-    if sym == "I0*" and not _star_splits(ctx, side, t0v):
+    if sym == "I0*" and not _star_splits(ctx, t0):
         why = "residual cubic does not split"
     elif sym not in ("II", "I0*", "III*", "II*") and not ctx.rank20_split:
         # III, IV, IV*, I_b* (b >= 1): rationality granted by rank 20 over Q at split p
@@ -680,8 +691,8 @@ def surface_count(model: SurfaceModel, p: int) -> int:
     ctx = _counting_context(model, p)
     chi, inverse, s_kk = ctx.chi, ctx.inverse, ctx.s_kk
     node = -27 * inverse[4] % p  # the k with 4k + 27 = 0
-    a_values = pvalues_mod(pscale(ctx.main.c4, -27), p)
-    b_values = pvalues_mod(pscale(ctx.main.c6, -54), p)
+    a_values = pvalues_mod(pscale(ctx.c4, -27), p)
+    b_values = pvalues_mod(pscale(ctx.c6, -54), p)
     sums, singular, a_axis, b_axis = 0, [], [], []
     for t0, a, b in zip(range(p), a_values, b_values):
         if a and b:

@@ -3,7 +3,7 @@
 Coefficients are ints (the ring operations also take Fractions), plain ints
 in [0, p) for the mod-p layer.  The zero polynomial is the empty tuple.
 Nothing here knows about surfaces; this is shared plumbing for exact
-valuations, the chart at infinity, and reduction mod p.  Factoring over Z
+valuations and reduction mod p.  Factoring over Z
 (Zassenhaus: factors mod a small prime, Hensel-lifted and recombined) and
 resultants (Euclid on primitive pseudo-remainders) are done here too, so the
 package needs nothing outside the standard library.
@@ -35,7 +35,6 @@ __all__ = [
     "pderiv",
     "pquo_exact",
     "valuation",
-    "reciprocal",
     "poly_str",
     "factor_int_poly",
     "resultant",
@@ -43,6 +42,7 @@ __all__ = [
     "peval_mod",
     "pvalues_mod",
     "pdivmod_mod",
+    "ppow_mod",
 ]
 
 
@@ -140,18 +140,6 @@ def valuation(f: Poly, g: Poly) -> int:
     while (f := pquo_exact(f, g)) is not None:
         v += 1
     return v
-
-
-def reciprocal(f: Poly, weight: int) -> Poly:
-    """s^weight * f(1/s) as a polynomial in s; requires deg(f) <= weight."""
-    if pdeg(f) > weight:
-        raise VerificationError(
-            "PRECONDITION", f"degree {pdeg(f)} exceeds reciprocal weight {weight}"
-        )
-    out = [0] * (weight + 1)
-    for i, a in enumerate(f):
-        out[weight - i] = a
-    return ptrim(out)
 
 
 def poly_str(f: Poly) -> str:
@@ -324,18 +312,6 @@ def _monic(f: Poly, q: int) -> Poly:
     return tuple(a * inv % q for a in f)
 
 
-def _powmod(a: Poly, e: int, g: Poly, p: int) -> Poly:
-    """a^e mod (g, p) for e >= 1 and a reduced mod g."""
-    out = None
-    while True:
-        if e & 1:
-            out = a if out is None else pdivmod_mod(pmul(out, a), g, p)[1]
-        e >>= 1
-        if not e:
-            return out
-        a = pdivmod_mod(pmul(a, a), g, p)[1]
-
-
 def _gcd_mod(a: Poly, b: Poly, p: int) -> Poly:
     while b:
         a, b = b, pdivmod_mod(a, b, p)[1]
@@ -359,7 +335,7 @@ def _distinct_degree(f: Poly, p: int) -> list[tuple[Poly, int]]:
     out, x, h, d = [], (0, 1), (0, 1), 0
     while 2 * (d + 1) <= pdeg(f):
         d += 1
-        h = _powmod(h, p, f, p)  # x^(p^d) mod f
+        h = ppow_mod(h, p, f, p)  # x^(p^d) mod f
         g = _gcd_mod(f, pmod(psub(h, x), p), p)
         if pdeg(g) > 0:
             out.append((g, d))
@@ -375,7 +351,7 @@ def _equal_degree(g: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
         return [g]
     while True:
         u = ptrim(rng.randrange(p) for _ in range(pdeg(g)))
-        w = _gcd_mod(g, pmod(psub(_powmod(u, (p**d - 1) // 2, g, p), (1,)), p), p)
+        w = _gcd_mod(g, pmod(psub(ppow_mod(u, (p**d - 1) // 2, g, p), (1,)), p), p)
         if 0 < pdeg(w) < pdeg(g):
             rest = pdivmod_mod(g, w, p)[0]
             return _equal_degree(w, d, p, rng) + _equal_degree(rest, d, p, rng)
@@ -441,3 +417,15 @@ def pdivmod_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
             quo[i] = c
             rem[i : i + n] = [a - c * b for a, b in zip(rem[i : i + n], g)]
     return ptrim(quo), pmod(rem[: n - 1], p)
+
+
+def ppow_mod(a: Poly, e: int, g: Poly, p: int) -> Poly:
+    """a^e mod (g, p) for e >= 1 and a reduced mod g."""
+    out = None
+    while True:
+        if e & 1:
+            out = a if out is None else pdivmod_mod(pmul(out, a), g, p)[1]
+        e >>= 1
+        if not e:
+            return out
+        a = pdivmod_mod(pmul(a, a), g, p)[1]

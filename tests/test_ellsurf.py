@@ -49,12 +49,14 @@ from picard20.ellsurf import (
     _cubic_sum,
     _cubic_sum_table,
     _kodaira_from_valuations,
+    _local,
+    _star_splits,
     replace,
 )
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, ap_h1
 from picard20.models import REGISTRY, get_model
-from picard20.polys import peval, peval_mod
+from picard20.polys import pdivmod_mod, peval, peval_mod, pmod
 from picard20.qforms import twist_discriminant
 
 _INF = 10**9
@@ -339,7 +341,6 @@ def test_fiber_sums_match_the_character_sum():
         for p in primes_up_to(199):
             if not good_prime(model, p):
                 continue
-            ctx = _counting_context(model, p)
             singular = {INFINITY: F for F in fibers if F.poly is None}
             for F in fibers:
                 if F.poly is not None:
@@ -350,8 +351,7 @@ def test_fiber_sums_match_the_character_sum():
                 F = singular.get(t0)
                 if F is not None and not F.kodaira_type[1:].isdecimal():
                     continue  # additive
-                side, t0v = (ctx.chart, 0) if t0 == INFINITY else (ctx.main, t0)
-                count = _charsum_count(ctx, side, t0v)
+                count = _charsum_count(model, p, t0)
                 where = (model.name, p, t0)
                 if F is None or F.component_count == 1:
                     tally["smooth" if F is None else "I1"] += 1
@@ -437,8 +437,8 @@ AXIS_TRACES = {
 def test_axis_surfaces_never_build_the_table(monkeypatch):
     # c4 = 0 on d3 and c6 = 0 on d4 and its twists, so no fiber reads S(k, k):
     # with the table made to fail, the traces are still the ones above; and
-    # _cubic_sum runs once per power-residue class (at most 11) and once per
-    # singular fiber (at most 24, t=oo included), not once per fiber
+    # _cubic_sum runs once per power-residue class (at most 11) and at most
+    # once per singular fiber (at most 24, t=oo included), not once per fiber
     import picard20.ellsurf as ellsurf
 
     def refuse(*args):
@@ -465,6 +465,8 @@ def test_axis_surfaces_never_build_the_table(monkeypatch):
             calls.clear()
             traces.append(trace_ap(model, p))
             assert len(calls) <= 11 + 24, (model.name, p, len(calls))
+            # an additive fiber (a = b = 0) takes no sum: it counts its components
+            assert all(a or b for _, a, b in calls), (model.name, p)
         assert traces == AXIS_TRACES[model.name]
 
 
@@ -569,6 +571,73 @@ def test_singular_fibers_are_where_the_cubic_is_singular():
             at_infinity = _cubic_is_singular(_at(c4, INFINITY, 8), _at(c6, INFINITY, 12), p)
             assert at_infinity == (fibers[-1].poly is None), (model.name, p)
     assert pairs == 4339
+
+
+def _singular_places():
+    # (model, p, t0, fiber) at every singular place of the sweep: the roots
+    # mod p of the finite places, and t=oo where a fiber lies there
+    for model, fibers, primes in _sweep():
+        for p in primes:
+            for F in fibers:
+                if F.poly is None:
+                    yield model, p, INFINITY, F
+                else:
+                    for t0 in range(p):
+                        if peval_mod(F.poly, t0, p) == 0:
+                            yield model, p, t0, F
+
+
+def _shifted_value(f, weight: int, t0, k: int, p: int) -> int:
+    # the oracle of _local: at t=oo the chart s = 1/t, where f reads
+    # s^weight f(1/s), at s = 0; then k divisions by t - t0 (or by s), each
+    # with a zero remainder, and the quotient's value at t0
+    if t0 == INFINITY:
+        f, t0 = tuple(reversed((*f, *[0] * (weight + 1 - len(f))))), 0
+    f = pmod(f, p)
+    if not f:
+        return 0
+    for _ in range(k):
+        f, r = pdivmod_mod(f, ((p - t0) % p, 1), p)
+        if r:
+            raise VerificationError("PRECONDITION", "valuation dropped under reduction")
+    return peval_mod(f, t0, p)
+
+
+def test_local_values_match_the_reciprocal_chart_and_the_division_loop():
+    # c4 and c6 at every singular place of the sweep, t=oo included, and
+    # (c4 / pi^2, c6 / pi^3) at every I0* place, where one more order of pi is
+    # refused by both readers unless the invariant vanishes identically
+    places, refused, stars = 0, 0, {"finite": 0, "t=oo": 0}
+    for model, p, t0, F in _singular_places():
+        c4, c6 = c_invariants(model)
+        readings = [(c4, 8, 0), (c6, 12, 0)]
+        if F.kodaira_type == "I0*":
+            stars["t=oo" if t0 == INFINITY else "finite"] += 1
+            readings += [(c4, 8, 2), (c6, 12, 3), (c4, 8, 3), (c6, 12, 4)]
+        for f, weight, k in readings:
+            value = _outcome(_local, f, weight, t0, k, p)
+            assert value == _outcome(_shifted_value, f, weight, t0, k, p), (
+                model.name, p, t0, weight, k,
+            )
+            refused += isinstance(value, tuple)
+        places += 1
+    assert (places, refused, stars) == (6168, 346, {"finite": 175, "t=oo": 129})
+
+
+def test_star_splits_matches_the_root_scan():
+    # T^p = T mod the residual cubic against its three roots in F_p, at every
+    # I0* place of the sweep and at both I0* fibers of ISTAR_FRAME
+    pairs = [(model, p, t0) for model, p, t0, F in _singular_places() if F.kodaira_type == "I0*"]
+    pairs += [(ISTAR_FRAME, p, t0) for p in (7, 11, 13, 17) for t0 in (0, INFINITY)]
+    verdicts = {True: 0, False: 0}
+    for model, p, t0 in pairs:
+        ctx = _counting_context(model, p)
+        a = _local(ctx.c4, 8, t0, 2, p)
+        b = _local(ctx.c6, 12, t0, 3, p)
+        roots = sum(1 for T in range(p) if (T * T * T - 3 * a * T - 2 * b) % p == 0)
+        verdicts[roots == 3] += 1
+        assert _star_splits(ctx, t0) == (roots == 3), (model.name, p, t0)
+    assert len(pairs) == 304 + 8 and min(verdicts.values()) > 0
 
 
 def _outcome(count, *args):

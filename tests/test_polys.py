@@ -30,7 +30,6 @@ from picard20.polys import (
     psub,
     ptrim,
     pvalues_mod,
-    reciprocal,
     resultant,
     valuation,
     poly_str,
@@ -144,13 +143,6 @@ def test_integer_division_matches_the_oracle_at_every_place():
                 assert pquo_exact(f, ppow(g, v + 1)) is None, (model.name, g, f)
                 pairs += 1
     assert pairs == 359
-
-
-def test_reciprocal_pads_to_weight():
-    f = (3, 0, 1)  # t^2 + 3 in weight 4 frame -> s^2 (3 s^2 + 1)
-    assert reciprocal(f, 4) == (0, 0, 1, 0, 3)
-    with pytest.raises(VerificationError):
-        reciprocal((0, 0, 0, 1), 2)
 
 
 @given(coeffs)

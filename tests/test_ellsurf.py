@@ -587,7 +587,7 @@ def _singular_places():
                             yield model, p, t0, F
 
 
-def _shifted_value(f, weight: int, t0, k: int, p: int) -> int:
+def _dividing_reader(f, weight: int, t0, k: int, p: int) -> int:
     # the oracle of _local: at t=oo the chart s = 1/t, where f reads
     # s^weight f(1/s), at s = 0; then k divisions by t - t0 (or by s), each
     # with a zero remainder, and the quotient's value at t0
@@ -616,7 +616,7 @@ def test_local_values_match_the_reciprocal_chart_and_the_division_loop():
             readings += [(c4, 8, 2), (c6, 12, 3), (c4, 8, 3), (c6, 12, 4)]
         for f, weight, k in readings:
             value = _outcome(_local, f, weight, t0, k, p)
-            assert value == _outcome(_shifted_value, f, weight, t0, k, p), (
+            assert value == _outcome(_dividing_reader, f, weight, t0, k, p), (
                 model.name, p, t0, weight, k,
             )
             refused += isinstance(value, tuple)

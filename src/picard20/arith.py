@@ -17,6 +17,7 @@ __all__ = [
     "kronecker",
     "cornacchia",
     "prime_flags",
+    "primes_above_3",
     "primes_up_to",
     "factorize",
     "squarefree_part",
@@ -136,10 +137,21 @@ def prime_flags(bound: int) -> bytearray:
     return flags
 
 
+def primes_above_3(flags: bytearray) -> compress:
+    """The primes p > 3 that flags (from prime_flags) marks, ascending, lazily.
+
+    compress reads the odd n alone, half of flags, and makes each p only
+    when it is asked for. A sorted list of the n = 1 or 5 mod 6 reads a
+    third, but it makes every p before `ap` pops its stream, so the freed
+    stream keys stay as holes: 10 MB more peak RSS at 10^7.
+    """
+    return compress(range(5, len(flags), 2), memoryview(flags)[5::2])
+
+
 def primes_up_to(bound: int) -> list[int]:
     """All primes <= bound, by sieve."""
     flags = prime_flags(bound)
-    return list(compress(range(len(flags)), flags))
+    return [p for p in (2, 3) if p <= bound] + list(primes_above_3(flags))
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

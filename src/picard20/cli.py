@@ -15,8 +15,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .errors import VerificationError
 
@@ -35,7 +35,8 @@ def _render(obj, pad: str = "") -> str:
     The exact types str, small int, None, list and tuple are tested first,
     and list items of the scalar ones are formatted inline, without a call
     per item; bools, subclasses, Fractions, big ints, floats and dicts take
-    the isinstance chain below.
+    the isinstance chain below. A list of exact tuples of one length whose
+    columns _table accepts is rendered by _table, column by column.
     """
     kind = type(obj)
     if kind is str:
@@ -49,6 +50,8 @@ def _render(obj, pad: str = "") -> str:
     if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if type(obj[0]) is tuple and (body := _table(obj, inner)) is not None:
+            return f"[\n{inner}{body}\n{pad}]"
         # the items are joined straight from the comprehension, so they are
         # freed before the f-string copies the body
         body = sep.join([
@@ -79,6 +82,35 @@ def _render(obj, pad: str = "") -> str:
         return f"{{\n{inner}{body}\n{pad}}}"
     # floats, and a TypeError for what JSON cannot hold
     return json.dumps(obj)
+
+
+def _table(rows, pad: str) -> str | None:
+    """The items of rows rendered at pad and joined, when rows is a table.
+
+    A table's rows are exact tuples of one length k >= 1, and each column
+    is all exact str, or all exact int under 2^53 in size, None allowed.
+    Its columns are mapped to text at C speed and every row is one %
+    format; anything else is None, and takes the per-item path.
+    """
+    if set(map(type, rows)) != {tuple} or len(set(map(len, rows))) != 1 or not rows[0]:
+        return None
+    cells = []
+    for column in map(itemgetter, range(len(rows[0]))):
+        kinds = set(map(type, map(column, rows)))
+        if kinds == {str}:
+            cells.append(map(_quote, map(column, rows)))
+        elif not kinds <= {int, type(None)} or (
+            max(map(abs, filter(None, map(column, rows))), default=0) >= _JSON_INT_LIMIT
+        ):
+            return None
+        elif type(None) in kinds:
+            # get(v, v): null for None, the int itself otherwise
+            cells.append(map({None: "null"}.get, map(column, rows), map(column, rows)))
+        else:
+            cells.append(map(column, rows))
+    inner = pad + "  "
+    row = f"[\n{inner}" + f",\n{inner}".join(["%s"] * len(cells)) + f"\n{pad}]"
+    return f",\n{pad}".join(map(row.__mod__, zip(*cells)))
 
 
 def _emit(obj, out: str | None = None, code: int = 0) -> int:
@@ -156,8 +188,8 @@ def _cmd_classify(args) -> int:
 
 
 # ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.27-0.43 s at a
-# 37-38 MB peak RSS and --pmax 10^7 2.0-2.6 s at 203 MB
+# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.21-0.36 s at a
+# 37-38 MB peak RSS and --pmax 10^7 1.9-2.3 s at 203 MB
 _AP_LIMIT = 10**7
 
 
@@ -169,7 +201,7 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
     render's peak low. Each kind is read from one table of split_types, at
     p mod |d_K|.
     """
-    from .arith import kronecker, prime_flags
+    from .arith import kronecker, prime_flags, primes_above_3
     from .heckecm import SPLIT, CMRule, no_representation, split_stream, split_types
     from .qforms import twist_discriminant
 
@@ -180,7 +212,7 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
     kinds = split_types(d_K)
     modulus = len(kinds)
     rows = []
-    for p in compress(range(4, len(flags)), memoryview(flags)[4:]):
+    for p in primes_above_3(flags):
         kind = kinds[p % modulus]
         ap = None
         if kind == SPLIT:

@@ -1,6 +1,7 @@
 """Integer kernels against brute-force oracles."""
 
 import math
+from itertools import compress
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,8 @@ from picard20.arith import (
     is_square,
     is_squarefree,
     kronecker,
+    prime_flags,
+    primes_above_3,
     primes_up_to,
     squarefree_part,
 )
@@ -26,6 +29,15 @@ def _sieve(bound: int) -> list[int]:
 
 def test_primes_up_to_matches_trial_division():
     assert primes_up_to(500) == _sieve(500)
+
+
+def test_prime_lists_match_compress_over_every_n():
+    # primes_above_3 reads only the odd n; 2 and 3 come from primes_up_to
+    for bound in [*range(2001), 10**6]:
+        flags = prime_flags(bound)
+        every = list(compress(range(len(flags)), flags))
+        assert primes_up_to(bound) == every, bound
+        assert list(primes_above_3(flags)) == [p for p in every if p > 3], bound
 
 
 def test_is_prime_matches_sieve():

@@ -166,12 +166,13 @@ class TestAp:
 
         split_stream = picard20.heckecm.split_stream
 
-        def without_13(d_K, pmax, flags=None):
+        def without_13_and_17(d_K, pmax, flags=None):
             stream = split_stream(d_K, pmax, flags)
-            del stream[13]
+            del stream[13], stream[17]
             return stream
 
-        monkeypatch.setattr(picard20.heckecm, "split_stream", without_13)
+        # the error names the first missing prime, so the primes come in order
+        monkeypatch.setattr(picard20.heckecm, "split_stream", without_13_and_17)
         code, blob = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "100", "--twist", twist)
         assert code == 1
         assert blob["error"] == {
@@ -599,6 +600,30 @@ class _Row(NamedTuple):
     ap: int | None
 
 
+# lists of exact tuples of one length, each column exact str or exact int
+# under 2^53 with None allowed: _table renders them column by column
+TABLE_CASES = [
+    [(5, "split", -6), (7, "inert", None), (3, "ramified", None)],
+    [(2**53 - 1, "under"), (1 - 2**53, "minus_under"), (0, "")],
+    [(5, None), (7, None)],
+    [(5, "split", -6)],
+    [(None,), (1,)],
+]
+
+# lists of tuples that _table leaves to the per-item path
+NOT_TABLES = [
+    [(2**53 - 1, "a"), (2**53, "b")],
+    [(1 - 2**53,), (-(2**53),)],
+    [(1, "a"), (True, "b")],
+    [("a", 1), (_Name("b"), 2)],
+    [(1, 2), (3,)],
+    [(1,), (2, 3)],
+    [(), ()],
+    [(1, 2), [3, 4]],
+    [(1, (2, 3)), (4, (5,))],
+    [(Fraction(1, 2), 1), (0.5, 2)],
+]
+
 RENDER_CASES = [
     {},
     [],
@@ -622,7 +647,15 @@ RENDER_CASES = [
     [_Row(5, "split", -6), _Row(7, "inert", None)],
     (2**53 - 1, -(2**53 - 1), 2**53, -(2**53)),
     [1, None, 2, None, None, 3],
+    *TABLE_CASES,
+    *NOT_TABLES,
+    {"rows": TABLE_CASES[0], "dK": -4, "empty": [(), ()]},
 ]
+
+
+def test_tables_take_the_table_path_and_the_rest_do_not():
+    assert all(cli._table(rows, "") is not None for rows in TABLE_CASES)
+    assert all(cli._table(rows, "") is None for rows in NOT_TABLES)
 
 
 @pytest.mark.parametrize("obj", RENDER_CASES, ids=range(len(RENDER_CASES)))
@@ -659,6 +692,26 @@ _documents = st.recursive(
 @given(_documents)
 def test_render_matches_the_json_oracle_on_random_documents(obj):
     assert cli._render(obj) == oracle_text(obj)
+
+
+# _documents almost never draws a table: here each column draws from one
+# kind, so most lists are tables and the rest sit next to one
+_columns = st.sampled_from([
+    st.integers(min_value=-(2**53) - 1, max_value=2**53 + 1),
+    st.integers(min_value=-9, max_value=9) | st.none(),
+    st.text(max_size=4),
+    _scalars,
+])
+_tables = st.lists(_columns, min_size=1, max_size=4).flatmap(
+    lambda columns: st.lists(st.tuples(*columns), min_size=1, max_size=6)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables)
+def test_render_matches_the_json_oracle_on_random_tables(rows):
+    for obj in (rows, {"rows": rows, "in_a_list": [rows]}):
+        assert cli._render(obj) == oracle_text(obj)
 
 
 def test_render_peak_memory_stays_under_half_of_json_dumps():

@@ -18,9 +18,9 @@ def _load(name: str):
 
 
 def test_ap_stages_times_every_stage_of_the_ap_document(capsys):
-    # stages patches arith.prime_flags and heckecm.split_stream; a patch that
-    # no longer intercepts its call leaves its stage unset, and stages raises
-    # KeyError
+    # stages patches arith.prime_flags, arith.primes_above_3 and
+    # heckecm.split_stream; a patch that no longer intercepts its call leaves
+    # its stage unset, and stages raises KeyError
     ap_stages = _load("ap_stages")
     out = ap_stages.stages(-4, 1, 1000)
     assert set(ap_stages.STAGES) <= set(out)

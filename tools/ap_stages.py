@@ -1,14 +1,17 @@
-"""In-process stage split of `picard20 ap`: sieve, norm-form walk, rows, render, write.
+"""In-process stage split of `picard20 ap`: sieve, prime list, norm-form walk, rows, render, write.
 
 Run from the root of a checkout, with its `src` on PYTHONPATH:
 
     PYTHONPATH=src python3 tools/ap_stages.py --dK -4 --pmax 1000000 --repeat 7
 
 Each repeat builds the `ap` document as the CLI does, in one warm process.
-`sieve` and `walk` are the `prime_flags` and `split_stream` calls that
-`cli._ap_rows` makes, `rows` is the rest of `_ap_rows`, `render` is
-`cli._render` of the document and `write` is writing its text to the null
-device. Prints one JSON line with the median seconds of each stage.
+`sieve`, `primes` and `walk` are the `prime_flags`, `primes_above_3` and
+`split_stream` calls that `cli._ap_rows` makes. `primes` is its own stage,
+not part of `sieve`: `primes_above_3` returns a lazy iterator, which the
+tool reads to its end under the timer, so `_ap_rows` then walks a list.
+`rows` is the rest of `_ap_rows`, `render` is `cli._render` of the document
+and `write` is writing its text to the null device, so the stages sum to the
+whole document. Prints one JSON line with the median seconds of each stage.
 """
 
 from __future__ import annotations
@@ -24,20 +27,25 @@ import picard20.arith
 import picard20.heckecm
 from picard20 import cli
 
-STAGES = ("sieve", "walk", "rows", "render", "write")
+STAGES = ("sieve", "primes", "walk", "rows", "render", "write")
 
 
 def stages(d_K: int, twist: int, pmax: int) -> dict:
     """Seconds of each stage of one `ap` document, and its length in bytes."""
     spent = {}
-    patched = [(picard20.arith, "prime_flags"), (picard20.heckecm, "split_stream")]
+    patched = [
+        (picard20.arith, "prime_flags"),
+        (picard20.arith, "primes_above_3"),
+        (picard20.heckecm, "split_stream"),
+    ]
     originals = [getattr(module, name) for module, name in patched]
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             try:
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                return list(out) if name == "primes_above_3" else out
             finally:
                 spent[name] = spent.get(name, 0.0) + time.perf_counter() - start
 
@@ -63,8 +71,9 @@ def stages(d_K: int, twist: int, pmax: int) -> dict:
         write = time.perf_counter() - start
     return {
         "sieve": spent["prime_flags"],
+        "primes": spent["primes_above_3"],
         "walk": spent["split_stream"],
-        "rows": ap_rows - spent["prime_flags"] - spent["split_stream"],
+        "rows": ap_rows - sum(spent.values()),
         "render": render,
         "write": write,
         "stdout_bytes": len(text.encode()),

@@ -15,8 +15,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 
 from .errors import VerificationError
 
@@ -36,7 +36,7 @@ def _render(obj, pad: str = "") -> str:
     and list items of the scalar ones are formatted inline, without a call
     per item; bools, subclasses, Fractions, big ints, floats and dicts take
     the isinstance chain below. A list of exact tuples of one length whose
-    columns _table accepts is rendered by _table, column by column.
+    columns _table accepts is rendered by _table, as one % format.
     """
     kind = type(obj)
     if kind is str:
@@ -89,28 +89,37 @@ def _table(rows, pad: str) -> str | None:
 
     A table's rows are exact tuples of one length k >= 1, and each column
     is all exact str, or all exact int under 2^53 in size, None allowed.
-    Its columns are mapped to text at C speed and every row is one %
-    format; anything else is None, and takes the per-item path.
+    The cells are flattened once and each column, the slice cells[i::k], is
+    checked and converted in place: a str column quotes each distinct value
+    once, and an int column maps None to null. The whole table is then one
+    % format of the row template repeated len(rows) times; the cells are
+    substituted, never parsed, so a % in a string stays literal. Anything
+    else is None, and takes the per-item path.
     """
     if set(map(type, rows)) != {tuple} or len(set(map(len, rows))) != 1 or not rows[0]:
         return None
-    cells = []
-    for column in map(itemgetter, range(len(rows[0]))):
-        kinds = set(map(type, map(column, rows)))
+    k = len(rows[0])
+    cells = list(chain.from_iterable(rows))
+    for i in range(k):
+        column = cells[i::k]
+        kinds = set(map(type, column))
         if kinds == {str}:
-            cells.append(map(_quote, map(column, rows)))
+            quoted = {v: _quote(v) for v in set(column)}
+            cells[i::k] = map(quoted.__getitem__, column)
         elif not kinds <= {int, type(None)} or (
-            max(map(abs, filter(None, map(column, rows))), default=0) >= _JSON_INT_LIMIT
+            max(map(abs, filter(None, column)), default=0) >= _JSON_INT_LIMIT
         ):
             return None
         elif type(None) in kinds:
             # get(v, v): null for None, the int itself otherwise
-            cells.append(map({None: "null"}.get, map(column, rows), map(column, rows)))
-        else:
-            cells.append(map(column, rows))
+            cells[i::k] = map({None: "null"}.get, column, column)
+    # the last column and the list are dropped before the template is built,
+    # so that the format holds one copy of the cells, not two
+    del column
+    cells = tuple(cells)
     inner = pad + "  "
-    row = f"[\n{inner}" + f",\n{inner}".join(["%s"] * len(cells)) + f"\n{pad}]"
-    return f",\n{pad}".join(map(row.__mod__, zip(*cells)))
+    row = f"[\n{inner}" + f",\n{inner}".join(["%s"] * k) + f"\n{pad}]"
+    return f",\n{pad}".join([row] * len(rows)) % cells
 
 
 def _emit(obj, out: str | None = None, code: int = 0) -> int:
@@ -188,8 +197,8 @@ def _cmd_classify(args) -> int:
 
 
 # ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.21-0.36 s at a
-# 37-38 MB peak RSS and --pmax 10^7 1.9-2.3 s at 203 MB
+# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.31-0.43 s at a
+# 36.5 MB peak RSS and --pmax 10^7 2.0-3.0 s at 182.5 MB
 _AP_LIMIT = 10**7
 
 

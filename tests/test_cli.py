@@ -601,13 +601,18 @@ class _Row(NamedTuple):
 
 
 # lists of exact tuples of one length, each column exact str or exact int
-# under 2^53 with None allowed: _table renders them column by column
+# under 2^53 with None allowed: _table renders each as one % format
 TABLE_CASES = [
     [(5, "split", -6), (7, "inert", None), (3, "ramified", None)],
     [(2**53 - 1, "under"), (1 - 2**53, "minus_under"), (0, "")],
     [(5, None), (7, None)],
     [(5, "split", -6)],
     [(None,), (1,)],
+    # cells are substituted into the template, never parsed as formats
+    [("%", 1), ("%s", 2), ("%%", 3), ("%(x)s", 4), ("%d%", 5)],
+    [("Néron–Severi \u2603 \U0001f600",), ('tab\t "quoted" back\\slash\n\x00',), ("",)],
+    [(3, "split"), (5, "split"), (7, "split"), (11, "split")],
+    [(0,), (None,), (2**53 - 1,), (1 - 2**53,), (None,), (0,)],
 ]
 
 # lists of tuples that _table leaves to the per-item path
@@ -712,6 +717,16 @@ _tables = st.lists(_columns, min_size=1, max_size=4).flatmap(
 def test_render_matches_the_json_oracle_on_random_tables(rows):
     for obj in (rows, {"rows": rows, "in_a_list": [rows]}):
         assert cli._render(obj) == oracle_text(obj)
+
+
+@pytest.mark.parametrize("twist", [1, 5])
+@pytest.mark.parametrize("d_K", [-3, -4, -7, -8, -11, -19, -43, -67, -163])
+def test_ap_document_matches_json_dumps_in_every_class_number_one_field(d_K, twist):
+    # the rows hold small ints, the three kind strings and None, which
+    # json.dumps takes as they are
+    doc = {"dK": d_K, "twist": twist, "pmax": 20000, "rows": cli._ap_rows(d_K, twist, 20000)}
+    assert cli._table(doc["rows"], "    ") is not None
+    assert cli._render(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 
 def test_render_peak_memory_stays_under_half_of_json_dumps():

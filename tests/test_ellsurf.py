@@ -44,6 +44,7 @@ from picard20.ellsurf import (
     twist_model,
 )
 from picard20.ellsurf import (
+    _axis_sum,
     _charsum_count,
     _counting_context,
     _cubic_sum,
@@ -56,7 +57,7 @@ from picard20.ellsurf import (
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, ap_h1
 from picard20.models import REGISTRY, get_model
-from picard20.polys import pdivmod_mod, peval, peval_mod, pmod
+from picard20.polys import pdivmod_mod, peval, peval_mod, pmod, pscale, pvalues_mod
 from picard20.qforms import twist_discriminant
 
 _INF = 10**9
@@ -437,8 +438,9 @@ AXIS_TRACES = {
 def test_axis_surfaces_never_build_the_table(monkeypatch):
     # c4 = 0 on d3 and c6 = 0 on d4 and its twists, so no fiber reads S(k, k):
     # with the table made to fail, the traces are still the ones above; and
-    # _cubic_sum runs once per power-residue class (at most 11) and at most
-    # once per singular fiber (at most 24, t=oo included), not once per fiber
+    # _cubic_sum runs once per square class of a and cube class of b (at most
+    # 2 + 3) and at most once per singular fiber (at most 24, t=oo included),
+    # not once per fiber
     import picard20.ellsurf as ellsurf
 
     def refuse(*args):
@@ -464,7 +466,7 @@ def test_axis_surfaces_never_build_the_table(monkeypatch):
         for p in primes:
             calls.clear()
             traces.append(trace_ap(model, p))
-            assert len(calls) <= 11 + 24, (model.name, p, len(calls))
+            assert len(calls) <= 5 + 24, (model.name, p, len(calls))
             # an additive fiber (a = b = 0) takes no sum: it counts its components
             assert all(a or b for _, a, b in calls), (model.name, p)
         assert traces == AXIS_TRACES[model.name]
@@ -665,6 +667,37 @@ def test_surface_count_is_the_sum_of_its_fibers():
             key = expected[0] if isinstance(expected, tuple) else "count"
             tally[key] = tally.get(key, 0) + 1
     assert tally == {"count": 3797, "COMPONENTS_NOT_RATIONAL": 542}
+
+
+def test_axis_sums_match_the_direct_sum_of_every_value():
+    # at every pair of the sweep, _axis_sum (one direct sum per square class
+    # of a and per cube class of b, none on an axis whose sums all vanish)
+    # against the direct sum over X at each value, chi taken by Euler's
+    # criterion; and the context's chi is Euler's criterion
+    tally = {"a": 0, "b": 0, "a_vanish": 0, "b_vanish": 0, "both_signs": 0}
+    for model, _, primes in _sweep():
+        for p in primes:
+            ctx = _counting_context(model, p)
+            euler = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
+            assert list(ctx.chi) == euler, p
+            a_values = pvalues_mod(pscale(ctx.c4, -27), p)
+            b_values = pvalues_mod(pscale(ctx.c6, -54), p)
+            a_axis = [a for a, b in zip(a_values, b_values) if a and not b]
+            b_axis = [b for a, b in zip(a_values, b_values) if b and not a]
+            direct = {}
+            for a, b in [(a, 0) for a in a_axis] + [(0, b) for b in b_axis]:
+                if (a, b) not in direct:
+                    direct[a, b] = sum(euler[(x * x * x + a * x + b) % p] for x in range(p))
+            expected = sum(direct[a, 0] for a in a_axis) + sum(direct[0, b] for b in b_axis)
+            assert _axis_sum(ctx, a_axis, b_axis) == expected, (model.name, p)
+            for axis, values, power, vanish in (
+                ("a", a_axis, 4, p % 4 == 3), ("b", b_axis, 6, p % 3 == 2)
+            ):
+                if values:
+                    tally[axis + "_vanish" if vanish else axis] += 1
+                    keys = {pow(v, (p - 1) // gcd(power, p - 1), p) for v in values}
+                    tally["both_signs"] += not vanish and any(p - k in keys for k in keys)
+    assert tally == {"a": 1317, "b": 1281, "a_vanish": 1467, "b_vanish": 1372, "both_signs": 415}
 
 
 def test_gated_additive_fiber_at_inert_prime():

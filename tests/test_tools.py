@@ -24,6 +24,7 @@ def test_ap_stages_times_every_stage_of_the_ap_document(capsys):
     ap_stages = _load("ap_stages")
     out = ap_stages.stages(-4, 1, 1000)
     assert set(ap_stages.STAGES) <= set(out)
+    assert out["render_peak_mb"] > 0
     assert main(["ap", "--dK", "-4", "--pmax", "1000"]) == 0
     assert out["stdout_bytes"] == len(capsys.readouterr().out.encode())
 

@@ -11,7 +11,10 @@ not part of `sieve`: `primes_above_3` returns a lazy iterator, which the
 tool reads to its end under the timer, so `_ap_rows` then walks a list.
 `rows` is the rest of `_ap_rows`, `render` is `cli._render` of the document
 and `write` is writing its text to the null device, so the stages sum to the
-whole document. Prints one JSON line with the median seconds of each stage.
+whole document. `render_peak_mb` is the tracemalloc peak of `cli._render` of
+the same document, in MiB, taken in a second pass that is not timed, since
+tracing slows every allocation. Prints one JSON line with the median seconds
+of each stage and the median render peak.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import os
 import platform
 import statistics
 import time
+import tracemalloc
 
 import picard20.arith
 import picard20.heckecm
@@ -69,6 +73,12 @@ def stages(d_K: int, twist: int, pmax: int) -> dict:
         fh.write(text)
         fh.flush()
         write = time.perf_counter() - start
+    tracemalloc.start()
+    try:
+        cli._render(doc)
+        render_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     return {
         "sieve": spent["prime_flags"],
         "primes": spent["primes_above_3"],
@@ -77,6 +87,7 @@ def stages(d_K: int, twist: int, pmax: int) -> dict:
         "render": render,
         "write": write,
         "stdout_bytes": len(text.encode()),
+        "render_peak_mb": render_peak / 2**20,
     }
 
 
@@ -90,6 +101,7 @@ def main() -> None:
     runs = [stages(args.dK, args.twist, args.pmax) for _ in range(args.repeat)]
     out = {key: round(statistics.median(r[key] for r in runs), 4) for key in STAGES}
     out.update(
+        render_peak_mb=round(statistics.median(r["render_peak_mb"] for r in runs), 2),
         stdout_bytes=runs[0]["stdout_bytes"],
         repeat=args.repeat,
         python=platform.python_version(),

@@ -1,7 +1,8 @@
 """Exact arithmetic checks for singular elliptic K3 surfaces.
 
 Subpackage map:
-    arith     -- integer kernels: primality, Kronecker symbol, Cornacchia
+    arith     -- integer kernels: primality, Kronecker symbol, prime sieve,
+                 factoring
     qforms    -- binary quadratic forms, form class groups, discriminant scans,
                  the form lemma
     heckecm   -- CM Hecke eigenvalue rules and twist matching

@@ -2,7 +2,9 @@
 
 Everything here is deterministic and exact; Python integers make overflow a
 non-issue. These routines sit under every other module, so they favour
-clarity plus exhaustive-oracle testability over cleverness.
+clarity plus exhaustive-oracle testability over cleverness. Cornacchia's
+solver, the per-prime oracle of heckecm.split_stream, lives in
+tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .errors import VerificationError
 __all__ = [
     "is_prime",
     "kronecker",
-    "cornacchia",
     "prime_flags",
     "primes_above_3",
     "primes_up_to",
@@ -94,33 +95,6 @@ def is_square(n: int) -> bool:
         return False
     r = math.isqrt(n)
     return r * r == n
-
-
-def cornacchia(D: int, m: int) -> tuple[int, int] | None:
-    """Solve x^2 + D*y^2 = m in nonnegative integers, D >= 1, m >= 1.
-
-    Returns the solution with maximal y among primitive ones (gcd(x,y) = 1);
-    if only imprimitive solutions exist, the one with maximal y overall.
-    None exactly when no solution exists. A descent over y from isqrt(m/D)
-    that stops at the first primitive solution: up to about sqrt(m/D) steps
-    of one isqrt each, about 1,600 near p = 10^7 for d_K = -4 (m = p, D = 4).
-    Through heckecm.ap_h1 this is the per-prime oracle of the CM stream,
-    which heckecm.split_stream reads off one walk of the norm form.
-    """
-    if D < 1 or m < 1:
-        raise ValueError("cornacchia requires D >= 1 and m >= 1")
-    fallback = None
-    y = math.isqrt(m // D)
-    while y >= 0:
-        r = m - D * y * y
-        x = math.isqrt(r)
-        if x * x == r:
-            if math.gcd(x, y) == 1:
-                return (x, y)
-            if fallback is None:
-                fallback = (x, y)
-        y -= 1
-    return fallback
 
 
 def prime_flags(bound: int) -> bytearray:

@@ -4,9 +4,10 @@ verify_surface ties the geometric traces of a rank-20 model to its CM newform
 prime by prime: a_p comparison after twist identification, the Brauer square
 (2p - a_p)/|d| = M^2, and the explicit representation p = x^2 + D y^2 that
 certifies principal splitting.  That certificate is
-heckecm.principality_certificate, the inverse of heckecm.ap_h1.  The report
-of verify_surface is the plain dict that the CLI prints; no other record of
-it is kept.
+heckecm.principality_certificate, the inverse of the a_p that
+heckecm.split_stream computes; the stream's per-prime oracle, ap_h1, lives
+in tests/oracles.py.  The report of verify_surface is the plain dict that
+the CLI prints; no other record of it is kept.
 """
 
 from __future__ import annotations

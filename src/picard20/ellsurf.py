@@ -302,23 +302,19 @@ def _section_on_model(s: SectionData, m: SurfaceModel) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def b_invariants(model: SurfaceModel) -> tuple[Poly, Poly, Poly, Poly]:
-    """(b2, b4, b6, b8) of the model."""
+def b_invariants(model: SurfaceModel) -> tuple[Poly, Poly, Poly]:
+    """(b2, b4, b6) of the model."""
     a1, a2, a3, a4, a6 = model.a1, model.a2, model.a3, model.a4, model.a6
     b2 = padd(pmul(a1, a1), pscale(a2, 4))
     b4 = padd(pscale(a4, 2), pmul(a1, a3))
     b6 = padd(pmul(a3, a3), pscale(a6, 4))
-    b8 = padd(pmul(pmul(a1, a1), a6), pscale(pmul(a2, a6), 4))
-    b8 = psub(b8, pmul(a1, pmul(a3, a4)))
-    b8 = padd(b8, pmul(a2, pmul(a3, a3)))
-    b8 = psub(b8, pmul(a4, a4))
-    return b2, b4, b6, b8
+    return b2, b4, b6
 
 
 @functools.lru_cache(maxsize=None)
 def c_invariants(model: SurfaceModel) -> tuple[Poly, Poly]:
     """(c4, c6) of the model."""
-    b2, b4, b6, _ = b_invariants(model)
+    b2, b4, b6 = b_invariants(model)
     c4 = psub(pmul(b2, b2), pscale(b4, 24))
     c6 = padd(psub(pscale(pmul(b2, b4), 36), ppow(b2, 3)), pscale(b6, -216))
     return c4, c6
@@ -326,14 +322,10 @@ def c_invariants(model: SurfaceModel) -> tuple[Poly, Poly]:
 
 @functools.lru_cache(maxsize=None)
 def discriminant(model: SurfaceModel) -> Poly:
-    """Delta(t); satisfies 1728 Delta = c4^3 - c6^2."""
-    b2, b4, b6, b8 = b_invariants(model)
-    delta = pscale(pmul(pmul(b2, b2), b8), -1)
-    delta = psub(delta, pscale(ppow(b4, 3), 8))
-    delta = psub(delta, pscale(pmul(b6, b6), 27))
-    delta = padd(delta, pscale(pmul(b2, pmul(b4, b6)), 9))
+    """Delta(t) = (c4^3 - c6^2)/1728, a division that is exact in Z[t]."""
     c4, c6 = c_invariants(model)
-    assert psub(pscale(delta, 1728), psub(ppow(c4, 3), pmul(c6, c6))) == ()
+    delta = pquo_exact(psub(ppow(c4, 3), pmul(c6, c6)), (1728,))
+    assert delta is not None
     return delta
 
 
@@ -557,7 +549,7 @@ def _charsum_count(model: SurfaceModel, p: int, t0) -> int:
     character sum over x: the oracle of count_fiber at smooth and I_n fibers."""
     # complete the square: y^2 = 4x^3 + b2 x^2 + 2 b4 x + b6
     chi = _counting_context(model, p).chi
-    b2, b4, b6, _ = b_invariants(model)
+    b2, b4, b6 = b_invariants(model)
     b2v, b4v, b6v = (_local(f, w, t0, 0, p) for f, w in ((b2, 4), (b4, 8), (b6, 12)))
     b4v = 2 * b4v % p
     s = 0

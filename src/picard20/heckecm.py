@@ -7,9 +7,9 @@ a_p = 2(x^2 - D'y^2) where p = x^2 + D'y^2 with x, y in (1/2)N. The constant
 D' normalizes away the extra units for d_K = -3 and -4. split_stream reads
 a_p of every split p up to a bound off one walk of the norm form against the
 prime sieve, computing each from the X^2 and D'Y^2 the walk already holds.
-norm_form_ap turns one solution into a_p, and ap_h1, which solves one prime
-at a time by cornacchia, is the stream's oracle. principality_certificate
-is the inverse, reading p = x^2 + Dy^2 back from a_p.
+The stream's oracle, which solves one prime at a time by Cornacchia's
+algorithm, lives in tests/oracles.py. principality_certificate is the
+inverse, reading p = x^2 + Dy^2 back from a_p.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .arith import cornacchia, is_square, is_squarefree, kronecker, prime_flags
+from .arith import is_square, is_squarefree, kronecker, prime_flags
 from .errors import VerificationError
 from .qforms import class_number, is_fundamental_discriminant, twist_discriminant
 
@@ -28,13 +28,10 @@ __all__ = [
     "RAMIFIED",
     "CMRule",
     "TwistVerdict",
-    "split_type",
     "split_types",
     "norm_form",
     "split_stream",
-    "norm_form_ap",
     "no_representation",
-    "ap_h1",
     "principality_certificate",
     "match_twist",
 ]
@@ -79,22 +76,14 @@ class CMRule(_CMFields):
 _KINDS = (RAMIFIED, SPLIT, INERT)
 
 
-def split_type(d_K: int, p: int) -> str:
-    """How the prime p behaves in Q(sqrt(d_K)), read from kronecker(d_K, p).
-
-    p must be prime. This is not checked: every caller takes p from
-    primes_up_to, and the sieve is the proof.
-    """
-    return _KINDS[kronecker(d_K, p)]
-
-
 def split_types(d_K: int) -> list[str]:
-    """split_type(d_K, p) of every prime p, as a table read at p mod |d_K|.
+    """How each prime p behaves in Q(sqrt(d_K)), as a table read at p mod |d_K|.
 
     kronecker(d_K, .) is a character mod |d_K| for a discriminant d_K, so one
     symbol per residue 0 < r < |d_K| serves every prime. Residue 0 is the
     prime |d_K| itself, when it is one, and is ramified; so is every p
-    dividing d_K. split_type is the table's oracle.
+    dividing d_K. Its oracle, split_type, which reads kronecker(d_K, p) one
+    prime at a time, lives in tests/oracles.py.
     """
     return [RAMIFIED] + [_KINDS[kronecker(d_K, r)] for r in range(1, abs(d_K))]
 
@@ -119,11 +108,10 @@ def split_stream(d_K: int, pmax: int, flags: bytearray | None = None) -> dict[in
     parity that makes scale divide the sum (odd for scale 1, that of Y for
     scale 4), looked up in flags = prime_flags(pmax); pass flags to share one
     sieve. Once D' absorbs the extra units, +-pi and +-conj(pi) are the only
-    elements of norm p, so each split p has exactly one solution with X, Y > 0:
-    the one cornacchia(D', scale*p) returns in ap_h1. Ramified p are dropped.
-    At a hit the walk holds X^2 and D'Y^2, so it stores
-    a_p = 2(X^2 - D'Y^2)/scale there; norm_form_ap of the same solution is
-    its oracle.
+    elements of norm p, so each split p has exactly one solution with X, Y > 0.
+    Ramified p are dropped. At a hit the walk holds X^2 and D'Y^2, so it
+    stores a_p = 2(X^2 - D'Y^2)/scale there. Its oracle, which solves each
+    prime by Cornacchia's algorithm, lives in tests/oracles.py.
     """
     Dp, scale = norm_form(d_K)
     if flags is None:
@@ -144,42 +132,6 @@ def no_representation(d_K: int, p: int) -> VerificationError:
     """The NO_REPRESENTATION error of a split p whose norm form has no solution."""
     Dp, scale = norm_form(d_K)
     return VerificationError("NO_REPRESENTATION", f"{scale * p} = x^2 + {Dp}y^2 has no solution")
-
-
-def norm_form_ap(d_K: int, p: int, sol: tuple[int, int] | None) -> int:
-    """a_p = 2(X^2 - D'Y^2)/scale of the untwisted newform at a split p.
-
-    sol is the norm-form solution (X, Y) of p, from cornacchia; None, when p
-    has none, is NO_REPRESENTATION. This is ap_h1's formula and the oracle of
-    the a_p that split_stream computes in its walk.
-    """
-    if sol is None:
-        raise no_representation(d_K, p)
-    Dp, scale = norm_form(d_K)
-    x, y = sol
-    ap = 2 * (x * x - Dp * y * y) // scale
-    assert abs(ap) <= 2 * p
-    return ap
-
-
-def ap_h1(rule: CMRule, p: int) -> int:
-    """Coefficient a_p of the newform of the rule, one prime at a time.
-
-    Split p: solve scale*p = X^2 + D'Y^2 by cornacchia and return
-    norm_form_ap. Inert p gives 0. A twist by delta multiplies the result by
-    kronecker(delta*, p), delta* the discriminant of Q(sqrt(delta)). This is
-    the per-prime oracle of split_stream; the CLI reads the stream.
-    """
-    st = split_type(rule.d_K, p)
-    if st == RAMIFIED:
-        raise VerificationError("PRECONDITION", f"p = {p} is not unramified")
-    if st == INERT:
-        return 0
-    Dp, scale = norm_form(rule.d_K)
-    ap = norm_form_ap(rule.d_K, p, cornacchia(Dp, scale * p))
-    if rule.twist is not None:
-        ap *= kronecker(twist_discriminant(rule.twist), p)
-    return ap
 
 
 def principality_certificate(p: int, ap: int, D: int) -> tuple[Fraction, Fraction]:
@@ -235,20 +187,18 @@ def match_twist(
 ) -> TwistVerdict:
     """Identify the twist relating geometric a_p data to the base newform.
 
-    Inert and ramified rows are discarded; at least 5 split rows must
-    remain. A candidate fits when it agrees with the data at every split
-    row, and the first that fits is the verdict. The candidates, in order:
+    Inert and ramified rows, read from split_types at p mod |d_K|, are
+    discarded; at least 5 split rows must remain. A candidate fits when it
+    agrees with the data at every split row, and the first that fits is the
+    verdict. The candidates, in order:
     the base stream; for d_K = -4, the base stream times kronecker(delta*, p)
     for each squarefree 1 < |delta| <= _TWIST_SEARCH_BOUND; for d_K = -3,
     the class of streams whose every a_p has a principality certificate
     with D = 3. If none fits, the verdict is no_match at the first split
     prime where the data leaves the base stream.
     """
-    rows = [
-        (p, ap)
-        for p, ap in geometric
-        if split_type(rule.d_K, p) == SPLIT
-    ]
+    kinds = split_types(rule.d_K)
+    rows = [(p, ap) for p, ap in geometric if kinds[p % len(kinds)] == SPLIT]
     if len(rows) < _MIN_MATCH_PRIMES:
         raise VerificationError(
             "INSUFFICIENT_DATA",

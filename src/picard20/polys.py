@@ -31,7 +31,6 @@ __all__ = [
     "pmul",
     "pscale",
     "ppow",
-    "peval",
     "pderiv",
     "pquo_exact",
     "valuation",
@@ -94,13 +93,6 @@ def ppow(f: Poly, k: int) -> Poly:
     for _ in range(k):
         out = pmul(out, f)
     return out
-
-
-def peval(f: Poly, x):
-    acc = 0
-    for a in reversed(f):
-        acc = acc * x + a
-    return acc
 
 
 def pderiv(f: Poly) -> Poly:

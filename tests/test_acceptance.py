@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from picard20.arith import is_prime, is_square, kronecker, primes_up_to
 from picard20.atverify import verify_surface
-from picard20.heckecm import CMRule, ap_h1, split_type
+from picard20.heckecm import CMRule
 from picard20.models import REGISTRY, get_model
 from picard20.mwheights import (
     compute_PO,
@@ -33,7 +33,7 @@ from picard20.qforms import (
     lemma_r_check,
 )
 
-from helpers import composition_table
+from oracles import ap_h1, composition_table, split_type
 
 EXPECTED_H1 = [-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163]
 

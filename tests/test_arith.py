@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picard20.arith import (
-    cornacchia,
     factorize,
     is_prime,
     is_square,
@@ -20,6 +19,8 @@ from picard20.arith import (
     squarefree_part,
 )
 from picard20.errors import VerificationError
+
+from oracles import cornacchia
 
 
 def _sieve(bound: int) -> list[int]:

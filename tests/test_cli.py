@@ -145,9 +145,9 @@ class TestAp:
         # cornacchia is the per-prime oracle of the stream, never on the CLI path
         import picard20.arith
         import picard20.heckecm
+        from oracles import cornacchia
 
         calls = []
-        cornacchia = picard20.arith.cornacchia
 
         def counted(D, m):
             calls.append(m)

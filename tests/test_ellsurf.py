@@ -55,10 +55,12 @@ from picard20.ellsurf import (
     replace,
 )
 from picard20.errors import VerificationError
-from picard20.heckecm import CMRule, ap_h1
+from picard20.heckecm import CMRule
 from picard20.models import REGISTRY, get_model
-from picard20.polys import pdivmod_mod, peval, peval_mod, pmod, pscale, pvalues_mod
+from picard20.polys import pdivmod_mod, peval_mod, pmod, pscale, pvalues_mod
 from picard20.qforms import twist_discriminant
+
+from oracles import ap_h1, b_discriminant, peval
 
 _INF = 10**9
 
@@ -527,9 +529,10 @@ def _cubic_is_singular(c4v: int, c6v: int, p: int) -> bool:
     return (4 * a * a * a + 27 * b * b) % p == 0
 
 
-def _sweep():
-    # (model, fibers, good p < 200) for the registry, three d4 twists and the
-    # seeded random models of the golden sweep that classify: 4,339 pairs
+def _sweep_models() -> list:
+    # the registry, three d4 twists and the 100 seeded random models of the
+    # golden sweep (a draw whose discriminant vanishes identically would be
+    # refused and skipped; none does)
     from test_golden import _random_model
 
     d4 = get_model("d4")
@@ -540,13 +543,27 @@ def _sweep():
             models.append(_random_model(rng, k))
         except VerificationError:
             pass
-    for model in models:
+    return models
+
+
+def _sweep():
+    # (model, fibers, good p < 200) for the models of _sweep_models that
+    # classify: 4,339 pairs
+    for model in _sweep_models():
         try:
             fibers = classify_fibers(model)
             primes = [p for p in primes_up_to(199) if good_prime(model, p)]
         except VerificationError:
             continue
         yield model, fibers, primes
+
+
+def test_discriminant_equals_the_b_form():
+    # (c4^3 - c6^2)/1728 against -b2^2 b8 - 8 b4^3 - 27 b6^2 + 9 b2 b4 b6
+    models = _sweep_models()
+    assert len(models) == 109
+    for model in models:
+        assert discriminant(model) == b_discriminant(model), model.name
 
 
 def test_singular_fibers_are_where_the_cubic_is_singular():

@@ -6,20 +6,19 @@ against independent surface point counts (see test_ellsurf) before freezing.
 
 import pytest
 
-from picard20.arith import cornacchia, is_square, kronecker, primes_up_to
+from picard20.arith import is_square, kronecker, primes_up_to
 from picard20.errors import VerificationError
 from picard20.heckecm import (
     CMRule,
-    ap_h1,
     match_twist,
     norm_form,
-    norm_form_ap,
     principality_certificate,
     split_stream,
-    split_type,
     split_types,
 )
 from picard20.qforms import is_fundamental_discriminant, twist_discriminant
+
+from oracles import ap_h1, cornacchia, norm_form_ap, split_type
 
 FROZEN_STREAMS = {
     -3: [(7, -13), (13, -1), (19, 11), (31, -46), (37, 47), (43, -22)],

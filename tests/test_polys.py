@@ -19,7 +19,6 @@ from picard20.polys import (
     pdeg,
     pderiv,
     pdivmod_mod,
-    peval,
     peval_mod,
     pmod,
     pmul,
@@ -34,6 +33,8 @@ from picard20.polys import (
     valuation,
     poly_str,
 )
+
+from oracles import peval
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=7)
 

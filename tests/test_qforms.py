@@ -25,7 +25,7 @@ from picard20.qforms import (
     represented_primes,
 )
 
-from helpers import composition_table
+from oracles import composition_table
 
 
 def _brute_class_number(d: int) -> int:

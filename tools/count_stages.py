@@ -12,14 +12,12 @@ primes:
     context  building the counting context (chi and the inverses), table excluded
     table    _cubic_sum_table, the S(k, k) table
     values   the two pvalues_mod calls, c4 and c6 at every t
-    axis     the sums of the fibers with a = 0 or b = 0: _axis_sum where it
-             exists, otherwise every _cubic_sum call made during the count
+    axis     _axis_sum, the sums of the fibers with a = 0 or b = 0
     pass     the rest of surface_count: the fiber pass and the singular fibers
 
-Each stage is timed by wrapping its function in the `ellsurf` module, and a
-wrapper called once per fiber (the `_cubic_sum` of a checkout without
-`_axis_sum`) adds its own call cost to `axis`.  `total` is the same counts
-with no wrapper.  Prints one JSON line with the median seconds of each stage.
+Each stage is timed by wrapping its function in the `ellsurf` module.
+`total` is the same counts with no wrapper.  Prints one JSON line with the
+median seconds of each stage.
 """
 
 from __future__ import annotations
@@ -52,9 +50,8 @@ def stages(model, pmax: int) -> dict:
         p for p in primes_up_to(pmax)
         if ellsurf.good_prime(model, p) and kronecker(model.d, p) == 1
     ]
-    axis = "_axis_sum" if hasattr(ellsurf, "_axis_sum") else "_cubic_sum"
     names = {"_counting_context": "context", "_cubic_sum_table": "table",
-             "pvalues_mod": "values", axis: "axis"}
+             "pvalues_mod": "values", "_axis_sum": "axis"}
     spent = dict.fromkeys(names.values(), 0.0)
     originals = {name: getattr(ellsurf, name) for name in names}
 

@@ -64,18 +64,18 @@ def _geom_for_prime(model: SurfaceModel, D: int, p: int) -> dict:
     try:
         ap = trace_ap(model, p)
     except VerificationError as exc:
-        return {"p": p, "status": "error", "reason": f"{exc.code}: {exc.message}"}
+        return {"p": p, "status": "error", "reason": str(exc)}
     row = {"p": p, "status": "ok", "ap_geom": ap, "two_p_minus_ap": 2 * p - ap}
     row["M_squared"] = row["M"] = row["certificate"] = None
     errors = []
     try:
         row["M_squared"], row["M"] = brauer_square(p, ap, model.d)
     except VerificationError as exc:
-        errors.append(f"{exc.code}: {exc.message}")
+        errors.append(str(exc))
     try:
         row["certificate"] = principality_certificate(p, ap, D)
     except VerificationError as exc:
-        errors.append(f"{exc.code}: {exc.message}")
+        errors.append(str(exc))
     if errors:
         row["reason"] = "; ".join(errors)
     return row
@@ -104,7 +104,7 @@ def verify_surface(
         raise VerificationError("PRECONDITION", f"pmax={pmax} exceeds the count limit {COUNT_LIMIT}")
     d_K, N = fundamental_decomposition(model.d)
     rule = CMRule(d_K)
-    primes = list(primes_up_to(pmax))
+    primes = primes_up_to(pmax)
     # the fork start method launches every worker on the first submit
     workers = min(workers or 1, os.cpu_count() or 1)
     if workers > 1:

@@ -32,44 +32,32 @@ _TWO_TORSION_NOTE = (
 def _render(obj, pad: str = "") -> str:
     """obj as JSON at the indent pad, the next level two spaces deeper.
 
-    The exact types str, small int, None, list and tuple are tested first,
-    and list items of the scalar ones are formatted inline, without a call
-    per item; bools, subclasses, Fractions, big ints, floats and dicts take
-    the isinstance chain below. A list of exact tuples of one length whose
+    One isinstance branch per JSON kind, bool before int: str, bool, int
+    (quoted at 2^53 in size), None, Fraction (quoted), list or tuple, dict,
+    and json.dumps for the rest. A list of exact tuples of one length whose
     columns _table accepts is rendered by _table, as one % format.
     """
-    kind = type(obj)
-    if kind is str:
-        return _quote(obj)
-    if kind is int and -_JSON_INT_LIMIT < obj < _JSON_INT_LIMIT:
-        return str(obj)
-    if obj is None:
-        return "null"
-    inner = pad + "  "
-    sep = ",\n" + inner
-    if kind is list or kind is tuple or isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if type(obj[0]) is tuple and (body := _table(obj, inner)) is not None:
-            return f"[\n{inner}{body}\n{pad}]"
-        # the items are joined straight from the comprehension, so they are
-        # freed before the f-string copies the body
-        body = sep.join([
-            _quote(v) if (t := type(v)) is str
-            else str(v) if t is int and -_JSON_INT_LIMIT < v < _JSON_INT_LIMIT
-            else "null" if v is None
-            else _render(v, inner)
-            for v in obj
-        ])
-        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, str):
         return _quote(obj)
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, int):
         return _quote(str(obj)) if abs(obj) >= _JSON_INT_LIMIT else str(obj)
+    if obj is None:
+        return "null"
     if isinstance(obj, Fraction):
         return _quote(str(obj))
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if type(obj[0]) is tuple and (body := _table(obj, inner)) is not None:
+            return f"[\n{inner}{body}\n{pad}]"
+        # the items are joined straight from the comprehension, so they are
+        # freed before the f-string copies the body
+        body = sep.join([_render(v, inner) for v in obj])
+        return f"[\n{inner}{body}\n{pad}]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

@@ -8,17 +8,17 @@ p > 3 works fiberwise on the smooth model through component bookkeeping.
 Every fiber, t=oo included, is read from c4 and c6 mod p in the one chart t:
 _local takes (f / pi^k)(t0), which at t=oo is the coefficient of
 t^(weight - k).  count_fiber reads a character sum only for smooth and I_n
-fibers, whose Weierstrass cubic it counts by one lookup: in a per-prime table
+fibers, whose Weierstrass cubic it counts by one lookup in a per-prime table
 of the cubic character sums S(k, k), built in O(p) by one exact integer
 product where c4 and c6 are both nonzero mod p, or, when c4 or c6 vanishes
-at the fiber, in a cache of at most eleven direct sums, one per power-residue
-class; the direct sum _charsum_count is their oracle.  An additive fiber
-counts its components, and an I0* fiber splits when its residual cubic
-divides T^p - T.  surface_count takes c4 and c6 at every t in F_p in one pass
-of forward differences; the cubic's discriminant marks the singular fibers
-(1728 Delta = c4^3 - c6^2), and only those and t=oo go to count_fiber, the
-one-fiber API and the pass's oracle, which looks up the fiber's place.  See
-COUNT_LIMIT for the cost per prime.
+at the fiber, by a direct sum, of which _axis_sum takes at most five, one
+per power-residue class; the direct sum _charsum_count is their oracle.  An
+additive fiber counts its components, and an I0* fiber splits when its
+residual cubic divides T^p - T.  surface_count takes c4 and c6 at every t in
+F_p in one pass of forward differences; the cubic's discriminant marks the
+singular fibers (1728 Delta = c4^3 - c6^2), and only those and t=oo go to
+count_fiber, the one-fiber API and the pass's oracle, which looks up the
+fiber's place.  See COUNT_LIMIT for the cost per prime.
 
 A prime p > 3 is good when it divides neither d nor one cached integer,
 lead Res(R, R' u4 u6): lead = lead(Delta) lead(c4) lead(c6), R the product of
@@ -444,7 +444,6 @@ class _CountingContext(NamedTuple):
     # F_p, in an array, not a tuple of ints, to keep the cached context from
     # adding to peak memory; None when c4 or c6 is zero mod p
     s_kk: Optional[array]
-    s_classes: dict  # S(A, B) with AB = 0, filled by _cubic_sum
     # c4 and c6 mod p, the one chart every fiber is read from: by pvalues_mod
     # at every t in F_p, and by _local at a singular fiber and at t=oo
     c4: Poly
@@ -515,7 +514,6 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         # with c4 or c6 zero mod p (j = 0 or 1728) every fiber has a = 0 or
         # b = 0, and the table would never be read
         s_kk=_cubic_sum_table(p, chi, inverse) if c4 and c6 else None,
-        s_classes={},
         c4=c4,
         c6=c6,
         rank20_split=rank20 and kronecker(model.d, p) == 1,
@@ -564,37 +562,33 @@ def _class_exponent(p: int, power: int) -> int:
 
 
 def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
-    """S(a, b) = sum over X in F_p of chi(X^3 + a X + b), by one lookup.
+    """S(a, b) = sum over X in F_p of chi(X^3 + a X + b).
 
     X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b); with v = a/b and ab != 0
-    that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2.  With v = u^2 it gives
-    S(u^4 a, u^6 b) = S(a, b), so when ab = 0 the sum depends only on the class
-    of a modulo fourth powers and of b modulo sixth powers.  Since F_p^* is
-    cyclic, the power a^((p - 1)/gcd(4, p - 1)) names the class of a (0 for
-    a = 0), and likewise for b; so at most gcd(4, p - 1) + gcd(6, p - 1) + 1
-    <= 11 sums are taken directly, once each.
+    that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2, one lookup.  With
+    ab = 0 the sum is taken directly, in O(p); _axis_sum takes one per class.
     """
     p, chi = ctx.p, ctx.chi
     if a and b:
         inverse = ctx.inverse
         return chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
-    key = (pow(a, _class_exponent(p, 4), p), pow(b, _class_exponent(p, 6), p))
-    if key not in ctx.s_classes:
-        ctx.s_classes[key] = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
-    return ctx.s_classes[key]
+    return sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
 
 
 def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
     """The sum of S(a, 0) over a in a_axis and of S(0, b) over b in b_axis.
 
-    X -> vX gives S(v^2 a, 0) = chi(v) S(a, 0) and S(0, v^3 b) = chi(v) S(0, b).
-    Each value is keyed by its class modulo fourth or sixth powers, named by
-    _class_exponent as _cubic_sum keys it, and the keys k and p - k name one
-    square class of a, or one cube class of b, whose sums differ in sign; so
-    one direct sum is taken per square or cube class, through _cubic_sum on
-    one representative.  With p = 3 mod 4 every S(a, 0) is 0, as X -> -X
-    flips each term, and with p = 2 mod 3 every S(0, b) is 0, as cubing
-    permutes F_p; those axes take no sum at all.
+    X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b), as in _cubic_sum, so
+    S(v^2 a, 0) = chi(v) S(a, 0) and S(0, v^3 b) = chi(v) S(0, b); with
+    v = u^2, S(a, 0) depends only on the class of a modulo fourth powers and
+    S(0, b) on that of b modulo sixth powers.  Since F_p^* is cyclic, the
+    power v^_class_exponent(p, power) names the class of v, and the keys k
+    and p - k name one square class of a, or one cube class of b, whose sums
+    differ in sign; so one direct sum is taken per square or cube class,
+    through _cubic_sum on one representative: at most 2 for a and 3 for b.
+    With p = 3 mod 4 every S(a, 0) is 0, as X -> -X flips each term, and
+    with p = 2 mod 3 every S(0, b) is 0, as cubing permutes F_p; those axes
+    take no sum at all.
     """
     p, total = ctx.p, 0
     for values, power, vanish in ((a_axis, 4, p % 4 == 3), (b_axis, 6, p % 3 == 2)):

@@ -647,7 +647,7 @@ RENDER_CASES = [
     {"ümlaut": "ü", "snowman\u2603": ["\U0001f600"]},
     [0.5, -1e300, {"h": 1.25}],
     {"nested": {"deep": [{"x": [Fraction(1, 3), 2**53, True, None, "s"]}]}},
-    # items whose exact type is not a scalar's take the isinstance chain
+    # an IntEnum, a bool and a str subclass render as the JSON kind they subclass
     [(5, _Level.LOW, True, _Name("split"), False)],
     [_Row(5, "split", -6), _Row(7, "inert", None)],
     (2**53 - 1, -(2**53 - 1), 2**53, -(2**53)),

@@ -5,12 +5,12 @@ it agrees with count_fiber exactly on irreducible fibers (smooth, I1, II),
 which pins down the counting machinery. On I_n fibers (n >= 2) it decides
 rationality: count_fiber gives n p exactly when the nodal cubic has p points
 (split node) and refuses exactly when it has p + 2. count_fiber reads each
-smooth and multiplicative fiber off a per-prime table of cubic character sums
-and a cache of direct sums; the direct character sum _charsum_count is the
-oracle of that kernel, fiber by fiber, and the table and the cache are checked
-against the sums they stand for. The other multi-component formulas are
-validated globally through the trace identity against the CM coefficients, an
-independently implemented pipeline.
+smooth and multiplicative fiber off a per-prime table of cubic character sums,
+or, with c4 or c6 zero there, a direct sum; the direct character sum
+_charsum_count is the oracle of that kernel, fiber by fiber, and the table and
+the axis sums are checked against the sums they stand for. The other
+multi-component formulas are validated globally through the trace identity
+against the CM coefficients, an independently implemented pipeline.
 """
 
 import json
@@ -474,10 +474,21 @@ def test_axis_surfaces_never_build_the_table(monkeypatch):
         assert traces == AXIS_TRACES[model.name]
 
 
-def test_axis_sums_stay_within_the_power_residue_classes():
-    # c4 = 0 on d3 and c6 = 0 on d4, so every fiber's cubic has A = 0 or B = 0
-    # and is read from the class cache; one direct sum per fiber instead would
-    # be O(p^2) per prime and leave the cache empty
+def test_axis_sums_stay_within_the_power_residue_classes(monkeypatch):
+    # c4 = 0 on d3 and c6 = 0 on d4, so every fiber's cubic has A = 0 or B = 0;
+    # _axis_sum takes one direct sum per square class of A (2 when p = 1 mod 4)
+    # and cube class of B (3 when p = 1 mod 3), where one per fiber would be
+    # O(p^2) per prime
+    import picard20.ellsurf as ellsurf
+
+    sums = 0
+
+    def counted(ctx, a, b):
+        nonlocal sums
+        sums += not (a and b)
+        return _cubic_sum(ctx, a, b)
+
+    monkeypatch.setattr(ellsurf, "_cubic_sum", counted)
     for name in ("d3", "d4"):
         model = get_model(name)
         primes = [
@@ -486,9 +497,11 @@ def test_axis_sums_stay_within_the_power_residue_classes():
         ]
         assert len(primes) == 21, name
         for p in primes:
+            _counting_context.cache_clear()
+            sums = 0
             trace_ap(model, p)
-            cached = len(_counting_context(model, p).s_classes)
-            assert 1 <= cached <= gcd(4, p - 1) + gcd(6, p - 1) + 1, (name, p, cached)
+            bound = (2 if p % 4 == 1 else 0) + (3 if p % 3 == 1 else 0)
+            assert 1 <= sums <= bound, (name, p, sums)
 
 
 def test_surface_count_looks_up_only_the_singular_fibers(monkeypatch):

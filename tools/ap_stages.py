@@ -1,4 +1,4 @@
-"""In-process stage split of `picard20 ap`: sieve, prime list, norm-form walk, rows, render, write.
+"""In-process stage split of `picard20 ap`: sieve, prime list, norm-form walk, rows, render.
 
 Run from the root of a checkout, with its `src` on PYTHONPATH:
 
@@ -9,12 +9,12 @@ Each repeat builds the `ap` document as the CLI does, in one warm process.
 `split_stream` calls that `cli._ap_rows` makes. `primes` is its own stage,
 not part of `sieve`: `primes_above_3` returns a lazy iterator, which the
 tool reads to its end under the timer, so `_ap_rows` then walks a list.
-`rows` is the rest of `_ap_rows`, `render` is `cli._render` of the document
-and `write` is writing its text to the null device, so the stages sum to the
-whole document. `render_peak_mb` is the tracemalloc peak of `cli._render` of
-the same document, in MiB, taken in a second pass that is not timed, since
-tracing slows every allocation. Prints one JSON line with the median seconds
-of each stage and the median render peak.
+`rows` is the rest of `_ap_rows` and `render` is `cli._render` of the
+document, so the stages sum to the whole document; `stdout_bytes` is the
+length of its text. `render_peak_mb` is the tracemalloc peak of
+`cli._render` of the same document, in MiB, taken in a second pass that is
+not timed, since tracing slows every allocation. Prints one JSON line with
+the median seconds of each stage and the median render peak.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import picard20.arith
 import picard20.heckecm
 from picard20 import cli
 
-STAGES = ("sieve", "primes", "walk", "rows", "render", "write")
+STAGES = ("sieve", "primes", "walk", "rows", "render")
 
 
 def stages(d_K: int, twist: int, pmax: int) -> dict:
@@ -68,11 +68,6 @@ def stages(d_K: int, twist: int, pmax: int) -> dict:
     start = time.perf_counter()
     text = cli._render(doc) + "\n"
     render = time.perf_counter() - start
-    with open(os.devnull, "w", encoding="utf-8") as fh:
-        start = time.perf_counter()
-        fh.write(text)
-        fh.flush()
-        write = time.perf_counter() - start
     tracemalloc.start()
     try:
         cli._render(doc)
@@ -85,7 +80,6 @@ def stages(d_K: int, twist: int, pmax: int) -> dict:
         "walk": spent["split_stream"],
         "rows": ap_rows - sum(spent.values()),
         "render": render,
-        "write": write,
         "stdout_bytes": len(text.encode()),
         "render_peak_mb": render_peak / 2**20,
     }

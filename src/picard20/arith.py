@@ -21,6 +21,7 @@ __all__ = [
     "primes_above_3",
     "primes_up_to",
     "factorize",
+    "primitive_root",
     "squarefree_part",
     "is_squarefree",
     "is_square",
@@ -151,6 +152,22 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def primitive_root(p: int) -> int:
+    """The least g whose powers are all of F_p^*, for a prime p.
+
+    g has order p - 1 exactly when g^((p-1)/q) != 1 for each prime q | p - 1
+    and g^(p-1) = 1; the last test fails for every composite p (Lucas), which
+    raises ValueError.
+    """
+    exponents = [(p - 1) // q for q, _ in factorize(p - 1)]
+    for g in range(1, p):
+        if all(pow(g, e, p) != 1 for e in exponents):
+            if pow(g, p - 1, p) == 1:
+                return g
+            break
+    raise ValueError(f"{p} is not prime")
 
 
 def squarefree_part(n: int) -> int:

@@ -14,9 +14,10 @@ product where c4 and c6 are both nonzero mod p, or, when c4 or c6 vanishes
 at the fiber, by a direct sum, of which _axis_sum takes at most five, one
 per power-residue class; the direct sum _charsum_count is their oracle.  An
 additive fiber counts its components, and an I0* fiber splits when its
-residual cubic divides T^p - T.  surface_count takes c4 and c6 at every t in
-F_p in one pass of forward differences; the cubic's discriminant marks the
-singular fibers (1728 Delta = c4^3 - c6^2), and only those and t=oo go to
+residual cubic divides T^p - T.  surface_count reads c4 and c6 at every t in
+F_p off the power table of one primitive root, as do chi and the inverses,
+and sums the fibers in one pass; the cubic's discriminant marks the singular
+fibers (1728 Delta = c4^3 - c6^2), and only those and t=oo go to
 count_fiber, the one-fiber API and the pass's oracle, which looks up the
 fiber's place.  See COUNT_LIMIT for the cost per prime.
 
@@ -36,11 +37,11 @@ import sys
 from array import array
 from collections import Counter
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, gcd
 from typing import NamedTuple, Optional
 
-from .arith import is_prime, is_squarefree, kronecker, squarefree_part
+from .arith import is_prime, is_squarefree, kronecker, primitive_root, squarefree_part
 from .errors import VerificationError
 from .polys import (
     Poly,
@@ -58,7 +59,7 @@ from .polys import (
     pscale,
     psub,
     ptrim,
-    pvalues_mod,
+    pvalues_on_powers,
     resultant,
     valuation,
 )
@@ -438,23 +439,25 @@ def good_prime(model: SurfaceModel, p: int) -> bool:
 
 class _CountingContext(NamedTuple):
     p: int
+    powers: array  # powers[i] = g^i mod p for i < p - 1, g the least primitive root
     chi: tuple
     inverse: array  # inverse[x] = 1/x mod p, inverse[0] = 0
     # S(A, B) = sum over X of chi(X^3 + A X + B); S(k, k) is indexed by k in
     # F_p, in an array, not a tuple of ints, to keep the cached context from
     # adding to peak memory; None when c4 or c6 is zero mod p
     s_kk: Optional[array]
-    # c4 and c6 mod p, the one chart every fiber is read from: by pvalues_mod
-    # at every t in F_p, and by _local at a singular fiber and at t=oo
+    # c4 and c6 mod p, the one chart every fiber is read from: by
+    # pvalues_on_powers at every t in F_p^*, by the constant term at t = 0,
+    # and by _local at a singular fiber and at t=oo
     c4: Poly
     c6: Poly
     rank20_split: bool  # rank 20 over Q at a split prime
 
 
 # surface_count is O(p) work per prime, at most one exact product, at most
-# five direct sums and one pass over the fibers: for d19 about 0.010 s at
-# p = 3001 and 0.051 s at 9973, and for d4, which builds no table, 0.011 s and
-# 0.038 s, context included (2-core Xeon, Python 3.11)
+# five direct sums and one pass over the fibers: for d19 about 0.005 s at
+# p = 3001 and 0.026 s at 9973, and for d4, which builds no table, 0.004 s and
+# 0.013 s, context included (best of 7, 2-core Xeon, Python 3.11)
 COUNT_LIMIT = 10**4
 
 
@@ -496,19 +499,25 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         raise VerificationError(
             "PRECONDITION", f"p={p} is not a good prime for {model.name}"
         )
+    g, x = primitive_root(p), 1
+    powers = [1]
+    for _ in range(p - 2):
+        x = x * g % p
+        powers.append(x)
+    # the squares are the even powers, and 1/g^i = g^(p-1-i)
     chi = [-1] * p
     chi[0] = 0
-    # x and -x have one square, so half of F_p^* marks every square
-    for x in range(1, (p + 1) // 2):
-        chi[x * x % p] = 1
+    for x in powers[::2]:
+        chi[x] = 1
     chi = tuple(chi)
-    inverse = [0, 1] + [0] * (p - 2)
-    for x in range(2, p):
-        inverse[x] = (p - p // x) * inverse[p % x] % p
+    inverse = [0] * p
+    for x, y in zip(powers, [1, *powers[:0:-1]]):
+        inverse[x] = y
     inverse = array("i", inverse)
     c4, c6 = (pmod(c, p) for c in c_invariants(model))
     return _CountingContext(
         p=p,
+        powers=array("I", powers),
         chi=chi,
         inverse=inverse,
         # with c4 or c6 zero mod p (j = 0 or 1728) every fiber has a = 0 or
@@ -566,13 +575,15 @@ def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
 
     X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b); with v = a/b and ab != 0
     that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2, one lookup.  With
-    ab = 0 the sum is taken directly, in O(p); _axis_sum takes one per class.
+    ab = 0 the sum is taken directly, in O(p): chi(b) at X = 0 and chi of
+    the cubic's values at every power of the primitive root; _axis_sum takes
+    one per class.
     """
     p, chi = ctx.p, ctx.chi
     if a and b:
         inverse = ctx.inverse
         return chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
-    return sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+    return chi[b] + sum(map(chi.__getitem__, pvalues_on_powers((b, a, 0, 1), ctx.powers, p)))
 
 
 def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
@@ -682,17 +693,19 @@ def surface_count(model: SurfaceModel, p: int) -> int:
     sum is chi(ab) S(k, k) for k = a^3/b^2, and 4a^3 + 27b^2 = b^2 (4k + 27), so
     the fiber is singular exactly when 4k + 27 = 0; with ab = 0 the sum is
     _cubic_sum's, taken once per class by _axis_sum, and the fiber singular
-    when a = b = 0.  Only the singular fibers, in t order, and t=oo go
-    through count_fiber, which keeps its place lookup, its component rules
-    and the first error in t order.
+    when a = b = 0.  The pass walks t = 0 and then t = g^i in the order of
+    the power table; only the singular fibers, sorted into t order, and t=oo
+    go through count_fiber, which keeps its place lookup, its component
+    rules and the first error in t order.
     """
     ctx = _counting_context(model, p)
-    chi, inverse, s_kk = ctx.chi, ctx.inverse, ctx.s_kk
+    chi, inverse, s_kk, powers = ctx.chi, ctx.inverse, ctx.s_kk, ctx.powers
     node = -27 * inverse[4] % p  # the k with 4k + 27 = 0
-    a_values = pvalues_mod(pscale(ctx.c4, -27), p)
-    b_values = pvalues_mod(pscale(ctx.c6, -54), p)
+    a_poly, b_poly = pscale(ctx.c4, -27), pscale(ctx.c6, -54)
+    a_values = chain((peval_mod(a_poly, 0, p),), pvalues_on_powers(a_poly, powers, p))
+    b_values = chain((peval_mod(b_poly, 0, p),), pvalues_on_powers(b_poly, powers, p))
     sums, singular, a_axis, b_axis = 0, [], [], []
-    for t0, a, b in zip(range(p), a_values, b_values):
+    for t0, a, b in zip(chain((0,), powers), a_values, b_values):
         if a and b:
             b_inverse = inverse[b]
             k = a * a * a * b_inverse * b_inverse % p
@@ -707,7 +720,7 @@ def surface_count(model: SurfaceModel, p: int) -> int:
         else:
             singular.append(t0)
     total = (p + 1) * (p - len(singular)) + sums + _axis_sum(ctx, a_axis, b_axis)
-    total += sum(count_fiber(model, p, t0) for t0 in singular)
+    total += sum(count_fiber(model, p, t0) for t0 in sorted(singular))
     return total + count_fiber(model, p, INFINITY)
 
 

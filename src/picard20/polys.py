@@ -14,6 +14,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from array import array
 from fractions import Fraction
 
 from .arith import is_prime
@@ -39,7 +41,7 @@ __all__ = [
     "resultant",
     "pmod",
     "peval_mod",
-    "pvalues_mod",
+    "pvalues_on_powers",
     "pdivmod_mod",
     "ppow_mod",
 ]
@@ -376,25 +378,40 @@ def peval_mod(f: Poly, x: int, p: int) -> int:
     return acc
 
 
-def pvalues_mod(f: Poly, p: int) -> list[int]:
-    """[f(t) mod p for t in range(p)], by forward differences.
+def pvalues_on_powers(f: Poly, powers: array, p: int) -> list[int]:
+    """[f(powers[i]) mod p for i in range(p - 1)], for an odd prime p and
+    powers[i] = g^i mod p, g a primitive root, in an array("I").
 
-    The differences of f at t = 0 come from its values at 0 .. deg f; each of
-    deg f running sums then turns k-th differences into (k-1)-th ones, so the
-    work is deg f integer additions per t and one reduction mod p at the end.
+    t -> t^j walks the powers with stride j, so f(g^i) is the sum over j of
+    f_j powers[i j mod (p - 1)]: each term is a strided slice of the
+    repeated power table, packed into 32-bit slots and scaled by f_j as one
+    integer.  Since g^((p-1)/2) = -1, the second half of the values is
+    f(-t) = E(t) - O(t) at the first half's t, E and O the even and odd
+    terms, so every slice covers half the table; p - g^(ij) stands in for
+    -g^(ij) in O, so no slot leaves [0, len(f) (p - 1)^2] and the sum
+    unpacks without carries before one reduction mod p per t.
     """
-    n = pdeg(f)
-    if n < 0:
-        return [0] * p
-    values = [peval_mod(f, t, p) for t in range(n + 1)]
-    diffs = []
-    for _ in range(n + 1):
-        diffs.append(values[0] % p)
-        values = [b - a for a, b in zip(values, values[1:])]
-    run = itertools.repeat(diffs[n], max(p - n, 0))
-    for d in reversed(diffs[:n]):
-        run = itertools.accumulate(run, initial=d)
-    return [v % p for v in itertools.islice(run, p)]
+    n = p - 1
+    if len(f) * n * n >= 1 << 32:
+        raise VerificationError("PRECONDITION", f"p={p} overflows the 32-bit value slots")
+    coeffs = [a % p for a in f]
+    if not any(coeffs):
+        return [0] * n
+    half = n // 2
+    # the slices stop below half (len(f) - 1), within len(f) // 2 periods
+    tile = powers * (len(coeffs) // 2)
+    ones = int.from_bytes(array("I", [1]) * half, sys.byteorder)
+    even, odd = coeffs[0] * ones, 0
+    for j, a in enumerate(coeffs[1:], 1):
+        if a:
+            term = a * int.from_bytes(tile[: j * half : j], sys.byteorder)
+            if j % 2:
+                odd += term
+            else:
+                even += term
+    upper = even - odd + p * sum(coeffs[1::2]) * ones
+    packed = (even + odd) | upper << (32 * half)
+    return [v % p for v in memoryview(packed.to_bytes(4 * n, sys.byteorder)).cast("I")]
 
 
 def pdivmod_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:

@@ -13,15 +13,18 @@ faster or shorter way, and the tests hold src/ to it:
                          heckecm.split_stream
     b_discriminant    -- Delta from the b-invariants, the oracle of
                          ellsurf.discriminant
+    pvalues_mod       -- f at every t in F_p by forward differences, the
+                         oracle of polys.pvalues_on_powers
 """
 
+import itertools
 import math
 
 from picard20.arith import kronecker
 from picard20.ellsurf import SurfaceModel, b_invariants
 from picard20.errors import VerificationError
 from picard20.heckecm import INERT, RAMIFIED, SPLIT, CMRule, no_representation, norm_form
-from picard20.polys import Poly, padd, pmul, ppow, pscale, psub
+from picard20.polys import Poly, padd, pdeg, peval_mod, pmul, ppow, pscale, psub
 from picard20.qforms import FormClassGroup, compose, twist_discriminant
 
 
@@ -116,3 +119,24 @@ def b_discriminant(model: SurfaceModel) -> Poly:
     delta = psub(delta, pscale(ppow(b4, 3), 8))
     delta = psub(delta, pscale(pmul(b6, b6), 27))
     return padd(delta, pscale(pmul(b2, pmul(b4, b6)), 9))
+
+
+def pvalues_mod(f: Poly, p: int) -> list[int]:
+    """[f(t) mod p for t in range(p)], by forward differences.
+
+    The differences of f at t = 0 come from its values at 0 .. deg f; each of
+    deg f running sums then turns k-th differences into (k-1)-th ones, so the
+    work is deg f integer additions per t and one reduction mod p at the end.
+    """
+    n = pdeg(f)
+    if n < 0:
+        return [0] * p
+    values = [peval_mod(f, t, p) for t in range(n + 1)]
+    diffs = []
+    for _ in range(n + 1):
+        diffs.append(values[0] % p)
+        values = [b - a for a, b in zip(values, values[1:])]
+    run = itertools.repeat(diffs[n], max(p - n, 0))
+    for d in reversed(diffs[:n]):
+        run = itertools.accumulate(run, initial=d)
+    return [v % p for v in itertools.islice(run, p)]

@@ -16,6 +16,7 @@ from picard20.arith import (
     prime_flags,
     primes_above_3,
     primes_up_to,
+    primitive_root,
     squarefree_part,
 )
 from picard20.errors import VerificationError
@@ -163,6 +164,22 @@ def test_factorize_by_definition():
         assert all(q in primes and e >= 1 for q, e in fac), n
         assert is_squarefree(n) == all(n % (k * k) for k in range(2, math.isqrt(abs(n)) + 1)), n
     assert not is_squarefree(0)
+
+
+def test_primitive_root_is_the_least_of_order_p_minus_1():
+    # orders by brute force; every composite n < 500 and Carmichael numbers,
+    # whose units all pass Fermat's test, are refused
+    def order(g, p):
+        return next(k for k in range(1, p) if pow(g, k, p) == 1)
+
+    primes = _sieve(499)
+    for p in primes:
+        g = primitive_root(p)
+        assert order(g, p) == p - 1, p
+        assert all(order(h, p) < p - 1 for h in range(1, g)), p
+    for n in [n for n in range(-3, 500) if n not in primes] + [561, 1105, 1729, 8911]:
+        with pytest.raises(ValueError):
+            primitive_root(n)
 
 
 def test_factorize_refuses_numbers_beyond_trial_division():

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from picard20.arith import kronecker, primes_up_to
+from picard20.arith import kronecker, primes_up_to, primitive_root
 from picard20.ellsurf import (
     INFINITY,
     SectionData,
@@ -57,10 +57,10 @@ from picard20.ellsurf import (
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule
 from picard20.models import REGISTRY, get_model
-from picard20.polys import pdivmod_mod, peval_mod, pmod, pscale, pvalues_mod
+from picard20.polys import pdivmod_mod, peval_mod, pmod, pscale
 from picard20.qforms import twist_discriminant
 
-from oracles import ap_h1, b_discriminant, peval
+from oracles import ap_h1, b_discriminant, peval, pvalues_mod
 
 _INF = 10**9
 
@@ -378,8 +378,9 @@ def test_cubic_sum_tables_match_the_direct_sum():
     model = get_model("d19")
     primes = [p for p in primes_up_to(43) if good_prime(model, p)]
     assert primes == [5, 7, 11, 13, 17, 23, 29, 31, 37, 41, 43]
-    # and the rows A = 0 and B = 0 at every good p < 200, which meet every
-    # pair gcd(4, p - 1) in {2, 4}, gcd(6, p - 1) in {2, 6}
+    # and the rows A = 0 and B = 0, summed by the value kernel on the power
+    # table, at every good p < 200, which meet every pair gcd(4, p - 1) in
+    # {2, 4}, gcd(6, p - 1) in {2, 6}
     rows = [p for p in primes_up_to(199) if good_prime(model, p)]
     assert {(gcd(4, p - 1), gcd(6, p - 1)) for p in rows} == {(2, 2), (2, 6), (4, 2), (4, 6)}
     inputs = [(p, [(a, b) for a in range(p) for b in range(p)]) for p in primes]
@@ -391,6 +392,19 @@ def test_cubic_sum_tables_match_the_direct_sum():
         for a, b in pairs:
             direct = sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
             assert _cubic_sum(ctx, a, b) == direct, (p, a, b)
+
+
+def test_counting_context_walks_one_primitive_root():
+    # the power table of the least primitive root is a permutation of F_p^*,
+    # and the inverses read off it are 1/x (chi is held to Euler's criterion
+    # in test_axis_sums_match_the_direct_sum_of_every_value)
+    model = get_model("d19")
+    for p in [p for p in primes_up_to(400) if good_prime(model, p)] + [9973]:
+        ctx = _counting_context(model, p)
+        g = primitive_root(p)
+        assert list(ctx.powers) == [pow(g, i, p) for i in range(p - 1)], p
+        assert sorted(ctx.powers) == list(range(1, p)), p
+        assert ctx.inverse[0] == 0 and all(x * ctx.inverse[x] % p == 1 for x in range(1, p)), p
 
 
 def _two_period_table(p: int, chi: list, inverse: list) -> list:

@@ -2,6 +2,7 @@
 
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picard20 import ellsurf
+from picard20.arith import primitive_root, primes_up_to
 from picard20.ellsurf import c_invariants, discriminant, twist_model
 from picard20.errors import VerificationError
 from picard20.models import REGISTRY, get_model
@@ -28,13 +30,13 @@ from picard20.polys import (
     pscale,
     psub,
     ptrim,
-    pvalues_mod,
+    pvalues_on_powers,
     resultant,
     valuation,
     poly_str,
 )
 
-from oracles import peval
+from oracles import peval, pvalues_mod
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=0, max_size=7)
 
@@ -325,6 +327,45 @@ def test_values_at_every_point_match_peval_mod():
             # a leading coefficient that vanishes mod p
             f = f[:-1] + (p * rng.randint(1, 9),)
             assert pvalues_mod(f, p) == [peval_mod(f, t, p) for t in range(p)], (p, f)
+
+
+def _powers(p: int) -> array:
+    g = primitive_root(p)
+    return array("I", [pow(g, i, p) for i in range(p - 1)])
+
+
+def test_values_on_powers_match_peval_mod():
+    # the zero polynomial and degrees 0 .. 12 at every prime 5 <= p <= 61 and
+    # at 9973, each also with a leading coefficient that vanishes mod p;
+    # coefficients of either sign reach well past p
+    rng = random.Random(29)
+    primes = [p for p in range(5, 62) if all(p % q for q in range(2, p))] + [9973]
+    assert len(primes) == 17
+    for p in primes:
+        powers = _powers(p)
+        assert pvalues_on_powers((), powers, p) == [0] * (p - 1)
+        assert pvalues_on_powers((p, -3 * p), powers, p) == [0] * (p - 1)
+        for n in range(13):
+            f = tuple(rng.randint(-10**6, 10**6) for _ in range(n)) + (rng.randint(1, 10**6),)
+            for f in (f, f[:-1] + (p * rng.randint(-9, 9),)):
+                want = [peval_mod(f, t, p) for t in powers]
+                assert pvalues_on_powers(f, powers, p) == want, (p, f)
+
+
+def test_values_on_powers_refuse_beyond_the_32_bit_slots():
+    # no slot exceeds len(f) (p - 1)^2: with every coefficient p - 1 the
+    # values come out whole at the largest p that 13 coefficients admit,
+    # and the next prime, or p = 65537 for a constant, is refused
+    primes = primes_up_to(20000)
+    admitted = sum(13 * (p - 1) ** 2 < 1 << 32 for p in primes)
+    edge, beyond = primes[admitted - 1], primes[admitted]
+    f = (edge - 1,) * 13
+    powers = _powers(edge)
+    assert pvalues_on_powers(f, powers, edge) == [peval_mod(f, t, edge) for t in powers]
+    for f, p in (((beyond - 1,) * 13, beyond), ((1,), 65537)):
+        with pytest.raises(VerificationError) as err:
+            pvalues_on_powers(f, array("I"), p)
+        assert err.value.code == "PRECONDITION", p
 
 
 small = st.lists(st.integers(min_value=-5, max_value=5), min_size=0, max_size=5)

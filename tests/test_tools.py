@@ -33,7 +33,7 @@ def test_count_stages_times_every_stage_of_the_count():
     # a patch that no longer intercepts its call leaves its stage at 0: d19
     # builds the S(k, k) table, and d4 (c6 = 0) sums only axis fibers
     count_stages = _load("count_stages")
-    names = ("_counting_context", "_cubic_sum_table", "pvalues_mod", "_axis_sum")
+    names = ("_counting_context", "_cubic_sum_table", "pvalues_on_powers", "_axis_sum")
     originals = [getattr(ellsurf, name) for name in names]
     d19 = count_stages.stages(get_model("d19"), 200)
     d4 = count_stages.stages(get_model("d4"), 200)

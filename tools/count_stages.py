@@ -9,15 +9,19 @@ prime p <= pmax of the model, the primes at which `verify` counts, each from
 a fresh counting context.  The time is split into stages, summed over the
 primes:
 
-    context  building the counting context (chi and the inverses), table excluded
+    context  building the counting context (the power table of a primitive
+             root, chi and the inverses), table excluded
     table    _cubic_sum_table, the S(k, k) table
-    values   the two pvalues_mod calls, c4 and c6 at every t
-    axis     _axis_sum, the sums of the fibers with a = 0 or b = 0
+    values   pvalues_on_powers: c4 and c6 at every t, and the cubic's values
+             in each direct sum
+    axis     _axis_sum, the sums of the fibers with a = 0 or b = 0, values
+             excluded
     pass     the rest of surface_count: the fiber pass and the singular fibers
 
-Each stage is timed by wrapping its function in the `ellsurf` module.
-`total` is the same counts with no wrapper.  Prints one JSON line with the
-median seconds of each stage.
+Each stage is timed by wrapping its function as the `ellsurf` module calls
+it, and a stage's time excludes the stages it calls, so no time counts
+twice.  `total` is the same counts with no wrapper.  Prints one JSON line
+with the median seconds of each stage.
 """
 
 from __future__ import annotations
@@ -51,17 +55,23 @@ def stages(model, pmax: int) -> dict:
         if ellsurf.good_prime(model, p) and kronecker(model.d, p) == 1
     ]
     names = {"_counting_context": "context", "_cubic_sum_table": "table",
-             "pvalues_mod": "values", "_axis_sum": "axis"}
+             "pvalues_on_powers": "values", "_axis_sum": "axis"}
     spent = dict.fromkeys(names.values(), 0.0)
     originals = {name: getattr(ellsurf, name) for name in names}
+    # inner[-1] sums the time of the wrapped calls made inside the innermost
+    # wrapped call still running
+    inner = [0.0]
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
+            inner.append(0.0)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[names[name]] += time.perf_counter() - start
+                elapsed = time.perf_counter() - start
+                spent[names[name]] += elapsed - inner.pop()
+                inner[-1] += elapsed
 
         return wrapper
 
@@ -74,7 +84,6 @@ def stages(model, pmax: int) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(ellsurf, name, fn)
-    spent["context"] -= spent["table"]
     spent["pass"] = wrapped - sum(spent.values())
     spent["total"] = total
     spent["primes"] = len(primes)

@@ -196,10 +196,7 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
     A split p missing from the stream is NO_REPRESENTATION. The rows are
     tuples, and the stream is emptied as they are built, to keep the
     render's peak low. Each kind is read from one table of split_types, at
-    p mod |d_K|. A twist's sign kronecker(d*, p) is a character mod |d*|,
-    d* = twist_discriminant(twist) being fundamental, so it is read from a
-    dict keyed by p mod |d*| and filled on first use: never larger than the
-    number of split primes, however large |d*| is.
+    p mod |d_K|.
     """
     from .arith import kronecker, prime_flags, primes_above_3
     from .heckecm import SPLIT, CMRule, no_representation, split_stream, split_types
@@ -211,7 +208,6 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
     stream = split_stream(d_K, pmax, flags)
     kinds = split_types(d_K)
     modulus = len(kinds)
-    signs, span = {}, abs(dstar)
     rows = []
     for p in primes_above_3(flags):
         kind = kinds[p % modulus]
@@ -224,10 +220,7 @@ def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
             if ap is None:
                 raise no_representation(d_K, p)
             if dstar != 1:
-                sign = signs.get(p % span)
-                if sign is None:
-                    sign = signs[p % span] = kronecker(dstar, p)
-                ap *= sign
+                ap *= kronecker(dstar, p)
         rows.append((p, kind, ap))
     return rows
 

@@ -456,8 +456,10 @@ class _CountingContext(NamedTuple):
 
 # surface_count is O(p) work per prime, at most one exact product, at most
 # five direct sums and one pass over the fibers: for d19 about 0.005 s at
-# p = 3001 and 0.026 s at 9973, and for d4, which builds no table, 0.004 s and
-# 0.013 s, context included (best of 7, 2-core Xeon, Python 3.11)
+# p = 3001 and 0.024 s at 9973, and for d4, which builds no table, 0.004 s and
+# 0.013 s, context included (best of 7, 2-core Xeon, Python 3.11).  The value
+# kernel's 32-bit slots hold c6's 13 coefficients only while p <= 18169, so a
+# raise beyond that must widen the slots of pvalues_on_powers first
 COUNT_LIMIT = 10**4
 
 
@@ -575,15 +577,13 @@ def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
 
     X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b); with v = a/b and ab != 0
     that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2, one lookup.  With
-    ab = 0 the sum is taken directly, in O(p): chi(b) at X = 0 and chi of
-    the cubic's values at every power of the primitive root; _axis_sum takes
-    one per class.
+    ab = 0 the sum is taken directly, in O(p); _axis_sum takes one per class.
     """
     p, chi = ctx.p, ctx.chi
     if a and b:
         inverse = ctx.inverse
         return chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
-    return chi[b] + sum(map(chi.__getitem__, pvalues_on_powers((b, a, 0, 1), ctx.powers, p)))
+    return sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
 
 
 def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:

@@ -379,17 +379,14 @@ def peval_mod(f: Poly, x: int, p: int) -> int:
 
 
 def pvalues_on_powers(f: Poly, powers: array, p: int) -> list[int]:
-    """[f(powers[i]) mod p for i in range(p - 1)], for an odd prime p and
+    """[f(powers[i]) mod p for i in range(p - 1)], for a prime p and
     powers[i] = g^i mod p, g a primitive root, in an array("I").
 
     t -> t^j walks the powers with stride j, so f(g^i) is the sum over j of
     f_j powers[i j mod (p - 1)]: each term is a strided slice of the
     repeated power table, packed into 32-bit slots and scaled by f_j as one
-    integer.  Since g^((p-1)/2) = -1, the second half of the values is
-    f(-t) = E(t) - O(t) at the first half's t, E and O the even and odd
-    terms, so every slice covers half the table; p - g^(ij) stands in for
-    -g^(ij) in O, so no slot leaves [0, len(f) (p - 1)^2] and the sum
-    unpacks without carries before one reduction mod p per t.
+    integer.  No slot exceeds len(f) (p - 1)^2, so the sum unpacks without
+    carries before one reduction mod p per t.
     """
     n = p - 1
     if len(f) * n * n >= 1 << 32:
@@ -397,21 +394,13 @@ def pvalues_on_powers(f: Poly, powers: array, p: int) -> list[int]:
     coeffs = [a % p for a in f]
     if not any(coeffs):
         return [0] * n
-    half = n // 2
-    # the slices stop below half (len(f) - 1), within len(f) // 2 periods
-    tile = powers * (len(coeffs) // 2)
-    ones = int.from_bytes(array("I", [1]) * half, sys.byteorder)
-    even, odd = coeffs[0] * ones, 0
+    # the slice of stride j stops below j n, within len(f) - 1 periods
+    tile = powers * (len(coeffs) - 1)
+    total = coeffs[0] * int.from_bytes(array("I", [1]) * n, sys.byteorder)
     for j, a in enumerate(coeffs[1:], 1):
         if a:
-            term = a * int.from_bytes(tile[: j * half : j], sys.byteorder)
-            if j % 2:
-                odd += term
-            else:
-                even += term
-    upper = even - odd + p * sum(coeffs[1::2]) * ones
-    packed = (even + odd) | upper << (32 * half)
-    return [v % p for v in memoryview(packed.to_bytes(4 * n, sys.byteorder)).cast("I")]
+            total += a * int.from_bytes(tile[: j * n : j], sys.byteorder)
+    return [v % p for v in memoryview(total.to_bytes(4 * n, sys.byteorder)).cast("I")]
 
 
 def pdivmod_mod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:

@@ -95,25 +95,6 @@ class TestAp:
         ]
         assert twisted["rows"] == want != base["rows"]
 
-    @pytest.mark.parametrize("delta", [-1, 2, -2, -3, 5, 6, 1009])
-    def test_twist_signs_match_kronecker_at_every_prime(self, capsys, delta):
-        # the twist's sign is read per residue of p mod |d*|; against one
-        # kronecker call per prime
-        from picard20.arith import kronecker
-        from picard20.qforms import twist_discriminant
-
-        dstar = twist_discriminant(delta)
-        code, base = run_cli(capsys, "ap", "--dK", "-4", "--pmax", "20000")
-        code2, twisted = run_cli(
-            capsys, "ap", "--dK", "-4", "--pmax", "20000", "--twist", str(delta)
-        )
-        assert (code, code2) == (0, 0)
-        want = [
-            [p, kind, None if ap is None else ap * kronecker(dstar, p)]
-            for p, kind, ap in base["rows"]
-        ]
-        assert twisted["rows"] == want
-
     def test_class_number_checked_before_any_prime(self, capsys):
         # no prime up to 5 splits in Q(sqrt(-5)), yet the field is refused
         code, blob = run_cli(capsys, "ap", "--dK", "-20", "--pmax", "5")

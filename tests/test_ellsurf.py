@@ -378,9 +378,8 @@ def test_cubic_sum_tables_match_the_direct_sum():
     model = get_model("d19")
     primes = [p for p in primes_up_to(43) if good_prime(model, p)]
     assert primes == [5, 7, 11, 13, 17, 23, 29, 31, 37, 41, 43]
-    # and the rows A = 0 and B = 0, summed by the value kernel on the power
-    # table, at every good p < 200, which meet every pair gcd(4, p - 1) in
-    # {2, 4}, gcd(6, p - 1) in {2, 6}
+    # and the rows A = 0 and B = 0 at every good p < 200, which meet every
+    # pair gcd(4, p - 1) in {2, 4}, gcd(6, p - 1) in {2, 6}
     rows = [p for p in primes_up_to(199) if good_prime(model, p)]
     assert {(gcd(4, p - 1), gcd(6, p - 1)) for p in rows} == {(2, 2), (2, 6), (4, 2), (4, 6)}
     inputs = [(p, [(a, b) for a in range(p) for b in range(p)]) for p in primes]

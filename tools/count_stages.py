@@ -12,16 +12,13 @@ primes:
     context  building the counting context (the power table of a primitive
              root, chi and the inverses), table excluded
     table    _cubic_sum_table, the S(k, k) table
-    values   pvalues_on_powers: c4 and c6 at every t, and the cubic's values
-             in each direct sum
-    axis     _axis_sum, the sums of the fibers with a = 0 or b = 0, values
-             excluded
+    values   the two pvalues_on_powers calls, c4 and c6 at every t
+    axis     _axis_sum, the sums of the fibers with a = 0 or b = 0
     pass     the rest of surface_count: the fiber pass and the singular fibers
 
-Each stage is timed by wrapping its function as the `ellsurf` module calls
-it, and a stage's time excludes the stages it calls, so no time counts
-twice.  `total` is the same counts with no wrapper.  Prints one JSON line
-with the median seconds of each stage.
+Each stage is timed by wrapping its function in the `ellsurf` module.
+`total` is the same counts with no wrapper.  Prints one JSON line with the
+median seconds of each stage.
 """
 
 from __future__ import annotations
@@ -58,20 +55,14 @@ def stages(model, pmax: int) -> dict:
              "pvalues_on_powers": "values", "_axis_sum": "axis"}
     spent = dict.fromkeys(names.values(), 0.0)
     originals = {name: getattr(ellsurf, name) for name in names}
-    # inner[-1] sums the time of the wrapped calls made inside the innermost
-    # wrapped call still running
-    inner = [0.0]
 
     def timed(name, fn):
         def wrapper(*args, **kwargs):
-            inner.append(0.0)
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                elapsed = time.perf_counter() - start
-                spent[names[name]] += elapsed - inner.pop()
-                inner[-1] += elapsed
+                spent[names[name]] += time.perf_counter() - start
 
         return wrapper
 
@@ -84,6 +75,7 @@ def stages(model, pmax: int) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(ellsurf, name, fn)
+    spent["context"] -= spent["table"]
     spent["pass"] = wrapped - sum(spent.values())
     spent["total"] = total
     spent["primes"] = len(primes)

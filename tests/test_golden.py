@@ -164,6 +164,53 @@ RANDOM_MODEL_SWEEP = "c15c433f0518abcfa7d01cfc186689aa298a8731ccd4f7f098639d9167
 GOOD_PRIME_SWEEP = "343c22ffa5d8c17cfeeaef94a6f98b968b3089f398dd0b9db39b09cfe113db76"
 
 
+# argparse's own documents, help and usage errors: the exit code and the
+# sha256 of stdout and of stderr, at an 80-column terminal.  They pin the
+# parser the CLI builds: whatever it leaves out of a run must not show.
+USAGE_GOLDEN = {
+    "": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1fd4e9fd069c5327d3b10cbf3ec0513900707af10ad68bfcf4152e4b2a341d96",
+    ),
+    "-h": (
+        0,
+        "458d62aa8d0469010ff7a0ce5848e685b79c7edfbff7076d2d4178c4f9a366a1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "bogus": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "500c2ee6f05bf1dcb087fad0a27b49ee3116d7eae6fd75be2f8a87209bc12243",
+    ),
+    "verify": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "26f49d9b365fe5f086a383fc321a39a8404094042983bc4c636cba3d6e78d51a",
+    ),
+    "verify -h": (
+        0,
+        "c96fe3a12d0372f385bb030474d773287b3e597aba5bf66cd136c90a1b1ab3c5",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "verify --model d19 --bogus": (
+        2,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "ffdf8ad298832e98e8112efaef59e6ccef4a6351518c79146db6bbf669e095cc",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_GOLDEN))
+def test_usage_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(command.split())
+    out, err = capsys.readouterr()
+    got = (exit_.value.code, *(hashlib.sha256(s.encode()).hexdigest() for s in (out, err)))
+    assert got == USAGE_GOLDEN[command], out + err
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_golden(command, capsys, tmp_path):
     out_path = tmp_path / "report.json"

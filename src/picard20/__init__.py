@@ -3,10 +3,11 @@
 Subpackage map:
     arith     -- integer kernels: primality, Kronecker symbol, prime sieve,
                  factoring
-    qforms    -- binary quadratic forms, form class groups, discriminant scans,
-                 the form lemma
+    qforms    -- binary quadratic forms, class numbers, discriminants
+    classgroups -- form class groups, discriminant scans, the form lemma
     heckecm   -- CM Hecke eigenvalue rules and twist matching
     ellsurf   -- elliptic surfaces over Q(t): fibers, reductions, point counts
+    modelfile -- the model-file JSON reader and writer
     mwheights -- Mordell-Weil heights, Neron-Severi discriminants, the 13-row
                  classification table and its check
     atverify  -- Artin-Tate checks and batch verification

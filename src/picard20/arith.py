@@ -27,16 +27,42 @@ __all__ = [
     "is_square",
 ]
 
-# Trial divisors, and the deterministic Miller-Rabin witness set, valid for
-# all n < 3.3 * 10**24, comfortably past 2**64.
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Trial divisors, and the Miller-Rabin witnesses: the first k of them
+# decide every n below the least strong pseudoprime to all k, psi_k.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (psi_k, k), by increasing psi_k: Jaeschke (1993) for k <= 8, Jiang and Deng
+# (2014) for psi_9 = psi_10 = psi_11, Sorenson and Webster (2015) for psi_12
+# and psi_13.  psi_7 = psi_8, so the row of 7 serves below it; past psi_13
+# no witness set is known, and a probable prime needs _pocklington's proof.
+_WITNESS_BOUNDS = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+    (318665857834031151167461, 12),
+    (3317044064679887385961981, 13),
+)
 
 # Trial division of n takes up to sqrt(n)/2 steps: about 0.1 s at this bound.
 _FACTOR_LIMIT = 10**12
 
+# _pocklington factors n - 1 over the primes below this bound
+_POCKLINGTON_TRIAL = 10**5
+
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with a fixed witness set)."""
+    """Deterministic primality test: trial division by the primes up to 41,
+    then Miller-Rabin with the fewest of them as witnesses that decide n.
+
+    Past psi_13 = 3317044064679887385961981 the 13 witnesses decide only
+    that n is composite; a probable prime there is proved by _pocklington,
+    or refused with PRECONDITION.
+    """
     if n < 2:
         return False
     for q in _SMALL_PRIMES:
@@ -44,12 +70,13 @@ def is_prime(n: int) -> bool:
             return True
         if n % q == 0:
             return False
+    k = next((k for psi, k in _WITNESS_BOUNDS if n < psi), len(_SMALL_PRIMES))
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _SMALL_PRIMES:
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -59,6 +86,38 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    return n < _WITNESS_BOUNDS[-1][0] or _pocklington(n)
+
+
+def _pocklington(n: int) -> bool:
+    """Whether a probable prime n past psi_13 is prime, by Pocklington's theorem.
+
+    Let F be the part of n - 1 over the primes q < _POCKLINGTON_TRIAL.  n has
+    passed Miller-Rabin to every base in _SMALL_PRIMES, so a^(n-1) = 1 for
+    each; a base a with gcd(a^((n-1)/q) - 1, n) = 1 for each q | F puts every
+    prime factor of n at 1 mod F, and (F + 1)^2 > n then proves n prime.  A
+    gcd strictly between 1 and n is a factor.  n whose F is too small, or
+    with a q that no base in _SMALL_PRIMES settles, raises PRECONDITION.
+    """
+    refused = VerificationError("PRECONDITION", f"{n} is past the deterministic primality bound")
+    F, qs, rest = 1, [], n - 1
+    for q in primes_up_to(_POCKLINGTON_TRIAL):
+        if rest % q == 0:
+            qs.append(q)
+            while rest % q == 0:
+                rest //= q
+                F *= q
+    if (F + 1) ** 2 <= n:
+        raise refused
+    for q in qs:
+        for a in _SMALL_PRIMES:
+            g = math.gcd(pow(a, (n - 1) // q, n) - 1, n)
+            if g == 1:
+                break
+            if g != n:
+                return False
+        else:
+            raise refused
     return True
 
 

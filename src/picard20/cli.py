@@ -6,6 +6,10 @@ usage errors exit 2 via argparse.  Integers that could exceed 2^53 and all
 exact fractions are emitted as strings so the output survives any JSON
 parser.  _render writes the bytes json.dumps(sort_keys=True, indent=2) would
 write for that document, without building a converted copy first.
+
+A run builds the parser of its own subcommand alone, and that subcommand's
+handler imports the layer that builds its document, so a cold run imports
+(and, without bytecode, compiles) only the layers it runs.
 """
 
 from __future__ import annotations
@@ -21,12 +25,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from .errors import VerificationError
 
 _JSON_INT_LIMIT = 2**53
-
-_TWO_TORSION_NOTE = (
-    "completeness above |d| = 10000 rests on the standard one-class-per-genus "
-    "finiteness expectation; the list is unconditionally complete up to at "
-    "most one further discriminant"
-)
 
 
 def _render(obj, pad: str = "") -> str:
@@ -124,11 +122,14 @@ def _emit(obj, out: str | None = None, code: int = 0) -> int:
 
 
 def _load_model(spec: str, delta: int = 1):
-    """The model of a registry name or a JSON file; loads the point-count stack."""
-    from .ellsurf import model_from_json, twist_model
+    """The model of a registry name or a JSON file; loads the point-count
+    stack, and the model-file reader only for a file."""
+    from .ellsurf import twist_model
     from .models import get_model
 
     if os.sep in spec or spec.endswith(".json"):
+        from .modelfile import model_from_json
+
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 obj = json.load(fh)
@@ -147,287 +148,156 @@ def _load_model(spec: str, delta: int = 1):
 
 # ---------------------------------------------------------------- subcommands
 
-# Each subcommand imports the layers it runs: a scan loads qforms and arith
-# alone, and does not import (or, without bytecode, compile) the point-count
-# stack.
+# Each handler returns its subcommand's document, built by the layer that
+# runs it, and imports that layer only when it is called.
 
 
-def _cmd_classgroup(args) -> int:
-    from .qforms import FormClassGroup
+def _cmd_classgroup(args) -> dict:
+    from .classgroups import class_group_report
 
-    group = FormClassGroup(args.d)
-    return _emit(
-        {
-            "d": args.d,
-            "class_number": group.h,
-            "elementary_divisors": group.elementary_divisors(),
-            "two_torsion": group.is_two_torsion(),
-            "ambiguous_classes": group.ambiguous_count(),
-            "forms": [[f.a, f.b, f.c] for f in group.reduced_forms],
-        }
-    )
+    return class_group_report(args.d)
 
 
-def _cmd_classify(args) -> int:
-    from .qforms import classify_h1, classify_two_torsion
+def _cmd_classify(args) -> dict:
+    from .classgroups import classify_report
 
-    scan = classify_two_torsion if args.two_torsion else classify_h1
-    discs = scan(args.bound)
-    out = {
-        "bound": args.bound,
-        "kind": "two_torsion" if args.two_torsion else "class_number_one",
-        "count": len(discs),
-        "discriminants": discs,
-    }
-    if args.two_torsion:
-        out["note"] = _TWO_TORSION_NOTE
-    return _emit(out)
+    return classify_report(args.bound, args.two_torsion)
 
 
-# ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.31-0.43 s at a
-# 36.5 MB peak RSS and --pmax 10^7 2.0-3.0 s at 182.5 MB
-_AP_LIMIT = 10**7
+def _cmd_ap(args) -> dict:
+    from .heckecm import ap_report
+
+    return ap_report(args.dK, args.pmax, args.twist)
 
 
-def _ap_rows(d_K: int, twist: int, pmax: int) -> list:
-    """(p, kind, a_p) for each prime 3 < p <= pmax, a_p from one norm-form walk.
+def _cmd_count(args) -> dict:
+    from .ellsurf import count_report
 
-    A split p missing from the stream is NO_REPRESENTATION. The rows are
-    tuples, and the stream is emptied as they are built, to keep the
-    render's peak low. Each kind is read from one table of split_types, at
-    p mod |d_K|.
-    """
-    from .arith import kronecker, prime_flags, primes_above_3
-    from .heckecm import SPLIT, CMRule, no_representation, split_stream, split_types
-    from .qforms import twist_discriminant
-
-    CMRule(d_K, twist if twist != 1 else None)
-    dstar = twist_discriminant(twist)
-    flags = prime_flags(pmax)
-    stream = split_stream(d_K, pmax, flags)
-    kinds = split_types(d_K)
-    modulus = len(kinds)
-    rows = []
-    for p in primes_above_3(flags):
-        kind = kinds[p % modulus]
-        ap = None
-        if kind == SPLIT:
-            # popped, not read: the row's int for the next p takes the freed
-            # key's slot, where a key kept to the end would leave a hole
-            # among the kept a_p that the render's strings cannot reuse
-            ap = stream.pop(p, None)
-            if ap is None:
-                raise no_representation(d_K, p)
-            if dstar != 1:
-                ap *= kronecker(dstar, p)
-        rows.append((p, kind, ap))
-    return rows
+    return count_report(_load_model(args.model, args.delta), args.p)
 
 
-def _cmd_ap(args) -> int:
-    if args.pmax > _AP_LIMIT:
-        raise VerificationError("PRECONDITION", f"pmax={args.pmax} exceeds the ap limit {_AP_LIMIT}")
-    rows = _ap_rows(args.dK, args.twist, args.pmax)
-    return _emit(
-        {"dK": args.dK, "twist": args.twist, "pmax": args.pmax, "rows": rows}
-    )
+def _cmd_fibers(args) -> dict:
+    from .ellsurf import fiber_report
+
+    return fiber_report(_load_model(args.model, args.delta))
 
 
-def _cmd_count(args) -> int:
-    from .ellsurf import algebraic_count, surface_count, trace_ap
-
-    model = _load_model(args.model, args.delta)
-    try:
-        ap = trace_ap(model, args.p)
-    except VerificationError:
-        ap = None
-    # a trace gives the count; trace_ap refuses most primes before it counts
-    count = surface_count(model, args.p) if ap is None else ap + algebraic_count(args.p)
-    return _emit(
-        {"model": model.name, "p": args.p, "surface_count": count, "trace_ap": ap}
-    )
-
-
-def _cmd_fibers(args) -> int:
-    from .ellsurf import classify_fibers
-
-    model = _load_model(args.model, args.delta)
-    fibers = classify_fibers(model)
-    rows = [
-        {
-            "place": f.place,
-            "degree": f.degree,
-            "type": f.kodaira_type,
-            "v_c4": f.vc4,
-            "v_c6": f.vc6,
-            "v_delta": f.vdelta,
-            "components": f.component_count,
-            "euler": f.euler_number,
-        }
-        for f in fibers
-    ]
-    return _emit(
-        {
-            "model": model.name,
-            "fibers": rows,
-            "euler_total": sum(r["degree"] * r["euler"] for r in rows),
-        }
-    )
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     from .atverify import verify_surface
 
-    model = _load_model(args.model, args.delta)
-    return _emit(verify_surface(model, args.pmax, workers=args.workers), args.out)
+    return verify_surface(_load_model(args.model, args.delta), args.pmax, workers=args.workers)
 
 
-def _cmd_height(args) -> int:
-    from .mwheights import compute_PO, config_from_model, corrections, height
+def _cmd_height(args) -> dict:
+    from .mwheights import height_report
 
-    model = _load_model(args.model)
-    if not 0 <= args.section < len(model.sections):
-        raise VerificationError(
-            "PRECONDITION",
-            f"{model.name} has {len(model.sections)} sections, index {args.section} invalid",
-        )
-    section = model.sections[args.section]
-    config = config_from_model(model)
-    pole_order = compute_PO(section, model)
-    return _emit(
-        {
-            "model": model.name,
-            "section": args.section,
-            "torsion_order": section.torsion_order,
-            "pole_order": pole_order,
-            "corrections": corrections(section, config),
-            "height": height(section, config, pole_order),
-        }
-    )
+    return height_report(_load_model(args.model), args.section)
 
 
-def _cmd_nsdisc(args) -> int:
-    from .mwheights import config_from_model, ns_discriminant
+def _cmd_nsdisc(args) -> dict:
+    from .mwheights import nsdisc_report
 
-    model = _load_model(args.model)
-    config = config_from_model(model)
-    return _emit(
-        {
-            "model": model.name,
-            "configuration": config.fibers,
-            "mw_rank": config.mw_rank,
-            "torsion_order": config.torsion_order,
-            "mw_gram": config.mw_gram,
-            "ns_discriminant": ns_discriminant(config),
-        }
-    )
+    return nsdisc_report(_load_model(args.model))
 
 
-def _cmd_lemma_r(args) -> int:
-    from .qforms import lemma_r_check
+def _cmd_lemma_r(args) -> dict:
+    from .classgroups import lemma_r_check
 
-    result = lemma_r_check(args.d, args.r, args.bound)
-    result.update({"d": args.d, "r": args.r, "bound": args.bound})
-    return _emit(result)
+    return lemma_r_check(args.d, args.r, args.bound)
 
 
-def _cmd_table_check(args) -> int:
+def _cmd_table_check(args) -> dict:
     from .mwheights import table_check
 
-    return _emit(table_check())
+    return table_check()
 
 
-def _cmd_list_models(args) -> int:
-    from .models import REGISTRY
+def _cmd_list_models(args) -> dict:
+    from .models import registry_report
 
-    rows = []
-    for name in sorted(REGISTRY):
-        model = REGISTRY[name]
-        rows.append(
-            {
-                "name": name,
-                "d": model.d,
-                "rank20_over_Q": model.rank20_over_Q,
-                "sections": len(model.sections),
-                "expected_config": model.expected_config,
-            }
-        )
-    return _emit({"models": rows})
+    return registry_report()
 
 
 # ---------------------------------------------------------------- wiring
 
+_MODEL = ("--model", {"required": True})
+_DELTA = ("--delta", {"type": int, "default": 1})
 
-def _build_parser() -> argparse.ArgumentParser:
+# name: (handler, help, arguments), each argument a flag and the keywords of
+# its add_argument call, in the order of the help
+_COMMANDS = {
+    "classgroup": (_cmd_classgroup, "reduced forms and group structure", [
+        ("-d", {"type": int, "required": True, "help": "negative discriminant"}),
+    ]),
+    "classify": (_cmd_classify, "scan discriminants by class group shape", [
+        ("--bound", {"type": int, "required": True}),
+        ("--two-torsion", {"action": "store_true", "dest": "two_torsion"}),
+    ]),
+    "ap": (_cmd_ap, "CM newform coefficients", [
+        ("--dK", {"type": int, "required": True, "help": "fundamental discriminant"}),
+        ("--pmax", {"type": int, "required": True}),
+        ("--twist", {"type": int, "default": 1, "help": "quadratic twist delta"}),
+    ]),
+    "count": (_cmd_count, "point count of one surface at one prime", [
+        _MODEL,
+        ("--p", {"type": int, "required": True}),
+        _DELTA,
+    ]),
+    "fibers": (_cmd_fibers, "Kodaira classification of the bad fibers", [_MODEL, _DELTA]),
+    "verify": (_cmd_verify, "per-prime verification report", [
+        _MODEL,
+        ("--pmax", {"type": int, "default": 200}),
+        _DELTA,
+        ("--workers", {"type": int, "default": 1}),
+        ("--out", {"help": "also write the report to this file"}),
+    ]),
+    "height": (_cmd_height, "canonical height of a stored section", [
+        _MODEL,
+        ("--section", {"type": int, "required": True, "help": "section index"}),
+    ]),
+    "nsdisc": (_cmd_nsdisc, "Neron-Severi discriminant of a model", [_MODEL]),
+    "lemma-r": (_cmd_lemma_r, "represented primes of d versus d r^2", [
+        ("-d", {"type": int, "required": True}),
+        ("-r", {"type": int, "required": True}),
+        ("--bound", {"type": int, "default": 100000}),
+    ]),
+    "table-check": (_cmd_table_check, "consistency of the built-in table", []),
+    "list-models": (_cmd_list_models, "built-in surface models", []),
+}
+
+
+def _build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of the subcommand that argv[0] names, or of every one.
+
+    A run parses one subcommand, so when argv[0] names one only its
+    subparser is built; the top-level usage still lists every subcommand, so
+    a usage error after it reads as it would with all of them built.  -h, an
+    unknown subcommand and none at all build every subparser, for the full
+    help and list of choices.
+    """
     parser = argparse.ArgumentParser(
         prog="picard20",
         description="Arithmetic verification for singular K3 surfaces over Q",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classgroup", help="reduced forms and group structure")
-    p.add_argument("-d", type=int, required=True, help="negative discriminant")
-    p.set_defaults(func=_cmd_classgroup)
-
-    p = sub.add_parser("classify", help="scan discriminants by class group shape")
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--two-torsion", action="store_true", dest="two_torsion")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("ap", help="CM newform coefficients")
-    p.add_argument("--dK", type=int, required=True, help="fundamental discriminant")
-    p.add_argument("--pmax", type=int, required=True)
-    p.add_argument("--twist", type=int, default=1, help="quadratic twist delta")
-    p.set_defaults(func=_cmd_ap)
-
-    p = sub.add_parser("count", help="point count of one surface at one prime")
-    p.add_argument("--model", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--delta", type=int, default=1)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("fibers", help="Kodaira classification of the bad fibers")
-    p.add_argument("--model", required=True)
-    p.add_argument("--delta", type=int, default=1)
-    p.set_defaults(func=_cmd_fibers)
-
-    p = sub.add_parser("verify", help="per-prime verification report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--pmax", type=int, default=200)
-    p.add_argument("--delta", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", help="also write the report to this file")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("height", help="canonical height of a stored section")
-    p.add_argument("--model", required=True)
-    p.add_argument("--section", type=int, required=True, help="section index")
-    p.set_defaults(func=_cmd_height)
-
-    p = sub.add_parser("nsdisc", help="Neron-Severi discriminant of a model")
-    p.add_argument("--model", required=True)
-    p.set_defaults(func=_cmd_nsdisc)
-
-    p = sub.add_parser("lemma-r", help="represented primes of d versus d r^2")
-    p.add_argument("-d", type=int, required=True)
-    p.add_argument("-r", type=int, required=True)
-    p.add_argument("--bound", type=int, default=100000)
-    p.set_defaults(func=_cmd_lemma_r)
-
-    p = sub.add_parser("table-check", help="consistency of the built-in table")
-    p.set_defaults(func=_cmd_table_check)
-
-    p = sub.add_parser("list-models", help="built-in surface models")
-    p.set_defaults(func=_cmd_list_models)
-
+    names, metavar = list(_COMMANDS), None
+    if argv and argv[0] in _COMMANDS:
+        # the metavar argparse would format from the full list of choices
+        names, metavar = [argv[0]], "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        handler, help_text, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     try:
-        return args.func(args)
+        return _emit(args.func(args), getattr(args, "out", None))
     except VerificationError as exc:
         return _emit({"error": {"code": exc.code, "message": exc.message}}, code=1)
 

@@ -11,10 +11,10 @@ t^(weight - k).  count_fiber reads a character sum only for smooth and I_n
 fibers, whose Weierstrass cubic it counts by one lookup in a per-prime table
 of the cubic character sums S(k, k), built in O(p) by one exact integer
 product where c4 and c6 are both nonzero mod p, or, when c4 or c6 vanishes
-at the fiber, by a direct sum, of which _axis_sum takes at most five, one
-per power-residue class; the direct sum _charsum_count is their oracle.  An
-additive fiber counts its components, and an I0* fiber splits when its
-residual cubic divides T^p - T.  surface_count reads c4 and c6 at every t in
+at the fiber, by a sum over a strided slice of the power table, of which
+_axis_sum takes at most five, one per power-residue class; the direct sum
+_charsum_count is their oracle.  An additive fiber counts its components,
+and an I0* fiber splits when its residual cubic divides T^p - T.  surface_count reads c4 and c6 at every t in
 F_p off the power table of one primitive root, as do chi and the inverses,
 and sums the fibers in one pass; the cubic's discriminant marks the singular
 fibers (1728 Delta = c4^3 - c6^2), and only those and t=oo go to
@@ -577,13 +577,29 @@ def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
 
     X -> vX gives S(v^2 a, v^3 b) = chi(v) S(a, b); with v = a/b and ab != 0
     that is S(a, b) = chi(ab) S(k, k) for k = a^3/b^2, one lookup.  With
-    ab = 0 the sum is taken directly, in O(p); _axis_sum takes one per class.
+    ab = 0 the sum is read off the power table g^i of F_p^*, with chi(u + c)
+    read from chi rotated by c; _axis_sum takes one per class.  With b = 0,
+    X^3 + aX = X(X^2 + a): for p = 1 mod 4, X = +-g^i gives X^2 = g^(2i)
+    and chi(X) = (-1)^i, so S(a, 0) is twice the sum of chi(u + a) over
+    u = g^(4j) less that over u = g^(4j+2); for p = 3 mod 4, X -> -X flips
+    each term and S(a, 0) = 0.  With a = 0, for p = 1 mod 3, X^3 takes each
+    cube u = g^(3j) three times, so S(0, b) = chi(b) + 3 times the sum of
+    chi(u + b) over those u; for p = 2 mod 3, cubing permutes F_p and
+    S(0, b) = 0.
     """
     p, chi = ctx.p, ctx.chi
     if a and b:
         inverse = ctx.inverse
         return chi[a * b % p] * ctx.s_kk[a * a * a * inverse[b] * inverse[b] % p]
-    return sum(chi[(x * x * x + a * x + b) % p] for x in range(p))
+    if b == 0:
+        if p % 4 == 3:
+            return 0
+        shifted = (chi[a:] + chi[:a]).__getitem__
+        return 2 * (sum(map(shifted, ctx.powers[::4])) - sum(map(shifted, ctx.powers[2::4])))
+    if p % 3 == 2:
+        return 0
+    shifted = (chi[b:] + chi[:b]).__getitem__
+    return chi[b] + 3 * sum(map(shifted, ctx.powers[::3]))
 
 
 def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
@@ -595,8 +611,8 @@ def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
     S(0, b) on that of b modulo sixth powers.  Since F_p^* is cyclic, the
     power v^_class_exponent(p, power) names the class of v, and the keys k
     and p - k name one square class of a, or one cube class of b, whose sums
-    differ in sign; so one direct sum is taken per square or cube class,
-    through _cubic_sum on one representative: at most 2 for a and 3 for b.
+    differ in sign; so one sum is taken per square or cube class, through
+    _cubic_sum on one representative: at most 2 for a and 3 for b.
     With p = 3 mod 4 every S(a, 0) is 0, as X -> -X flips each term, and
     with p = 2 mod 3 every S(0, b) is 0, as cubing permutes F_p; those axes
     take no sum at all.
@@ -748,6 +764,39 @@ def trace_ap(model: SurfaceModel, p: int) -> int:
     return ap
 
 
+def count_report(model: SurfaceModel, p: int) -> dict:
+    """The count document: #X(F_p) and, where trace_ap gives one, a_p."""
+    try:
+        ap = trace_ap(model, p)
+    except VerificationError:
+        ap = None
+    # a trace gives the count; trace_ap refuses most primes before it counts
+    count = surface_count(model, p) if ap is None else ap + algebraic_count(p)
+    return {"model": model.name, "p": p, "surface_count": count, "trace_ap": ap}
+
+
+def fiber_report(model: SurfaceModel) -> dict:
+    """The fibers document: each bad fiber's place, type and local data."""
+    rows = [
+        {
+            "place": f.place,
+            "degree": f.degree,
+            "type": f.kodaira_type,
+            "v_c4": f.vc4,
+            "v_c6": f.vc6,
+            "v_delta": f.vdelta,
+            "components": f.component_count,
+            "euler": f.euler_number,
+        }
+        for f in classify_fibers(model)
+    ]
+    return {
+        "model": model.name,
+        "fibers": rows,
+        "euler_total": sum(r["degree"] * r["euler"] for r in rows),
+    }
+
+
 # ---------------------------------------------------------------- twisting
 
 
@@ -779,108 +828,4 @@ def twist_model(model: SurfaceModel, delta: int) -> SurfaceModel:
         a6=pscale(model.a6, delta**3),
         sections=kept,
         twist_by=squarefree_part(model.twist_by * delta),
-    )
-
-
-# ---------------------------------------------------------------- serialization
-
-
-def model_to_json(model: SurfaceModel) -> dict:
-    """JSON-ready dict; polynomials as ascending integer coefficient lists."""
-    obj = {
-        "name": model.name,
-        "d": model.d,
-        "rank20_over_Q": model.rank20_over_Q,
-        "a": {
-            "a1": list(model.a1),
-            "a2": list(model.a2),
-            "a3": list(model.a3),
-            "a4": list(model.a4),
-            "a6": list(model.a6),
-        },
-        "sections": [
-            {
-                "x_num": list(s.x_num),
-                "x_den": list(s.x_den),
-                "y_num": list(s.y_num),
-                "y_den": list(s.y_den),
-                "torsion_order": s.torsion_order,
-                "component_hits": [[pl, k] for pl, k in s.component_hits],
-            }
-            for s in model.sections
-        ],
-        "expected_config": [[pl, sym] for pl, sym in model.expected_config],
-    }
-    if model.twist_by != 1:
-        obj["twist_by"] = model.twist_by
-    return obj
-
-
-_REQUIRED = object()
-_JSON_TYPE = {
-    dict: "an object", list: "an array", str: "a string", int: "an integer", bool: "a boolean"
-}
-
-
-def _json_field(obj, key: str, kind: type, default=_REQUIRED):
-    """obj[key], of exactly the JSON type kind (a bool is no int), or default
-    when the key is absent; PRECONDITION otherwise."""
-    if type(obj) is not dict:
-        raise VerificationError("PRECONDITION", "a model and its sections must be JSON objects")
-    if key not in obj:
-        if default is _REQUIRED:
-            raise VerificationError("PRECONDITION", f"model JSON lacks {key!r}")
-        return default
-    if type(obj[key]) is not kind:
-        raise VerificationError(
-            "PRECONDITION", f"model JSON field {key!r} must be {_JSON_TYPE[kind]}"
-        )
-    return obj[key]
-
-
-def _json_ints(obj, key: str, default=()) -> tuple:
-    values = tuple(_json_field(obj, key, list, default))
-    if any(type(v) is not int for v in values):
-        raise VerificationError("PRECONDITION", f"model JSON field {key!r} must hold integers")
-    return values
-
-
-def _json_pairs(obj, key: str, kinds: tuple[type, type]) -> tuple:
-    pairs = _json_field(obj, key, list, ())
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2 or any(
-            type(v) is not k for v, k in zip(pair, kinds)
-        ):
-            names = " and ".join(_JSON_TYPE[k] for k in kinds)
-            raise VerificationError(
-                "PRECONDITION", f"model JSON field {key!r} must hold pairs of {names}"
-            )
-    return tuple(tuple(pair) for pair in pairs)
-
-
-def model_from_json(obj) -> SurfaceModel:
-    """Inverse of model_to_json; validates through the SurfaceModel constructor.
-
-    A value that does not describe a model raises PRECONDITION.
-    """
-    a = _json_field(obj, "a", dict)
-    sections = tuple(
-        SectionData(
-            x_num=_json_ints(s, "x_num", _REQUIRED),
-            x_den=_json_ints(s, "x_den", (1,)),
-            y_num=_json_ints(s, "y_num"),
-            y_den=_json_ints(s, "y_den", (1,)),
-            torsion_order=_json_field(s, "torsion_order", int, 0),
-            component_hits=_json_pairs(s, "component_hits", (str, int)),
-        )
-        for s in _json_field(obj, "sections", list, ())
-    )
-    return SurfaceModel(
-        name=_json_field(obj, "name", str),
-        **{key: _json_ints(a, key) for key in _DEGREE_BOUND},
-        d=_json_field(obj, "d", int),
-        rank20_over_Q=_json_field(obj, "rank20_over_Q", bool, False),
-        sections=sections,
-        expected_config=_json_pairs(obj, "expected_config", (str, str)),
-        twist_by=_json_field(obj, "twist_by", int, 1),
     )

@@ -154,3 +154,20 @@ def get_model(name: str) -> SurfaceModel:
             "UNKNOWN_MODEL",
             f"no built-in model {name!r}; known: {', '.join(sorted(REGISTRY))}",
         ) from None
+
+
+def registry_report() -> dict:
+    """The list-models document: one row per built-in model, by name."""
+    rows = []
+    for name in sorted(REGISTRY):
+        model = REGISTRY[name]
+        rows.append(
+            {
+                "name": name,
+                "d": model.d,
+                "rank20_over_Q": model.rank20_over_Q,
+                "sections": len(model.sections),
+                "expected_config": model.expected_config,
+            }
+        )
+    return {"models": rows}

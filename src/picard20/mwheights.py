@@ -235,6 +235,39 @@ def ns_discriminant(config: ConfigLattice) -> int:
     return int(value)
 
 
+def height_report(model: SurfaceModel, section: int) -> dict:
+    """The height document of the model's stored section of index section."""
+    if not 0 <= section < len(model.sections):
+        raise VerificationError(
+            "PRECONDITION",
+            f"{model.name} has {len(model.sections)} sections, index {section} invalid",
+        )
+    data = model.sections[section]
+    config = config_from_model(model)
+    pole_order = compute_PO(data, model)
+    return {
+        "model": model.name,
+        "section": section,
+        "torsion_order": data.torsion_order,
+        "pole_order": pole_order,
+        "corrections": corrections(data, config),
+        "height": height(data, config, pole_order),
+    }
+
+
+def nsdisc_report(model: SurfaceModel) -> dict:
+    """The nsdisc document: the model's configuration and its NS discriminant."""
+    config = config_from_model(model)
+    return {
+        "model": model.name,
+        "configuration": config.fibers,
+        "mw_rank": config.mw_rank,
+        "torsion_order": config.torsion_order,
+        "mw_gram": config.mw_gram,
+        "ns_discriminant": ns_discriminant(config),
+    }
+
+
 def required_gram_determinant(d: int, config: ConfigLattice) -> Fraction:
     """Gram determinant forced by the discriminant identity for a given d.
 

@@ -25,7 +25,8 @@ from picard20.ellsurf import SurfaceModel, b_invariants
 from picard20.errors import VerificationError
 from picard20.heckecm import INERT, RAMIFIED, SPLIT, CMRule, no_representation, norm_form
 from picard20.polys import Poly, padd, pdeg, peval_mod, pmul, ppow, pscale, psub
-from picard20.qforms import FormClassGroup, compose, twist_discriminant
+from picard20.classgroups import FormClassGroup, compose
+from picard20.qforms import twist_discriminant
 
 
 def composition_table(group: FormClassGroup) -> list[list[int]]:

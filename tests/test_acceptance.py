@@ -24,14 +24,8 @@ from picard20.mwheights import (
     ns_discriminant,
     table_check,
 )
-from picard20.qforms import (
-    FormClassGroup,
-    class_number,
-    classify_h1,
-    classify_two_torsion,
-    fundamental_decomposition,
-    lemma_r_check,
-)
+from picard20.classgroups import FormClassGroup, classify_h1, classify_two_torsion, lemma_r_check
+from picard20.qforms import class_number, fundamental_decomposition
 
 from oracles import ap_h1, composition_table, split_type
 

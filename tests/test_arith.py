@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picard20.arith import (
+    _SMALL_PRIMES,
+    _WITNESS_BOUNDS,
     factorize,
     is_prime,
     is_square,
@@ -56,6 +58,38 @@ def test_is_prime_large_known_primes(n):
 def test_is_prime_large_known_composites():
     assert not is_prime((2**31 - 1) * (2**61 - 1))
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**j, n) == n - 1 for j in range(1, s))
+
+
+def test_each_witness_bound_is_a_strong_pseudoprime_to_its_witnesses():
+    # psi_k fools the first k witnesses, which decide every n below it; so
+    # each row is as far as its witnesses reach, and is_prime uses the next
+    # row's at psi_k.  The last one has no next row: refused, not guessed.
+    assert [k for _, k in _WITNESS_BOUNDS] == [1, 2, 3, 4, 5, 6, 7, 9, 12, 13]
+    for psi, k in _WITNESS_BOUNDS:
+        assert all(_strong_probable_prime(psi, a) for a in _SMALL_PRIMES[:k]), psi
+        if psi < _WITNESS_BOUNDS[-1][0]:
+            assert not is_prime(psi), psi
+    # below psi_12 the witnesses up to 37 once called this product prime
+    assert 318665857834031151167461 == 399165290221 * 798330580441
+    assert all(is_prime(q) for q in (399165290221, 798330580441))
+    with pytest.raises(VerificationError, match="^PRECONDITION: 3317044064679887385961981 "):
+        is_prime(3317044064679887385961981)
+
+
+def test_is_prime_proves_a_probable_prime_past_the_last_bound():
+    # Pocklington: 2^89 - 2 and 2^127 - 2 have a factored part above the
+    # square root; 3 divides 2^89 + 1, and the product fails Miller-Rabin
+    assert is_prime(2**89 - 1) and is_prime(2**127 - 1)
+    assert not is_prime(2**89 + 1)
+    assert not is_prime((2**61 - 1) * (2**89 - 1))
 
 
 def test_is_square_small_range():

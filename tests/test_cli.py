@@ -13,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picard20 import cli
+from picard20.classgroups import _TWO_TORSION_NOTE
 from picard20.cli import main
 from picard20.errors import VerificationError
+from picard20.heckecm import _ap_rows
 
 
 def run_cli(capsys, *argv):
@@ -65,7 +67,7 @@ class TestClassify:
         assert blob["kind"] == "two_torsion"
         assert blob["count"] == len(blob["discriminants"]) == 101
         assert blob["discriminants"][-1] == min(blob["discriminants"]) == -7392
-        assert blob["note"] == cli._TWO_TORSION_NOTE
+        assert blob["note"] == _TWO_TORSION_NOTE
 
     @pytest.mark.parametrize("flags", [[], ["--two-torsion"]])
     def test_bound_out_of_range(self, capsys, flags):
@@ -282,7 +284,7 @@ class TestHeight:
         assert blob["error"]["code"] == "PRECONDITION"
 
     def test_hit_at_a_place_without_reducible_fiber(self, capsys, tmp_path):
-        from picard20.ellsurf import model_to_json
+        from picard20.modelfile import model_to_json
         from picard20.models import get_model
 
         obj = model_to_json(get_model("d4"))
@@ -305,7 +307,8 @@ class TestNsdisc:
 
     def test_twist_preserves_geometric_invariant(self, capsys, tmp_path):
         # a quadratic twist is a Q-form of the same surface
-        from picard20.ellsurf import model_to_json, twist_model
+        from picard20.ellsurf import twist_model
+        from picard20.modelfile import model_to_json
         from picard20.models import get_model
 
         path = tmp_path / "d19_twist.json"
@@ -370,7 +373,7 @@ class TestModelLoading:
     def test_model_from_file(self, capsys, tmp_path):
         code, blob = run_cli(capsys, "fibers", "--model", "d4")
         path = tmp_path / "exported.json"
-        from picard20.ellsurf import model_to_json
+        from picard20.modelfile import model_to_json
         from picard20.models import get_model
 
         path.write_text(json.dumps(model_to_json(get_model("d4"))))
@@ -389,7 +392,7 @@ class TestModelLoading:
         assert blob["error"]["code"] == "UNKNOWN_MODEL"
 
     def test_malformed_files_end_in_an_error_document(self, capsys, tmp_path):
-        from picard20.ellsurf import model_to_json
+        from picard20.modelfile import model_to_json
         from picard20.models import get_model
 
         def with_edit(name, path, value):
@@ -431,7 +434,8 @@ class TestModelLoading:
         # y^2 = x^3 + t^7 + 1: II at t = -1 and at the degree-6 place, II* at
         # t = oo, so the lattice ranks sum to 10
         from picard20.arith import kronecker, primes_up_to
-        from picard20.ellsurf import good_prime, model_from_json, trace_ap
+        from picard20.ellsurf import good_prime, trace_ap
+        from picard20.modelfile import model_from_json
 
         obj = {
             "name": "x7",
@@ -495,7 +499,8 @@ class TestModelLoading:
     def test_count_refuses_a_false_claim_before_any_table(self, capsys, monkeypatch, tmp_path):
         # y^2 = x^3 - t^3 x^2 - t^3 (t-1)^2 x: I4 at t = 1, III* at t = 0, I1 at a
         # cubic place and I2* at t = oo, so the lattice ranks sum to 18
-        from picard20.ellsurf import count_fiber, model_from_json, surface_count, trace_ap
+        from picard20.ellsurf import count_fiber, surface_count, trace_ap
+        from picard20.modelfile import model_from_json
 
         obj = {
             "name": "r18",
@@ -724,7 +729,7 @@ def test_render_matches_the_json_oracle_on_random_tables(rows):
 def test_ap_document_matches_json_dumps_in_every_class_number_one_field(d_K, twist):
     # the rows hold small ints, the three kind strings and None, which
     # json.dumps takes as they are
-    doc = {"dK": d_K, "twist": twist, "pmax": 20000, "rows": cli._ap_rows(d_K, twist, 20000)}
+    doc = {"dK": d_K, "twist": twist, "pmax": 20000, "rows": _ap_rows(d_K, twist, 20000)}
     assert cli._table(doc["rows"], "    ") is not None
     assert cli._render(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
@@ -732,7 +737,7 @@ def test_ap_document_matches_json_dumps_in_every_class_number_one_field(d_K, twi
 def test_render_peak_memory_stays_under_half_of_json_dumps():
     # the rendered items of a list are joined straight from the comprehension;
     # holding them while the body is copied raised the peak by a third
-    doc = {"dK": -4, "twist": 1, "pmax": 10**5, "rows": cli._ap_rows(-4, 1, 10**5)}
+    doc = {"dK": -4, "twist": 1, "pmax": 10**5, "rows": _ap_rows(-4, 1, 10**5)}
 
     def peak(render):
         tracemalloc.start()
@@ -840,7 +845,7 @@ def test_commands_without_a_pool_do_not_import_it():
 
 
 def test_scans_and_ap_import_only_the_layers_they_run():
-    # classify and classgroup run qforms alone, and ap adds heckecm; neither
+    # classify and classgroup run the forms layers alone, and ap adds heckecm; neither
     # imports (or, without bytecode, compiles) the point-count stack, nor
     # dataclasses and inspect unless the interpreter's start loaded them
     script = "\n".join([
@@ -861,9 +866,10 @@ def test_scans_and_ap_import_only_the_layers_they_run():
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
     assert done.stdout.splitlines() == [
-        "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.qforms']",
+        "['picard20.arith', 'picard20.classgroups', 'picard20.cli', 'picard20.errors', 'picard20.qforms']",
         "[]",
-        "['picard20.arith', 'picard20.cli', 'picard20.errors', 'picard20.heckecm', 'picard20.qforms']",
+        "['picard20.arith', 'picard20.classgroups', 'picard20.cli', 'picard20.errors', 'picard20.heckecm',"
+        " 'picard20.qforms']",
         "[]",
     ]
 
@@ -878,7 +884,8 @@ _LAYERS_RUN = [
     (["height", "--model", "d27", "--section", "0"], _MODEL_STACK + ["mwheights"]),
     (["nsdisc", "--model", "d27"], _MODEL_STACK + ["mwheights"]),
     (["table-check"], ["arith", "cli", "ellsurf", "errors", "mwheights", "polys"]),
-    (["lemma-r", "-d", "-4", "-r", "2", "--bound", "1000"], ["arith", "cli", "errors", "qforms"]),
+    (["lemma-r", "-d", "-4", "-r", "2", "--bound", "1000"], ["arith", "classgroups", "cli", "errors", "qforms"]),
+    (["ap", "--dK", "-7", "--pmax", "1000", "--twist", "-3"], ["arith", "cli", "errors", "heckecm", "qforms"]),
 ]
 
 

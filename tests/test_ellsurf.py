@@ -35,8 +35,6 @@ from picard20.ellsurf import (
     count_fiber,
     discriminant,
     good_prime,
-    model_from_json,
-    model_to_json,
     place_label,
     rank20_effective,
     surface_count,
@@ -56,6 +54,7 @@ from picard20.ellsurf import (
 )
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule
+from picard20.modelfile import model_from_json, model_to_json
 from picard20.models import REGISTRY, get_model
 from picard20.polys import pdivmod_mod, peval_mod, pmod, pscale
 from picard20.qforms import twist_discriminant
@@ -378,8 +377,9 @@ def test_cubic_sum_tables_match_the_direct_sum():
     model = get_model("d19")
     primes = [p for p in primes_up_to(43) if good_prime(model, p)]
     assert primes == [5, 7, 11, 13, 17, 23, 29, 31, 37, 41, 43]
-    # and the rows A = 0 and B = 0 at every good p < 200, which meet every
-    # pair gcd(4, p - 1) in {2, 4}, gcd(6, p - 1) in {2, 6}
+    # and the rows A = 0 and B = 0, the power-table sums, at every good
+    # p < 200, which meet every pair gcd(4, p - 1) in {2, 4}, gcd(6, p - 1)
+    # in {2, 6}: each case of p mod 4 and p mod 3 that those sums split on
     rows = [p for p in primes_up_to(199) if good_prime(model, p)]
     assert {(gcd(4, p - 1), gcd(6, p - 1)) for p in rows} == {(2, 2), (2, 6), (4, 2), (4, 6)}
     inputs = [(p, [(a, b) for a in range(p) for b in range(p)]) for p in primes]

@@ -20,10 +20,10 @@ from picard20.ellsurf import (
     classify_fibers,
     count_fiber,
     good_prime,
-    model_to_json,
     twist_model,
 )
 from picard20.errors import VerificationError
+from picard20.modelfile import model_to_json
 from picard20.models import REGISTRY
 
 GOLDEN = {

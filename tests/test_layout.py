@@ -18,7 +18,7 @@ EXEMPT = {
     "cli.main",
     # README documents it as the writer of the model-file format that
     # model_from_json reads; no subcommand writes a model file
-    "ellsurf.model_to_json",
+    "modelfile.model_to_json",
     # the count's oracle; perfbench/claims.py wraps it by this name, so it
     # moves to tests/oracles.py only together with that script
     "ellsurf._charsum_count",

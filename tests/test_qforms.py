@@ -10,20 +10,17 @@ import math
 import pytest
 
 from picard20.errors import VerificationError
-from picard20.qforms import (
+from picard20.classgroups import (
     FormClassGroup,
-    QuadForm,
     _unflagged,
-    class_number,
     compose,
-    enumerate_reduced,
     form_power,
-    fundamental_decomposition,
     principal_form,
     reduce_form,
     reduced_form_flags,
     represented_primes,
 )
+from picard20.qforms import QuadForm, class_number, enumerate_reduced, fundamental_decomposition
 
 from oracles import composition_table
 

@@ -18,7 +18,7 @@ def _load(name: str):
 
 
 def test_ap_stages_times_every_stage_of_the_ap_document(capsys):
-    # stages patches arith.prime_flags, arith.primes_above_3 and
+    # stages patches heckecm.prime_flags, heckecm.primes_above_3 and
     # heckecm.split_stream; a patch that no longer intercepts its call leaves
     # its stage unset, and stages raises KeyError
     ap_stages = _load("ap_stages")
@@ -42,3 +42,7 @@ def test_count_stages_times_every_stage_of_the_count():
     assert (d19["primes"], d4["primes"]) == (20, 21)
     assert min(d19[k] for k in ("context", "table", "values", "axis")) > 0
     assert d4["table"] == 0 and min(d4[k] for k in ("context", "values", "axis")) > 0
+    # every wrapped call is counted, so that its own cost is not charged to
+    # pass: at least a context, two value tables and an axis sum per prime
+    for out in (d19, d4):
+        assert out["wrapped_calls"] >= 4 * out["primes"] and out["pass"] > 0

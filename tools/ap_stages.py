@@ -6,7 +6,7 @@ Run from the root of a checkout, with its `src` on PYTHONPATH:
 
 Each repeat builds the `ap` document as the CLI does, in one warm process.
 `sieve`, `primes` and `walk` are the `prime_flags`, `primes_above_3` and
-`split_stream` calls that `cli._ap_rows` makes. `primes` is its own stage,
+`split_stream` calls that `heckecm._ap_rows` makes. `primes` is its own stage,
 not part of `sieve`: `primes_above_3` returns a lazy iterator, which the
 tool reads to its end under the timer, so `_ap_rows` then walks a list.
 `rows` is the rest of `_ap_rows` and `render` is `cli._render` of the
@@ -27,7 +27,6 @@ import statistics
 import time
 import tracemalloc
 
-import picard20.arith
 import picard20.heckecm
 from picard20 import cli
 
@@ -37,9 +36,10 @@ STAGES = ("sieve", "primes", "walk", "rows", "render")
 def stages(d_K: int, twist: int, pmax: int) -> dict:
     """Seconds of each stage of one `ap` document, and its length in bytes."""
     spent = {}
+    # patched where _ap_rows looks them up
     patched = [
-        (picard20.arith, "prime_flags"),
-        (picard20.arith, "primes_above_3"),
+        (picard20.heckecm, "prime_flags"),
+        (picard20.heckecm, "primes_above_3"),
         (picard20.heckecm, "split_stream"),
     ]
     originals = [getattr(module, name) for module, name in patched]
@@ -59,7 +59,7 @@ def stages(d_K: int, twist: int, pmax: int) -> dict:
         setattr(module, name, timed(name, fn))
     try:
         start = time.perf_counter()
-        rows = cli._ap_rows(d_K, twist, pmax)
+        rows = picard20.heckecm._ap_rows(d_K, twist, pmax)
         ap_rows = time.perf_counter() - start
     finally:
         for (module, name), fn in zip(patched, originals):

@@ -16,9 +16,11 @@ primes:
     axis     _axis_sum, the sums of the fibers with a = 0 or b = 0
     pass     the rest of surface_count: the fiber pass and the singular fibers
 
-Each stage is timed by wrapping its function in the `ellsurf` module.
-`total` is the same counts with no wrapper.  Prints one JSON line with the
-median seconds of each stage.
+Each stage is timed by wrapping its function in the `ellsurf` module.  A
+wrapped call costs more than a direct one outside its own timed window; that
+cost, measured per call on a function that does nothing, is taken off `pass`
+for every wrapped call.  `total` is the same counts with no wrapper.  Prints
+one JSON line with the median seconds of each stage.
 """
 
 from __future__ import annotations
@@ -45,6 +47,10 @@ def _count_all(model, primes: list, clear) -> float:
     return time.perf_counter() - start
 
 
+def _noop():
+    pass
+
+
 def stages(model, pmax: int) -> dict:
     """Seconds of each stage of the counts at the good split primes <= pmax."""
     primes = [
@@ -53,32 +59,47 @@ def stages(model, pmax: int) -> dict:
     ]
     names = {"_counting_context": "context", "_cubic_sum_table": "table",
              "pvalues_on_powers": "values", "_axis_sum": "axis"}
-    spent = dict.fromkeys(names.values(), 0.0)
+    spent = dict.fromkeys([*names.values(), "noop"], 0.0)
+    calls = dict.fromkeys(spent, 0)
     originals = {name: getattr(ellsurf, name) for name in names}
 
-    def timed(name, fn):
+    def timed(stage, fn):
         def wrapper(*args, **kwargs):
             start = time.perf_counter()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[names[name]] += time.perf_counter() - start
+                spent[stage] += time.perf_counter() - start
+                calls[stage] += 1
 
         return wrapper
+
+    # the cost a wrapped call adds outside its window, against a direct call
+    rounds, noop = range(2000), timed("noop", _noop)
+    start = time.perf_counter()
+    for _ in rounds:
+        _noop()
+    direct = time.perf_counter() - start
+    start = time.perf_counter()
+    for _ in rounds:
+        noop()
+    outside = (time.perf_counter() - start - direct - spent.pop("noop")) / len(rounds)
+    del calls["noop"]
 
     clear = ellsurf._counting_context.cache_clear
     total = _count_all(model, primes, clear)
     for name, fn in originals.items():
-        setattr(ellsurf, name, timed(name, fn))
+        setattr(ellsurf, name, timed(names[name], fn))
     try:
         wrapped = _count_all(model, primes, clear)
     finally:
         for name, fn in originals.items():
             setattr(ellsurf, name, fn)
     spent["context"] -= spent["table"]
-    spent["pass"] = wrapped - sum(spent.values())
+    spent["pass"] = wrapped - sum(spent.values()) - outside * sum(calls.values())
     spent["total"] = total
     spent["primes"] = len(primes)
+    spent["wrapped_calls"] = sum(calls.values())
     return spent
 
 

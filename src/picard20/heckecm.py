@@ -33,6 +33,7 @@ __all__ = [
     "split_types",
     "norm_form",
     "split_stream",
+    "ap_report",
     "no_representation",
     "principality_certificate",
     "match_twist",

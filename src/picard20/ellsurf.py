@@ -455,11 +455,12 @@ class _CountingContext(NamedTuple):
 
 
 # surface_count is O(p) work per prime, at most one exact product, at most
-# five direct sums and one pass over the fibers: for d19 about 0.005 s at
-# p = 3001 and 0.024 s at 9973, and for d4, which builds no table, 0.004 s and
-# 0.013 s, context included (best of 7, 2-core Xeon, Python 3.11).  The value
-# kernel's 32-bit slots hold c6's 13 coefficients only while p <= 18169, so a
-# raise beyond that must widen the slots of pvalues_on_powers first
+# five direct sums and one pass over the fibers: for d19 about 0.004 s at
+# p = 3001 and 0.015 s at 9973, and for d4, which builds no table, 0.003 s and
+# 0.011 s, context included (best of 9, 2-core Xeon, Python 3.11).  The
+# S(k, k) table's 16-bit slots hold every p <= 10922, and the value kernel's
+# 32-bit slots hold c6's 13 coefficients only while p <= 18169, so a raise
+# beyond 10922 must widen the table's slots first
 COUNT_LIMIT = 10**4
 
 
@@ -470,22 +471,22 @@ def _cubic_sum_table(p: int, chi: tuple, inverse: array) -> array:
     chi(-1) + R[k], R[k] = sum over y in F_p of w[y] chi(y + k) with
     w[y] = sum of chi(x + 1) over x^3/(x + 1) = y.  R is a cyclic
     correlation, taken by Kronecker substitution: the reversed w + 3 and one
-    period of chi + 1 are packed into slots, and coefficients p - 1 + k and
-    k - 1 of their product (the latter 0 for k = 0) sum to R[k] + sum(w) + 3p,
-    where sum(w) is the sum of chi over F_p^*, 0.  With |w| <= 3 no
-    coefficient exceeds 12p, so 16-bit slots hold them while 12p < 2^16, and
-    32-bit slots above that.
+    period of chi + 1 are packed into 16-bit slots, and coefficients
+    p - 1 + k and k - 1 of their product (the latter 0 for k = 0) sum to
+    R[k] + sum(w) + 3p, where sum(w) is the sum of chi over F_p^*, 0.  No
+    slot overflows while 6p < 2^16: every w + 3 lies in [0, 6], as
+    x^3 = y(x + 1) has at most 3 roots, and chi + 1 is >= 0 with sum p over
+    F_p, so every coefficient lies in [0, 6p].
     """
-    if 12 * p >= 1 << 32:
-        raise VerificationError("PRECONDITION", f"p={p} overflows the 32-bit correlation slots")
-    slot = "H" if 12 * p < 1 << 16 else "I"
+    if 6 * p >= 1 << 16:
+        raise VerificationError("PRECONDITION", f"p={p} overflows the 16-bit correlation slots")
     w = [0] * p
     for x in range(p - 1):
         w[x * x * x * inverse[x + 1] % p] += chi[x + 1]
-    u = array(slot, [c + 3 for c in reversed(w)])
-    v = array(slot, [c + 1 for c in chi])
+    u = array("H", [c + 3 for c in reversed(w)])
+    v = array("H", [c + 1 for c in chi])
     product = int.from_bytes(u, sys.byteorder) * int.from_bytes(v, sys.byteorder)
-    c = memoryview(product.to_bytes(2 * p * u.itemsize, sys.byteorder)).cast(slot)
+    c = memoryview(product.to_bytes(4 * p, sys.byteorder)).cast("H")
     offset = 3 * p - chi[p - 1]
     return array("i", [a + b - offset for a, b in zip(c[p - 1 : 2 * p - 1], [0, *c[: p - 1]])])
 
@@ -567,11 +568,6 @@ def _charsum_count(model: SurfaceModel, p: int, t0) -> int:
     return p + 1 + s
 
 
-def _class_exponent(p: int, power: int) -> int:
-    """e such that v^e mod p names the class of v modulo power-th powers in F_p."""
-    return (p - 1) // gcd(power, p - 1)
-
-
 def _cubic_sum(ctx: _CountingContext, a: int, b: int) -> int:
     """S(a, b) = sum over X in F_p of chi(X^3 + a X + b).
 
@@ -609,10 +605,11 @@ def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
     S(v^2 a, 0) = chi(v) S(a, 0) and S(0, v^3 b) = chi(v) S(0, b); with
     v = u^2, S(a, 0) depends only on the class of a modulo fourth powers and
     S(0, b) on that of b modulo sixth powers.  Since F_p^* is cyclic, the
-    power v^_class_exponent(p, power) names the class of v, and the keys k
-    and p - k name one square class of a, or one cube class of b, whose sums
-    differ in sign; so one sum is taken per square or cube class, through
-    _cubic_sum on one representative: at most 2 for a and 3 for b.
+    power v^e with e = (p - 1)/gcd(power, p - 1) names the class of v modulo
+    power-th powers, and the keys k and p - k name one square class of a, or
+    one cube class of b, whose sums differ in sign; so one sum is taken per
+    square or cube class, through _cubic_sum on one representative: at most
+    2 for a and 3 for b.
     With p = 3 mod 4 every S(a, 0) is 0, as X -> -X flips each term, and
     with p = 2 mod 3 every S(0, b) is 0, as cubing permutes F_p; those axes
     take no sum at all.
@@ -621,7 +618,7 @@ def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
     for values, power, vanish in ((a_axis, 4, p % 4 == 3), (b_axis, 6, p % 3 == 2)):
         if vanish:
             continue
-        keys = list(map(pow, values, repeat(_class_exponent(p, power)), repeat(p)))
+        keys = list(map(pow, values, repeat((p - 1) // gcd(power, p - 1)), repeat(p)))
         representative = dict(zip(keys, values))
         sums = {}
         for key, count in Counter(keys).items():

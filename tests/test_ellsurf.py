@@ -420,18 +420,31 @@ def _two_period_table(p: int, chi: list, inverse: list) -> list:
     return [c - 3 * p + chi[p - 1] for c in slots[p - 1 : 2 * p - 1]]
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 997, 3001, 5449, 5471, 9973])
-def test_cubic_sum_table_matches_the_two_period_product(p):
-    # one period of chi + 1 in 16-bit slots up to 5449 (12p < 2^16) and in
-    # 32-bit slots from 5471 on, against two periods in 32-bit slots
+def _chi_and_inverse(p: int) -> tuple:
     squares = {x * x % p for x in range(1, p)}
     chi = [0] + [1 if v in squares else -1 for v in range(1, p)]
-    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+    return chi, [0] + [pow(x, -1, p) for x in range(1, p)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 101, 997, 3001, 5449, 5471, 9973, 10909])
+def test_cubic_sum_table_matches_the_two_period_product(p):
+    # one period of chi + 1 in 16-bit slots, against two periods in 32-bit
+    # slots, up to 10909, the largest prime with 6p < 2^16
+    chi, inverse = _chi_and_inverse(p)
     table = _cubic_sum_table(p, tuple(chi), array("i", inverse))
     assert list(table) == _two_period_table(p, chi, inverse)
     if p <= 13:
         for k in range(p):
             assert table[k] == sum(chi[(x * x * x + k * x + k) % p] for x in range(p))
+
+
+def test_cubic_sum_table_refuses_beyond_the_16_bit_slots():
+    # 10937 is the least prime with 6p >= 2^16, where a coefficient of the
+    # product could overflow its slot
+    chi, inverse = _chi_and_inverse(10937)
+    with pytest.raises(VerificationError) as err:
+        _cubic_sum_table(10937, tuple(chi), array("i", inverse))
+    assert err.value.code == "PRECONDITION"
 
 
 # trace_ap at every good split p < 200, as the parent of the axis-fiber

@@ -67,6 +67,7 @@ GOLDEN = {
     "count --model d19 --p 17": (0, "4c6e64467a9e7da24456d9423447e8d4aac665a4720e1495cf7a383e54277b47"),
     "count --model d19 --p 5": (0, "afca60f72b5e11eaedd3fc48e5449d7d23a6cd7e8dd2279fa72d5f49c6ed5430"),
     "count --model d19 --p 7": (0, "6b6f1a8eb43735fdeaf058315414bef2cf5c311aa92818766cf0a63ae71c88e7"),
+    "count --model d19 --p 9973": (0, "780b20ccbfc1ca3569965b42afea472faaccb0a524c22fd0c0dd686daa612f9a"),
     "count --model d27 --p 11": (1, "94811466e1803b033934ed46b8fc56144217d3364e32a5016f9f2604e71ecfe9"),
     "count --model d27 --p 13": (0, "d7be821fbbaaec30510fcb5a7e60dba3a58217c903a65fbd14208619f6cc323c"),
     "count --model d27 --p 17": (1, "04b8e4cd2b8d8e211f17420ab241b83a9b548a18120fd148dcd6a5824c7cde8b"),

@@ -14,18 +14,6 @@ from itertools import compress
 
 from .errors import VerificationError
 
-__all__ = [
-    "is_prime",
-    "kronecker",
-    "prime_flags",
-    "primes_above_3",
-    "primes_up_to",
-    "factorize",
-    "primitive_root",
-    "squarefree_part",
-    "is_squarefree",
-    "is_square",
-]
 
 # Trial divisors, and the Miller-Rabin witnesses: the first k of them
 # decide every n below the least strong pseudoprime to all k, psi_k.

@@ -21,21 +21,6 @@ from .arith import factorize, primes_up_to
 from .errors import VerificationError
 from .qforms import QuadForm, check_discriminant, class_number, enumerate_reduced
 
-__all__ = [
-    "reduce_form",
-    "principal_form",
-    "compose",
-    "form_power",
-    "FormClassGroup",
-    "class_group_report",
-    "reduced_form_flags",
-    "classify_h1",
-    "classify_two_torsion",
-    "classify_report",
-    "represented_primes",
-    "lemma_r_check",
-]
-
 
 def _check_definite(f: QuadForm) -> None:
     if f.a <= 0 or f.disc >= 0:

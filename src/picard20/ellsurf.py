@@ -97,9 +97,7 @@ class Kodaira(NamedTuple):
     (A_{n-1} for I_n, D_{b+4} for I_b*, ...).  root_disc is also the order of
     the component group, so the simple components are indexed
     0 .. root_disc - 1; exponent, the exponent of that group, bounds the
-    denominators of heights.  correction is the height correction at a
-    non-identity simple component of III, IV, IV* and III*, and None for
-    every other type.
+    denominators of heights.
     """
 
     family: str
@@ -109,18 +107,17 @@ class Kodaira(NamedTuple):
     root_rank: int
     root_disc: int
     exponent: int
-    correction: Optional[Fraction]
 
 
 # components, Euler number, root discriminant (the component group is cyclic
-# of that order), height correction
+# of that order)
 _ADDITIVE = {
-    "II": (1, 2, 1, None),
-    "III": (2, 3, 2, Fraction(1, 2)),
-    "IV": (3, 4, 3, Fraction(2, 3)),
-    "IV*": (7, 8, 3, Fraction(4, 3)),
-    "III*": (8, 9, 2, Fraction(3, 2)),
-    "II*": (9, 10, 1, None),
+    "II": (1, 2, 1),
+    "III": (2, 3, 2),
+    "IV": (3, 4, 3),
+    "IV*": (7, 8, 3),
+    "III*": (8, 9, 2),
+    "II*": (9, 10, 1),
 }
 
 
@@ -131,14 +128,14 @@ def kodaira(symbol: str) -> Kodaira:
     a smooth fiber, not a Kodaira type here.
     """
     if symbol in _ADDITIVE:
-        components, euler, disc, correction = _ADDITIVE[symbol]
-        return Kodaira(symbol, 0, components, euler, components - 1, disc, disc, correction)
+        components, euler, disc = _ADDITIVE[symbol]
+        return Kodaira(symbol, 0, components, euler, components - 1, disc, disc)
     if symbol.startswith("I") and symbol.endswith("*") and symbol[1:-1].isdecimal():
         b = int(symbol[1:-1])
-        return Kodaira("I*", b, b + 5, b + 6, b + 4, 4, 2 if b % 2 == 0 else 4, None)
+        return Kodaira("I*", b, b + 5, b + 6, b + 4, 4, 2 if b % 2 == 0 else 4)
     if symbol.startswith("I") and symbol[1:].isdecimal() and int(symbol[1:]) >= 1:
         n = int(symbol[1:])
-        return Kodaira("I", n, n, n, n - 1, n, n, None)
+        return Kodaira("I", n, n, n, n - 1, n, n)
     raise VerificationError("PRECONDITION", f"unknown Kodaira symbol {symbol!r}")
 
 
@@ -151,7 +148,7 @@ def shioda_tate_rank(fibers, mw_rank: int) -> int:
 # In residue characteristic 0 a fiber's Euler number is v(Delta) (Ogg), and a
 # potentially good fiber has v(Delta) = min(3 v(c4), 2 v(c6)): one lookup
 # from v(Delta) names it
-_POTENTIALLY_GOOD = {euler: sym for sym, (_, euler, _, _) in _ADDITIVE.items()} | {6: "I0*"}
+_POTENTIALLY_GOOD = {euler: sym for sym, (_, euler, _) in _ADDITIVE.items()} | {6: "I0*"}
 
 
 def _kodaira_from_valuations(v4: int, v6: int, vd: int, place: str) -> str:
@@ -225,9 +222,7 @@ class FiberDatum(NamedTuple):
     kodaira_type: str
     vc4: Optional[int]  # None when c4 vanishes identically
     vc6: Optional[int]  # None when c6 vanishes identically
-    vdelta: int
-    component_count: int
-    euler_number: int
+    vdelta: int  # also the fiber's Euler number (Ogg)
 
     @property
     def degree(self) -> int:
@@ -330,32 +325,24 @@ def discriminant(model: SurfaceModel) -> Poly:
     return delta
 
 
-def _invariants(model: SurfaceModel) -> dict[str, Poly]:
-    """The invariants named in _WEIGHT."""
-    c4, c6 = c_invariants(model)
-    return {"c4": c4, "c6": c6, "delta": discriminant(model)}
-
-
 # ---------------------------------------------------------------- classification
 
 
-def _order(inv: dict[str, Poly], name: str, place: Optional[Poly]) -> Optional[int]:
-    """Order of the invariant at the place (t=oo when place is None), or None
-    when the invariant vanishes identically."""
-    f = inv[name]
+def _order(f: Poly, weight: int, place: Optional[Poly]) -> Optional[int]:
+    """Order of the invariant f of that weight at the place (t=oo when place
+    is None), or None when f vanishes identically."""
     if not f:
         return None
-    return _WEIGHT[name] - pdeg(f) if place is None else valuation(f, place)
+    return weight - pdeg(f) if place is None else valuation(f, place)
 
 
-def _fiber_datum(inv: dict[str, Poly], poly: Optional[Poly], vd: int) -> FiberDatum:
+def _fiber_datum(c4: Poly, c6: Poly, poly: Optional[Poly], vd: int) -> FiberDatum:
     place = place_label(poly)
-    v4, v6 = _order(inv, "c4", poly), _order(inv, "c6", poly)
+    v4, v6 = _order(c4, _WEIGHT["c4"], poly), _order(c6, _WEIGHT["c6"], poly)
     sym = _kodaira_from_valuations(
         _INF if v4 is None else v4, _INF if v6 is None else v6, vd, place
     )
-    k = kodaira(sym)
-    return FiberDatum(place, poly, sym, v4, v6, vd, k.components, k.euler)
+    return FiberDatum(place, poly, sym, v4, v6, vd)
 
 
 @functools.lru_cache(maxsize=None)
@@ -366,13 +353,14 @@ def classify_fibers(model: SurfaceModel) -> tuple[FiberDatum, ...]:
     all places, t=oo included, sum to its weight 24, so the Euler numbers
     sum to 24 without a check.
     """
-    inv = _invariants(model)
-    _, factors = factor_int_poly(discriminant(model))
+    c4, c6 = c_invariants(model)
+    delta = discriminant(model)
+    _, factors = factor_int_poly(delta)
     places = list(factors)
-    v_infinity = _order(inv, "delta", None)
+    v_infinity = _order(delta, _WEIGHT["delta"], None)
     if v_infinity > 0:
         places.append((None, v_infinity))
-    return tuple(_fiber_datum(inv, f, m) for f, m in places)
+    return tuple(_fiber_datum(c4, c6, f, m) for f, m in places)
 
 
 @functools.lru_cache(maxsize=None)
@@ -692,7 +680,7 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         # III, IV, IV*, I_b* (b >= 1): rationality granted by rank 20 over Q at split p
         why = "components not known rational"
     else:
-        return datum.component_count * p + 1
+        return k.components * p + 1
     raise VerificationError(
         "COMPONENTS_NOT_RATIONAL", f"{sym} fiber at {datum.place}: {why} at p={p}"
     )
@@ -782,8 +770,8 @@ def fiber_report(model: SurfaceModel) -> dict:
             "v_c4": f.vc4,
             "v_c6": f.vc6,
             "v_delta": f.vdelta,
-            "components": f.component_count,
-            "euler": f.euler_number,
+            "components": kodaira(f.kodaira_type).components,
+            "euler": f.vdelta,
         }
         for f in classify_fibers(model)
     ]

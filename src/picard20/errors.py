@@ -6,8 +6,6 @@ CLI, which maps them to exit status 1) can react without parsing messages.
 
 from __future__ import annotations
 
-__all__ = ["VerificationError"]
-
 
 class VerificationError(Exception):
     """A domain-level failure with a stable code string.

@@ -24,20 +24,6 @@ from .arith import is_square, is_squarefree, kronecker, prime_flags, primes_abov
 from .errors import VerificationError
 from .qforms import class_number, is_fundamental_discriminant, twist_discriminant
 
-__all__ = [
-    "SPLIT",
-    "INERT",
-    "RAMIFIED",
-    "CMRule",
-    "TwistVerdict",
-    "split_types",
-    "norm_form",
-    "split_stream",
-    "ap_report",
-    "no_representation",
-    "principality_certificate",
-    "match_twist",
-]
 
 SPLIT = "split"
 INERT = "inert"
@@ -211,8 +197,7 @@ class TwistVerdict(NamedTuple):
         matches_base    -- equal to the untwisted coefficients at every prime
         quadratic_twist -- off by kronecker(delta*, .); delta recorded
         cubic_class     -- d_K = -3 only: every a_p fits some cubic branch
-        no_match        -- with the first split prime where the data leaves
-                           the base stream
+        no_match        -- no candidate fits
 
     expected maps each split prime to the coefficient the data was compared
     with: the base stream for matches_base and no_match, the base stream
@@ -221,7 +206,6 @@ class TwistVerdict(NamedTuple):
 
     kind: str
     delta: int | None = None
-    failing_prime: int | None = None
     expected: dict | None = None
 
 
@@ -241,8 +225,7 @@ def match_twist(
     the base stream; for d_K = -4, the base stream times kronecker(delta*, p)
     for each squarefree 1 < |delta| <= _TWIST_SEARCH_BOUND; for d_K = -3,
     the class of streams whose every a_p has a principality certificate
-    with D = 3. If none fits, the verdict is no_match at the first split
-    prime where the data leaves the base stream.
+    with D = 3. If none fits, the verdict is no_match.
     """
     kinds = split_types(rule.d_K)
     rows = [(p, ap) for p, ap in geometric if kinds[p % len(kinds)] == SPLIT]
@@ -284,5 +267,4 @@ def match_twist(
                     return TwistVerdict("quadratic_twist", delta=delta, expected=twisted)
     if rule.d_K == -3 and fits(certified):
         return TwistVerdict("cubic_class")
-    failing = next(p for p, ap in rows if ap != base[p])
-    return TwistVerdict("no_match", failing_prime=failing, expected=base)
+    return TwistVerdict("no_match", expected=base)

@@ -22,9 +22,20 @@ from .ellsurf import rank20_effective, replace, shioda_tate_rank
 from .polys import factor_int_poly, pdeg, valuation
 
 
+# correction at a non-identity simple component of the additive types with a
+# nontrivial component group
+_ADDITIVE_CORRECTION = {
+    "III": Fraction(1, 2),
+    "IV": Fraction(2, 3),
+    "IV*": Fraction(4, 3),
+    "III*": Fraction(3, 2),
+}
+
+
 def contribution(symbol: str, index: int) -> Fraction:
     """Correction term for a section through component `index` of the fiber.
 
+    This is the one statement of the height corrections of every fiber type.
     Index 0 is the identity component.  For I_n the components are indexed
     around the cycle; for I_b* index 1 is the near component and 2, 3 the far
     ones.  II and II* only have the identity component.
@@ -38,7 +49,7 @@ def contribution(symbol: str, index: int) -> Fraction:
         return Fraction(index * (k.n - index), k.n)
     if k.family == "I*":
         return Fraction(1) if index == 1 else 1 + Fraction(k.n, 4)
-    return k.correction
+    return _ADDITIVE_CORRECTION[symbol]
 
 
 class _ConfigFields(NamedTuple):

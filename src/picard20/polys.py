@@ -23,29 +23,6 @@ from .errors import VerificationError
 
 Poly = tuple  # ascending coefficients
 
-__all__ = [
-    "Poly",
-    "ptrim",
-    "pdeg",
-    "padd",
-    "psub",
-    "pneg",
-    "pmul",
-    "pscale",
-    "ppow",
-    "pderiv",
-    "pquo_exact",
-    "valuation",
-    "poly_str",
-    "factor_int_poly",
-    "resultant",
-    "pmod",
-    "peval_mod",
-    "pvalues_on_powers",
-    "pdivmod_mod",
-    "ppow_mod",
-]
-
 
 def ptrim(coeffs) -> Poly:
     c = list(coeffs)

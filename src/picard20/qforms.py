@@ -16,16 +16,6 @@ from typing import NamedTuple
 from .arith import is_squarefree, squarefree_part
 from .errors import VerificationError
 
-__all__ = [
-    "QuadForm",
-    "enumerate_reduced",
-    "class_number",
-    "check_discriminant",
-    "twist_discriminant",
-    "fundamental_decomposition",
-    "is_fundamental_discriminant",
-]
-
 
 class QuadForm(NamedTuple):
     """The form a*x^2 + b*x*y + c*y^2; forms compare and hash as (a, b, c)."""
@@ -59,9 +49,6 @@ class QuadForm(NamedTuple):
     def is_ambiguous(self) -> bool:
         """Whether this reduced form is its own inverse class: b = 0, a = b or a = c."""
         return self.b == 0 or self.a == self.b or self.a == self.c
-
-    def inverse(self) -> "QuadForm":
-        return QuadForm(self.a, -self.b, self.c)
 
 
 def check_discriminant(d: int) -> None:

@@ -35,6 +35,7 @@ from picard20.ellsurf import (
     count_fiber,
     discriminant,
     good_prime,
+    kodaira as kodaira_invariants,
     place_label,
     rank20_effective,
     surface_count,
@@ -206,7 +207,8 @@ def test_registry_configurations_match_declarations():
 
 def test_registry_euler_numbers_sum_to_24():
     for model in REGISTRY.values():
-        total = sum(F.degree * F.euler_number for F in classify_fibers(model))
+        fibers = classify_fibers(model)
+        total = sum(F.degree * kodaira_invariants(F.kodaira_type).euler for F in fibers)
         assert total == 24, model.name
 
 
@@ -231,8 +233,8 @@ def test_euler_number_of_each_fiber_is_its_discriminant_order():
             continue
         classified += 1
         for F in fibers:
-            assert F.euler_number == F.vdelta, (model.name, F.place)
-        assert sum(F.degree * F.euler_number for F in fibers) == 24, model.name
+            assert kodaira_invariants(F.kodaira_type).euler == F.vdelta, (model.name, F.place)
+        assert sum(F.degree * F.vdelta for F in fibers) == 24, model.name
     # 96 of the 100 random models classify
     assert classified == len(REGISTRY) + 3 + 96
 
@@ -310,7 +312,7 @@ def test_in_fiber_needs_rational_components():
             if not good_prime(model, p):
                 continue
             for F in classify_fibers(model):
-                n = F.component_count
+                n = kodaira_invariants(F.kodaira_type).components
                 if not F.kodaira_type[1:].isdecimal() or n < 2:
                     continue
                 if F.poly is None:
@@ -355,12 +357,13 @@ def test_fiber_sums_match_the_character_sum():
                     continue  # additive
                 count = _charsum_count(model, p, t0)
                 where = (model.name, p, t0)
-                if F is None or F.component_count == 1:
+                n = 1 if F is None else kodaira_invariants(F.kodaira_type).components
+                if n == 1:
                     tally["smooth" if F is None else "I1"] += 1
                     assert count_fiber(model, p, t0) == count, where
                 elif count == p:
                     tally["split"] += 1
-                    assert count_fiber(model, p, t0) == F.component_count * p, where
+                    assert count_fiber(model, p, t0) == n * p, where
                 else:
                     tally["refused"] += 1
                     assert count == p + 2, where

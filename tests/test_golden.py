@@ -20,6 +20,7 @@ from picard20.ellsurf import (
     classify_fibers,
     count_fiber,
     good_prime,
+    kodaira,
     twist_model,
 )
 from picard20.errors import VerificationError
@@ -267,7 +268,8 @@ def _random_model_record(model: SurfaceModel) -> list:
         return [model.name, _error(err)]
     rows = [
         [F.place, 1 if F.poly is None else len(F.poly) - 1, F.kodaira_type,
-         _valuation(F.vc4), _valuation(F.vc6), F.vdelta, F.component_count, F.euler_number]
+         _valuation(F.vc4), _valuation(F.vc6), F.vdelta,
+         kodaira(F.kodaira_type).components, kodaira(F.kodaira_type).euler]
         for F in fibers
     ]
     good = [p for p in primes_up_to(99) if p >= 5 and good_prime(model, p)]

@@ -3,9 +3,8 @@
 Every top-level function, class and assigned name of a src/picard20 module
 must be referred to by some other top-level statement of src/: by a Name in
 its own module, by an import of it from another module, or by an attribute
-of that name anywhere. A string in __all__ is not a reference. The dunders
-and the names in EXEMPT are exempt. Reference implementations that only the
-tests call live in tests/oracles.py.
+of that name anywhere. The dunders and the names in EXEMPT are exempt.
+Reference implementations that only the tests call live in tests/oracles.py.
 """
 
 import ast
@@ -68,3 +67,15 @@ def test_every_top_level_name_of_src_has_a_caller_in_src():
                 dead.append(qualified)
     assert dead == []
     assert EXEMPT <= defined  # an exemption whose name is gone is stale
+
+
+def test_only_the_package_init_lists_public_names():
+    # the leading underscore is the one statement of what is private
+    listing = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+    assert listing == []

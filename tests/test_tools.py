@@ -46,3 +46,33 @@ def test_count_stages_times_every_stage_of_the_count():
     # pass: at least a context, two value tables and an axis sum per prime
     for out in (d19, d4):
         assert out["wrapped_calls"] >= 4 * out["primes"] and out["pass"] > 0
+
+
+def test_code_lines_counts_lines_that_hold_code(tmp_path):
+    # code: 6 import, 9 def, 12-15 a call whose string spans 13-14, 17 class
+    # and 19 pass; the docstrings (1-3, 10-11, 18), the comment and the
+    # blank lines are not code
+    code_lines = _load("code_lines")
+    (tmp_path / "a.py").write_text(
+        '"""Module\n'
+        "docstring.\n"
+        '"""\n'
+        "\n"
+        "# a comment\n"
+        "import os  # trailing comment\n"
+        "\n"
+        "\n"
+        "def f(x):\n"
+        '    """Function\n'
+        '    docstring."""\n'
+        "    return os.path.join(\n"
+        '        """two\n'
+        'lines""",\n'
+        "    )\n"
+        "\n"
+        "class C:\n"
+        '    "docstring"\n'
+        "    pass\n"
+    )
+    (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
+    assert code_lines.report(tmp_path) == {"a.py": 8, "b.py": 0}

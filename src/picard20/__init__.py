@@ -4,7 +4,8 @@ Subpackage map:
     arith     -- integer kernels: primality, Kronecker symbol, prime sieve,
                  factoring
     qforms    -- binary quadratic forms, class numbers, discriminants
-    classgroups -- form class groups, discriminant scans, the form lemma
+    classgroups -- form class groups, the form lemma
+    scans     -- the discriminant scans of classify
     heckecm   -- CM Hecke eigenvalue rules and twist matching
     ellsurf   -- elliptic surfaces over Q(t): fibers, reductions, point counts
     modelfile -- the model-file JSON reader and writer

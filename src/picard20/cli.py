@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -31,9 +30,11 @@ def _render(obj, pad: str = "") -> str:
     """obj as JSON at the indent pad, the next level two spaces deeper.
 
     One isinstance branch per JSON kind, bool before int: str, bool, int
-    (quoted at 2^53 in size), None, Fraction (quoted), list or tuple, dict,
-    and json.dumps for the rest. A list of exact tuples of one length whose
-    columns _table accepts is rendered by _table, as one % format.
+    (quoted at 2^53 in size), None, list or tuple, dict, Fraction (quoted),
+    and json.dumps for the rest. Fraction comes last and is imported there,
+    so a document with no Fraction in it never loads fractions. A list of
+    exact tuples of one length whose columns _table accepts is rendered by
+    _table, as one % format.
     """
     if isinstance(obj, str):
         return _quote(obj)
@@ -43,8 +44,6 @@ def _render(obj, pad: str = "") -> str:
         return _quote(str(obj)) if abs(obj) >= _JSON_INT_LIMIT else str(obj)
     if obj is None:
         return "null"
-    if isinstance(obj, Fraction):
-        return _quote(str(obj))
     inner = pad + "  "
     sep = ",\n" + inner
     if isinstance(obj, (list, tuple)):
@@ -66,6 +65,10 @@ def _render(obj, pad: str = "") -> str:
             for k, v in sorted(obj.items())
         ])
         return f"{{\n{inner}{body}\n{pad}}}"
+    from fractions import Fraction
+
+    if isinstance(obj, Fraction):
+        return _quote(str(obj))
     # floats, and a TypeError for what JSON cannot hold
     return json.dumps(obj)
 
@@ -159,7 +162,7 @@ def _cmd_classgroup(args) -> dict:
 
 
 def _cmd_classify(args) -> dict:
-    from .classgroups import classify_report
+    from .scans import classify_report
 
     return classify_report(args.bound, args.two_torsion)
 

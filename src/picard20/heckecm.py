@@ -16,7 +16,6 @@ p = x^2 + Dy^2 back from a_p.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress
 from typing import NamedTuple
 
@@ -172,7 +171,11 @@ def principality_certificate(p: int, ap: int, D: int) -> tuple[Fraction, Fractio
 
     The chain is 2p - a_p = m^2 D, 2p + a_p = s^2, (x, y) = (s/2, m/2);
     each step must land on integers or the input is not of CM shape.
+    fractions is imported here, the one place the module makes a Fraction,
+    so that `ap` never loads it.
     """
+    from fractions import Fraction
+
     m_squared, rem = divmod(2 * p - ap, D)
     if rem != 0 or m_squared <= 0 or not is_square(m_squared):
         raise VerificationError(

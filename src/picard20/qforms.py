@@ -4,8 +4,8 @@ A form (a, b, c) stands for a*x^2 + b*x*y + c*y^2 with discriminant
 d = b^2 - 4ac < 0 and a > 0. enumerate_reduced lists the primitive reduced
 forms of d, and class_number counts them; the discriminant helpers split d
 into its fundamental part and conductor. This is the half of the forms layer
-that `verify` and `ap` run. Composition, the class group, the discriminant
-scans and the form lemma live in classgroups.
+that `verify` and `ap` run. Composition, the class group and the form
+lemma live in classgroups, and the discriminant scans in scans.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ from picard20.mwheights import (
     ns_discriminant,
     table_check,
 )
-from picard20.classgroups import FormClassGroup, classify_h1, classify_two_torsion, lemma_r_check
+from picard20.classgroups import FormClassGroup, lemma_r_check
 from picard20.qforms import class_number, fundamental_decomposition
+from picard20.scans import classify_h1, classify_two_torsion
 
 from oracles import ap_h1, composition_table, split_type
 

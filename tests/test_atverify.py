@@ -11,8 +11,9 @@ from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, principality_certificate
 from picard20.models import REGISTRY, get_model
 from picard20.mwheights import table_check
-from picard20.classgroups import FormClassGroup, classify_h1, classify_two_torsion, lemma_r_check
+from picard20.classgroups import FormClassGroup, lemma_r_check
 from picard20.qforms import class_number, fundamental_decomposition
+from picard20.scans import classify_h1, classify_two_torsion
 
 H1_DISCRIMINANTS = [-3, -4, -7, -8, -11, -12, -16, -19, -27, -28, -43, -67, -163]
 

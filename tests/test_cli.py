@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from picard20 import cli
-from picard20.classgroups import _TWO_TORSION_NOTE
 from picard20.cli import main
 from picard20.errors import VerificationError
 from picard20.heckecm import _ap_rows
+from picard20.scans import _TWO_TORSION_NOTE
 
 
 def run_cli(capsys, *argv):
@@ -845,33 +845,32 @@ def test_commands_without_a_pool_do_not_import_it():
 
 
 def test_scans_and_ap_import_only_the_layers_they_run():
-    # classify and classgroup run the forms layers alone, and ap adds heckecm; neither
+    # one fresh interpreter per subcommand: classify loads the scans alone,
+    # classgroup and lemma-r the forms layers, and ap adds heckecm; none
     # imports (or, without bytecode, compiles) the point-count stack, nor
-    # dataclasses and inspect unless the interpreter's start loaded them
-    script = "\n".join([
-        "import contextlib, io, sys",
-        "before = set(sys.modules)",
-        "from picard20.cli import main",
-        "def run(*argvs):",
-        "    for argv in argvs:",
-        "        with contextlib.redirect_stdout(io.StringIO()):",
-        "            assert main(argv) == 0, argv",
-        "    print(sorted(m for m in sys.modules if m.startswith('picard20.')))",
-        "run(['classify', '--bound', '1000'],",
-        "    ['classify', '--bound', '1000', '--two-torsion'],",
-        "    ['classgroup', '-d', '-84'])",
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))",
-        "run(['ap', '--dK', '-7', '--pmax', '1000', '--twist', '-3'])",
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))",
-    ])
-    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
-    assert done.stdout.splitlines() == [
-        "['picard20.arith', 'picard20.classgroups', 'picard20.cli', 'picard20.errors', 'picard20.qforms']",
-        "[]",
-        "['picard20.arith', 'picard20.classgroups', 'picard20.cli', 'picard20.errors', 'picard20.heckecm',"
-        " 'picard20.qforms']",
-        "[]",
+    # dataclasses, inspect, fractions and decimal unless the interpreter's
+    # start loaded them
+    scans = ["cli", "errors", "scans"]
+    forms = ["arith", "classgroups", "cli", "errors", "qforms"]
+    runs = [
+        (["classify", "--bound", "1000"], scans),
+        (["classify", "--bound", "1000", "--two-torsion"], scans),
+        (["classgroup", "-d", "-84"], forms),
+        (["lemma-r", "-d", "-4", "-r", "2", "--bound", "1000"], forms),
+        (["ap", "--dK", "-7", "--pmax", "1000", "--twist", "-3"], ["arith", "cli", "errors", "heckecm", "qforms"]),
     ]
+    for argv, layers in runs:
+        script = "\n".join([
+            "import contextlib, io, sys",
+            "before = set(sys.modules)",
+            "from picard20.cli import main",
+            "with contextlib.redirect_stdout(io.StringIO()):",
+            f"    assert main({argv!r}) == 0",
+            "print(sorted(m for m in sys.modules if m.startswith('picard20.')))",
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules) - before))",
+        ])
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines() == [str(sorted("picard20." + m for m in layers)), "[]"], argv
 
 
 _MODEL_STACK = ["arith", "cli", "ellsurf", "errors", "models", "polys"]

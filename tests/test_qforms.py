@@ -12,15 +12,14 @@ import pytest
 from picard20.errors import VerificationError
 from picard20.classgroups import (
     FormClassGroup,
-    _unflagged,
     compose,
     form_power,
     principal_form,
     reduce_form,
-    reduced_form_flags,
     represented_primes,
 )
 from picard20.qforms import QuadForm, class_number, enumerate_reduced, fundamental_decomposition
+from picard20.scans import _unflagged, reduced_form_flags
 
 from oracles import composition_table
 

@@ -15,6 +15,7 @@ handler imports the layer that builds its document, so a cold run imports
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -31,8 +32,9 @@ def _render(obj, pad: str = "") -> str:
 
     One isinstance branch per JSON kind, bool before int: str, bool, int
     (quoted at 2^53 in size), None, list or tuple, dict, Fraction (quoted),
-    and json.dumps for the rest. Fraction comes last and is imported there,
-    so a document with no Fraction in it never loads fractions. A list of
+    and json.dumps for the rest. Fraction comes last and is looked up in
+    sys.modules, since a Fraction exists only once fractions is loaded, so a
+    document with no Fraction in it never loads fractions. A list of
     exact tuples of one length whose columns _table accepts is rendered by
     _table, as one % format.
     """
@@ -65,9 +67,8 @@ def _render(obj, pad: str = "") -> str:
             for k, v in sorted(obj.items())
         ])
         return f"{{\n{inner}{body}\n{pad}}}"
-    from fractions import Fraction
-
-    if isinstance(obj, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(obj, fractions.Fraction):
         return _quote(str(obj))
     # floats, and a TypeError for what JSON cannot hold
     return json.dumps(obj)
@@ -305,5 +306,22 @@ def main(argv=None) -> int:
         return _emit({"error": {"code": exc.code, "message": exc.message}}, code=1)
 
 
+def run() -> None:
+    """The process entry of `python -m picard20.cli` and of the picard20
+    script: main() on sys.argv, and exit with its code.
+
+    However the run ends (a document, an error document or a usage error),
+    the heap is frozen first, so the interpreter's collections at exit skip
+    it; most of it is the interpreter's own start-up objects.  Teardown is
+    otherwise unchanged, and a process pool has been shut down by its with
+    block before main() returns.  main() itself freezes nothing, for
+    callers in process.
+    """
+    try:
+        sys.exit(main())
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

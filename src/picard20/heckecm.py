@@ -117,8 +117,8 @@ def split_stream(d_K: int, pmax: int, flags: bytearray | None = None) -> dict[in
 
 
 # ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.31-0.43 s at a
-# 36.5 MB peak RSS and --pmax 10^7 2.0-3.0 s at 182.5 MB
+# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.20-0.35 s at a
+# 35.6 MB peak RSS and --pmax 10^7 1.8-2.0 s at 186.1 MB
 _AP_LIMIT = 10**7
 
 

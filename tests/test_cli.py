@@ -1,11 +1,14 @@
 """CLI surface: output shapes, exit codes, and byte determinism."""
 
+import ast
 import enum
+import gc
 import json
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
@@ -685,6 +688,7 @@ _scalars = (
     st.integers(min_value=-(2**60), max_value=2**60)
     | st.builds(lambda k, sign: sign * (2**53 + k), st.integers(-2, 2), st.sampled_from([1, -1]))
     | st.fractions(max_denominator=50)
+    | st.floats()
     | st.booleans()
     | st.none()
     | st.text(max_size=4)
@@ -808,6 +812,62 @@ class TestByteDeterminism:
         second = subprocess.run(cmd, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
+        # the pool is shut down inside main, before the process entry
+        # freezes the heap, so two workers print what one does
+        pooled = [
+            subprocess.run([*cmd[:5], "d11", "--pmax", "100", "--workers", w], capture_output=True)
+            for w in ("1", "2")
+        ]
+        assert pooled[0].returncode == pooled[1].returncode == 0
+        assert pooled[0].stdout == pooled[1].stdout
+
+
+_PROCESS_EXITS = [
+    (["classify", "--bound", "100"], 0),
+    (["verify", "--model", "nope"], 1),
+    (["classify"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", _PROCESS_EXITS, ids=["result", "domain_error", "usage_error"])
+def test_the_process_entry_freezes_the_heap_however_the_run_ends(argv, code, capsys):
+    # the freeze count is read at exit, after the run's own SystemExit
+    script = "\n".join([
+        "import atexit, gc, runpy, sys",
+        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))",
+        f"sys.argv = ['picard20', *{argv!r}]",
+        "runpy.run_module('picard20.cli', run_name='__main__')",
+    ])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert int(done.stderr.splitlines()[-1]) > 0
+    try:
+        expected = main(argv)
+    except SystemExit as exc:
+        expected = exc.code
+    assert done.returncode == expected == code
+    assert done.stdout == capsys.readouterr().out
+
+
+def test_in_process_runs_never_freeze(capsys):
+    before = gc.get_freeze_count()
+    assert main(["classify", "--bound", "100"]) == 0
+    assert main(["verify", "--model", "nope"]) == 1
+    with pytest.raises(SystemExit):
+        main(["classify"])
+    assert gc.get_freeze_count() == before
+
+
+def test_the_script_and_the_module_share_one_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["picard20"]
+    # the call under `if __name__ == "__main__":` in cli.py
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (block,) = [node for node in tree.body
+                if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    (call,) = block.body
+    assert f"picard20.cli:{ast.unparse(call)}" == f"{script}()"
 
 
 def test_commands_do_not_import_sympy():
@@ -866,6 +926,9 @@ def test_scans_and_ap_import_only_the_layers_they_run():
             "from picard20.cli import main",
             "with contextlib.redirect_stdout(io.StringIO()):",
             f"    assert main({argv!r}) == 0",
+            # a float leaf takes the last branch of _render without fractions
+            "import json; from picard20.cli import _render",
+            "assert _render({'x': [0.5, -1e300]}) == json.dumps({'x': [0.5, -1e300]}, indent=2)",
             "print(sorted(m for m in sys.modules if m.startswith('picard20.')))",
             "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules) - before))",
         ])

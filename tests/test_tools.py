@@ -76,3 +76,15 @@ def test_code_lines_counts_lines_that_hold_code(tmp_path):
     )
     (tmp_path / "b.py").write_text('"""Only a docstring."""\n')
     assert code_lines.report(tmp_path) == {"a.py": 8, "b.py": 0}
+
+
+def test_cold_start_times_each_stage_of_a_cold_run():
+    # one run of this checkout: the child runs the statement under cli.py's
+    # __main__ check, after importing every module that classify loads
+    cold_start = _load("cold_start")
+    root = str(TOOLS.parent)
+    assert cold_start._entry(root) == "run()"
+    out = cold_start.measure([root], ["classify", "--bound", "100"], 1)
+    (samples,) = out["samples_ms"].values()
+    assert set(samples) == {"plain", "start", "imports", "work", "exit", "rss_mb"}
+    assert min(v[0] for v in samples.values()) > 0 and out["bare_samples_ms"][0] > 0

@@ -5,21 +5,22 @@ Fiber types come from the characteristic-0 valuation table, so no Tate algorithm
 is run in residue characteristic p; instead good_prime() certifies that the
 reduction mod p has the same local data as the model over Q, and counting at
 p > 3 works fiberwise on the smooth model through component bookkeeping.
-Every fiber, t=oo included, is read from c4 and c6 mod p in the one chart t:
-_local takes (f / pi^k)(t0), which at t=oo is the coefficient of
-t^(weight - k).  count_fiber reads a character sum only for smooth and I_n
-fibers, whose Weierstrass cubic it counts by one lookup in a per-prime table
-of the cubic character sums S(k, k), built in O(p) by one exact integer
-product where c4 and c6 are both nonzero mod p, or, when c4 or c6 vanishes
-at the fiber, by a sum over a strided slice of the power table, of which
-_axis_sum takes at most five, one per power-residue class; the direct sum
-_charsum_count is their oracle.  An additive fiber counts its components,
-and an I0* fiber splits when its residual cubic divides T^p - T.  surface_count reads c4 and c6 at every t in
-F_p off the power table of one primitive root, as do chi and the inverses,
-and sums the fibers in one pass; the cubic's discriminant marks the singular
-fibers (1728 Delta = c4^3 - c6^2), and only those and t=oo go to
-count_fiber, the one-fiber API and the pass's oracle, which looks up the
-fiber's place.  See COUNT_LIMIT for the cost per prime.
+Every fiber, t=oo included, is read from one Weierstrass cubic X^3 + AX + B,
+A = -27 c4 and B = -54 c6 reduced mod p once, in the one chart t: _local
+takes (f / pi^k)(t0), which at t=oo is the coefficient of t^(weight - k).
+count_fiber reads a character sum only for smooth and I_n fibers, whose cubic
+it counts by one lookup in a per-prime table of the cubic character sums
+S(k, k), built in O(p) by one exact integer product where A and B are both
+nonzero mod p, or, when A or B vanishes at the fiber, by a sum over a strided
+slice of the power table, of which _axis_sum takes at most five, one per
+power-residue class; the direct sum _charsum_count is their oracle.  An
+additive fiber counts its components, and an I0* fiber splits when its
+residual cubic U^3 + A'U + B' divides U^p - U.  surface_count reads A and B
+at every t in F_p off the power table of one primitive root, as do chi and
+the inverses, and sums the fibers in one pass; the cubic's discriminant marks
+the singular fibers (4A^3 + 27B^2 = -2^8 3^12 Delta), and only those and
+t=oo go to count_fiber, the one-fiber API and the pass's oracle, which looks
+up the fiber's place.  See COUNT_LIMIT for the cost per prime.
 
 A prime p > 3 is good when it divides neither d nor one cached integer,
 lead Res(R, R' u4 u6): lead = lead(Delta) lead(c4) lead(c6), R the product of
@@ -430,16 +431,16 @@ class _CountingContext(NamedTuple):
     powers: array  # powers[i] = g^i mod p for i < p - 1, g the least primitive root
     chi: tuple
     inverse: array  # inverse[x] = 1/x mod p, inverse[0] = 0
-    # S(A, B) = sum over X of chi(X^3 + A X + B); S(k, k) is indexed by k in
+    # S(a, b) = sum over X of chi(X^3 + a X + b); S(k, k) is indexed by k in
     # F_p, in an array, not a tuple of ints, to keep the cached context from
-    # adding to peak memory; None when c4 or c6 is zero mod p
+    # adding to peak memory; None when A or B is zero mod p
     s_kk: Optional[array]
-    # c4 and c6 mod p, the one chart every fiber is read from: by
-    # pvalues_on_powers at every t in F_p^*, by the constant term at t = 0,
-    # and by _local at a singular fiber and at t=oo
-    c4: Poly
-    c6: Poly
-    rank20_split: bool  # rank 20 over Q at a split prime
+    # A = -27 c4 and B = -54 c6 mod p, of the weights of c4 and c6: every
+    # fiber's cubic X^3 + A(t0) X + B(t0), read by pvalues_on_powers at every
+    # t in F_p^*, by the constant term at t = 0, and by _local at a singular
+    # fiber and at t=oo
+    A: Poly
+    B: Poly
 
 
 # surface_count is O(p) work per prime, at most one exact product, at most
@@ -485,7 +486,7 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     if p > COUNT_LIMIT:
         raise VerificationError("PRECONDITION", f"p={p} exceeds the count limit {COUNT_LIMIT}")
     # a false rank-20 claim is refused here, before any table is built
-    rank20 = rank20_effective(model)
+    rank20_effective(model)
     if not good_prime(model, p):
         raise VerificationError(
             "PRECONDITION", f"p={p} is not a good prime for {model.name}"
@@ -505,18 +506,17 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
     for x, y in zip(powers, [1, *powers[:0:-1]]):
         inverse[x] = y
     inverse = array("i", inverse)
-    c4, c6 = (pmod(c, p) for c in c_invariants(model))
+    A, B = (pmod(pscale(c, s), p) for c, s in zip(c_invariants(model), (-27, -54)))
     return _CountingContext(
         p=p,
         powers=array("I", powers),
         chi=chi,
         inverse=inverse,
-        # with c4 or c6 zero mod p (j = 0 or 1728) every fiber has a = 0 or
+        # with A or B zero mod p (j = 1728 or 0) every fiber has a = 0 or
         # b = 0, and the table would never be read
-        s_kk=_cubic_sum_table(p, chi, inverse) if c4 and c6 else None,
-        c4=c4,
-        c6=c6,
-        rank20_split=rank20 and kronecker(model.d, p) == 1,
+        s_kk=_cubic_sum_table(p, chi, inverse) if A and B else None,
+        A=A,
+        B=B,
     )
 
 
@@ -621,15 +621,15 @@ def _axis_sum(ctx: _CountingContext, a_axis: list, b_axis: list) -> int:
 
 def _star_splits(ctx: _CountingContext, t0) -> bool:
     # I_0*: four simple components, three of which match the roots of the
-    # residual cubic T^3 - 3 c4' T - 2 c6' with c4' = (c4/pi^2)(t0) etc.  Its
-    # discriminant is 108 (c4'^3 - c6'^2), a unit times (Delta/pi^6)(t0), and
-    # good_prime keeps v(Delta) = 6 here: the cubic is squarefree mod p, so its
-    # three roots lie in F_p exactly when it divides T^p - T
+    # residual cubic U^3 + A' U + B' with A' = (A/pi^2)(t0) and B' = (B/pi^3)(t0),
+    # which U = 3T turns into 27 (T^3 - 3 c4' T - 2 c6').  Its discriminant is
+    # a unit times (Delta/pi^6)(t0), and good_prime keeps v(Delta) = 6 here:
+    # the cubic is squarefree mod p, so its three roots lie in F_p exactly
+    # when it divides U^p - U
     p = ctx.p
-    a = _local(ctx.c4, _WEIGHT["c4"], t0, 2, p)
-    b = _local(ctx.c6, _WEIGHT["c6"], t0, 3, p)
-    cubic = ((-2 * b) % p, (-3 * a) % p, 0, 1)
-    return ppow_mod((0, 1), p, cubic, p) == (0, 1)
+    a = _local(ctx.A, _WEIGHT["c4"], t0, 2, p)
+    b = _local(ctx.B, _WEIGHT["c6"], t0, 3, p)
+    return ppow_mod((0, 1), p, (b, a, 0, 1), p) == (0, 1)
 
 
 def count_fiber(model: SurfaceModel, p: int, t0) -> int:
@@ -643,8 +643,9 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         t0 = int(t0) % p
     # points on the projective cubic, as _charsum_count counts them: for p > 3
     # X = 36x + 3b2 maps y^2 = 4x^3+b2x^2+2b4x+b6 to 108^2 y^2 = X^3 + aX + b
-    a = -27 * _local(ctx.c4, _WEIGHT["c4"], t0, 0, p) % p
-    b = -54 * _local(ctx.c6, _WEIGHT["c6"], t0, 0, p) % p
+    # with a = A(t0) and b = B(t0)
+    a = _local(ctx.A, _WEIGHT["c4"], t0, 0, p)
+    b = _local(ctx.B, _WEIGHT["c6"], t0, 0, p)
     if (4 * a * a * a + 27 * b * b) % p:
         return p + 1 + _cubic_sum(ctx, a, b)
     # t0 is a root of Delta mod p; good_prime keeps the places pairwise coprime
@@ -676,7 +677,9 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
     # the identity component is trivial there, so Frobenius fixes every component
     if sym == "I0*" and not _star_splits(ctx, t0):
         why = "residual cubic does not split"
-    elif sym not in ("II", "I0*", "III*", "II*") and not ctx.rank20_split:
+    elif sym not in ("II", "I0*", "III*", "II*") and not (
+        rank20_effective(model) and kronecker(model.d, p) == 1
+    ):
         # III, IV, IV*, I_b* (b >= 1): rationality granted by rank 20 over Q at split p
         why = "components not known rational"
     else:
@@ -689,8 +692,9 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
 def surface_count(model: SurfaceModel, p: int) -> int:
     """#X(F_p) for the smooth elliptic K3 surface, summed fiberwise in one pass.
 
-    a = -27 c4(t) and b = -54 c6(t), the cubic X^3 + aX + b that count_fiber
-    reads, are evaluated at every t in F_p at once.  With ab != 0 the fiber's
+    a = A(t) and b = B(t), the cubic X^3 + aX + b that count_fiber reads, are
+    evaluated at every t in F_p at once: at t = 0 from the constant terms of
+    A and B, at every other t by pvalues_on_powers.  With ab != 0 the fiber's
     sum is chi(ab) S(k, k) for k = a^3/b^2, and 4a^3 + 27b^2 = b^2 (4k + 27), so
     the fiber is singular exactly when 4k + 27 = 0; with ab = 0 the sum is
     _cubic_sum's, taken once per class by _axis_sum, and the fiber singular
@@ -700,11 +704,10 @@ def surface_count(model: SurfaceModel, p: int) -> int:
     rules and the first error in t order.
     """
     ctx = _counting_context(model, p)
-    chi, inverse, s_kk, powers = ctx.chi, ctx.inverse, ctx.s_kk, ctx.powers
+    chi, inverse, s_kk, powers, A, B = ctx.chi, ctx.inverse, ctx.s_kk, ctx.powers, ctx.A, ctx.B
     node = -27 * inverse[4] % p  # the k with 4k + 27 = 0
-    a_poly, b_poly = pscale(ctx.c4, -27), pscale(ctx.c6, -54)
-    a_values = chain((peval_mod(a_poly, 0, p),), pvalues_on_powers(a_poly, powers, p))
-    b_values = chain((peval_mod(b_poly, 0, p),), pvalues_on_powers(b_poly, powers, p))
+    a_values = chain(A[:1] or (0,), pvalues_on_powers(A, powers, p))
+    b_values = chain(B[:1] or (0,), pvalues_on_powers(B, powers, p))
     sums, singular, a_axis, b_axis = 0, [], [], []
     for t0, a, b in zip(chain((0,), powers), a_values, b_values):
         if a and b:

@@ -686,15 +686,17 @@ def test_local_values_match_the_reciprocal_chart_and_the_division_loop():
 
 
 def test_star_splits_matches_the_root_scan():
-    # T^p = T mod the residual cubic against its three roots in F_p, at every
-    # I0* place of the sweep and at both I0* fibers of ISTAR_FRAME
+    # U^p = U mod the context's residual cubic against the three roots in F_p
+    # of T^3 - 3 c4' T - 2 c6', read from c4 and c6 themselves, at every I0*
+    # place of the sweep and at both I0* fibers of ISTAR_FRAME
     pairs = [(model, p, t0) for model, p, t0, F in _singular_places() if F.kodaira_type == "I0*"]
     pairs += [(ISTAR_FRAME, p, t0) for p in (7, 11, 13, 17) for t0 in (0, INFINITY)]
     verdicts = {True: 0, False: 0}
     for model, p, t0 in pairs:
         ctx = _counting_context(model, p)
-        a = _local(ctx.c4, 8, t0, 2, p)
-        b = _local(ctx.c6, 12, t0, 3, p)
+        c4, c6 = (pmod(c, p) for c in c_invariants(model))
+        a = _local(c4, 8, t0, 2, p)
+        b = _local(c6, 12, t0, 3, p)
         roots = sum(1 for T in range(p) if (T * T * T - 3 * a * T - 2 * b) % p == 0)
         verdicts[roots == 3] += 1
         assert _star_splits(ctx, t0) == (roots == 3), (model.name, p, t0)
@@ -739,8 +741,9 @@ def test_axis_sums_match_the_direct_sum_of_every_value():
             ctx = _counting_context(model, p)
             euler = [0] + [1 if pow(x, (p - 1) // 2, p) == 1 else -1 for x in range(1, p)]
             assert list(ctx.chi) == euler, p
-            a_values = pvalues_mod(pscale(ctx.c4, -27), p)
-            b_values = pvalues_mod(pscale(ctx.c6, -54), p)
+            c4, c6 = (pmod(c, p) for c in c_invariants(model))
+            a_values = pvalues_mod(pscale(c4, -27), p)
+            b_values = pvalues_mod(pscale(c6, -54), p)
             a_axis = [a for a, b in zip(a_values, b_values) if a and not b]
             b_axis = [b for a, b in zip(a_values, b_values) if b and not a]
             direct = {}

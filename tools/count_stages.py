@@ -12,7 +12,7 @@ primes:
     context  building the counting context (the power table of a primitive
              root, chi and the inverses), table excluded
     table    _cubic_sum_table, the S(k, k) table
-    values   the two pvalues_on_powers calls, c4 and c6 at every t
+    values   the two pvalues_on_powers calls, A and B at every t
     axis     _axis_sum, the sums of the fibers with a = 0 or b = 0
     pass     the rest of surface_count: the fiber pass and the singular fibers
 

@@ -91,10 +91,11 @@ def verify_surface(
     The report is the document that `verify` prints: model, d, dK, N, twist,
     twist_delta, one row per prime below pmax, verdicts and yp_gcd.  Bad and
     inert primes appear as skipped rows; per-prime failures are recorded in
-    their row and never abort the batch.  ellsurf.rank20_effective decides
-    rank 20 over Q, and its one call refuses, before any point is counted, a
-    model that does not claim it, a twist that loses it and a false claim
-    whose lattice ranks do not sum to 20.
+    their row, never abort the batch, and leave every verdict false.
+    ellsurf.rank20_effective decides rank 20 over Q, and its one call
+    refuses, before any point is counted, a model that does not claim it, a
+    twist that loses it and a false claim whose lattice ranks do not sum to
+    20.
     """
     if not rank20_effective(model):
         raise VerificationError(
@@ -127,12 +128,15 @@ def verify_surface(
 
     with_cert = [r for r in ok_rows if r["certificate"] is not None]
     gcd_value = yp_gcd(with_cert, rule) if len(with_cert) >= 3 else None
+    # a verdict is earned only when no row is an error: an error row is a
+    # good split prime whose trace was refused
+    earned = all(r["status"] != "error" for r in rows)
     # match_twist refuses fewer than five split rows, so ok_rows is never empty
     verdicts = {
-        "hecke_match": verdict.kind != "no_match" and all(r["match"] for r in ok_rows),
-        "artin_tate_all_square": all(r["M"] is not None for r in ok_rows),
-        "principality_all": all(r["certificate"] is not None for r in ok_rows),
-        "N_gcd_bound": gcd_value is not None
+        "hecke_match": earned and verdict.kind != "no_match" and all(r["match"] for r in ok_rows),
+        "artin_tate_all_square": earned and all(r["M"] is not None for r in ok_rows),
+        "principality_all": earned and all(r["certificate"] is not None for r in ok_rows),
+        "N_gcd_bound": earned and gcd_value is not None
         and _divides_in_lattice(N, gcd_value, d_K),
     }
     return {

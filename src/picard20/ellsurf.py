@@ -512,7 +512,7 @@ def _counting_context(model: SurfaceModel, p: int) -> _CountingContext:
         powers=array("I", powers),
         chi=chi,
         inverse=inverse,
-        # with A or B zero mod p (j = 1728 or 0) every fiber has a = 0 or
+        # with A or B zero mod p (j = 0 or 1728) every fiber has a = 0 or
         # b = 0, and the table would never be read
         s_kk=_cubic_sum_table(p, chi, inverse) if A and B else None,
         A=A,
@@ -673,16 +673,16 @@ def count_fiber(model: SurfaceModel, p: int, t0) -> int:
         raise VerificationError(
             "PRECONDITION", f"{sym} fiber at {datum.place}: {count} points on the cubic at p={p}"
         )
-    # additive: II, III* and II* need no test, since a graph symmetry that fixes
-    # the identity component is trivial there, so Frobenius fixes every component
-    if sym == "I0*" and not _star_splits(ctx, t0):
-        why = "residual cubic does not split"
-    elif sym not in ("II", "I0*", "III*", "II*") and not (
-        rank20_effective(model) and kronecker(model.d, p) == 1
-    ):
-        # III, IV, IV*, I_b* (b >= 1): rationality granted by rank 20 over Q at split p
-        why = "components not known rational"
+    # additive: II, III, III* and II*, whose component group has order at most
+    # 2, need no test, since a graph symmetry that fixes the identity component
+    # is trivial there, so Frobenius fixes every component
+    if sym == "I0*":
+        rational, why = _star_splits(ctx, t0), "residual cubic does not split"
     else:
+        # IV, IV*, I_b* (b >= 1): rationality granted by rank 20 over Q at split p
+        rational = k.root_disc <= 2 or rank20_effective(model) and kronecker(model.d, p) == 1
+        why = "components not known rational"
+    if rational:
         return k.components * p + 1
     raise VerificationError(
         "COMPONENTS_NOT_RATIONAL", f"{sym} fiber at {datum.place}: {why} at p={p}"

@@ -1,12 +1,13 @@
 """The verify pipeline of atverify, and the results it rests on: the form
 lemma and the class-number scans of qforms, and the table check of mwheights."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from picard20.atverify import brauer_square, verify_surface, yp_gcd
-from picard20.ellsurf import replace, twist_model
+from picard20.ellsurf import SurfaceModel, replace, twist_model
 from picard20.errors import VerificationError
 from picard20.heckecm import CMRule, principality_certificate
 from picard20.models import REGISTRY, get_model
@@ -148,6 +149,27 @@ class TestVerifySurface:
         monkeypatch.setattr(atverify.os, "cpu_count", lambda: None)
         assert verify_surface(get_model("d11"), pmax=60, workers=8) == serial
         assert sizes == [2]
+
+    def test_no_verdict_is_earned_over_error_rows(self):
+        # the Inose model y^2 = x^3 - 3t^4 x + t^5 (t^2 + 1): II* at 0 and oo,
+        # I2 at t = +-1, rank 20 over Q with d = -4.  Its non-split I2 makes 44
+        # of its 80 good split rows below 1000 error rows; the other 36 match
+        # the base stream with squares and certificates, yet no verdict holds
+        i4 = SurfaceModel(
+            "i4", a1=(), a2=(), a3=(), a4=(0, 0, 0, 0, -3), a6=(0, 0, 0, 0, 0, 1, 0, 1),
+            d=-4, rank20_over_Q=True,
+        )
+        report = verify_surface(i4, pmax=1000)
+        assert Counter(r["status"] for r in report["rows"]) == {"ok": 36, "error": 44, "skipped": 88}
+        assert report["twist"] == "matches_base"
+        ok_rows = [r for r in report["rows"] if r["status"] == "ok"]
+        assert all(r["match"] and r["M"] and r["certificate"] for r in ok_rows)
+        assert report["verdicts"] == {
+            "hecke_match": False,
+            "artin_tate_all_square": False,
+            "principality_all": False,
+            "N_gcd_bound": False,
+        }
 
     def test_error_rows_keep_their_reason(self):
         # d27's fibers under a d_K = -4 label: some primes fail in the point

@@ -719,7 +719,8 @@ def _fiberwise_count(model: SurfaceModel, p: int) -> int:
 
 def test_surface_count_is_the_sum_of_its_fibers():
     # at every pair of the sweep, surface_count is the fiberwise sum, and where
-    # that sum raises, surface_count raises the same code and message
+    # that sum raises, surface_count raises the same code and message; 166
+    # pairs count through the III fiber at t=oo of four random models
     tally = {}
     for model, _, primes in _sweep():
         for p in primes:
@@ -727,7 +728,7 @@ def test_surface_count_is_the_sum_of_its_fibers():
             assert _outcome(surface_count, model, p) == expected, (model.name, p)
             key = expected[0] if isinstance(expected, tuple) else "count"
             tally[key] = tally.get(key, 0) + 1
-    assert tally == {"count": 3797, "COMPONENTS_NOT_RATIONAL": 542}
+    assert tally == {"count": 3963, "COMPONENTS_NOT_RATIONAL": 376}
 
 
 def test_axis_sums_match_the_direct_sum_of_every_value():
@@ -770,6 +771,23 @@ def test_gated_additive_fiber_at_inert_prime():
     assert err.value.code == "COMPONENTS_NOT_RATIONAL"
 
 
+def test_type_iii_fibers_need_no_splitting_test():
+    # Tate's algorithm gives III with two components and no condition: the
+    # non-identity component is the only one, so Frobenius fixes it, and the
+    # two rational curves meeting at one point count 2p + 1 at every good p,
+    # split or not; the sweep holds III only at t=oo of four random models
+    seen = set()
+    for model, fibers, primes in _sweep():
+        if fibers[-1].kodaira_type != "III":
+            continue
+        assert "III" not in [F.kodaira_type for F in fibers[:-1]], model.name
+        seen.add(model.name)
+        for p in primes:
+            if p < 100:
+                assert count_fiber(model, p, INFINITY) == 2 * p + 1, (model.name, p)
+    assert seen == {"random-4", "random-79", "random-84", "random-98"}
+
+
 def test_star_fibers_count_unconditionally():
     model = get_model("d4")
     for p in (5, 7, 13):  # includes inert p = 7
@@ -788,6 +806,32 @@ def test_trace_identity_against_cm_coefficients():
             if kronecker(model.d, p) != 1:
                 continue
             assert trace_ap(model, p) == ap_h1(rule, p), (name, p)
+
+
+# j of the CM elliptic curve E of each model: j(d) of the order of
+# discriminant d, which has class number one
+CM_J = {"d7-tate": -3375, "d11": -32768, "d19": -884736, "d27": -12288000}
+
+
+def test_trace_is_the_cm_curve_trace_squared_less_2p():
+    # a second source for the CM stream, from the counting context: S(k, k)
+    # is -a_p of E_k: y^2 = x^3 + k x + k, whose j-invariant is
+    # 1728 * 4k / (4k + 27), so E of invariant j = 1728 J is E_k, up to
+    # twist, at k = 27 J / (4 (1 - J)); the surface's trace is a_p(E)^2 - 2p
+    # at every good split p < 1000 (Shioda-Inose)
+    rows = 0
+    for name, j in CM_J.items():
+        model = get_model(name)
+        for p in primes_up_to(999):
+            if not good_prime(model, p) or kronecker(model.d, p) != 1:
+                continue
+            ap = trace_ap(model, p)
+            J = j * pow(1728, -1, p) % p
+            k = 27 * J * pow(4 * (1 - J), -1, p) % p
+            ap_curve = -_counting_context(model, p).s_kk[k]
+            assert ap == ap_curve * ap_curve - 2 * p, (name, p)
+            rows += 1
+    assert rows == 325
 
 
 def _dk(d):

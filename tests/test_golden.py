@@ -156,7 +156,7 @@ CLASSGROUP_SWEEP = "6b74b543d8746cfcd0270b75e57ca66c1e33270cb1697903b1ce067464e9
 # carries every kind of fiber): the fiber classification or its error, the
 # good primes 5 <= p < 100, and the t=oo fiber count at the first three good
 # primes.  It pins the local data at t=oo, which the registry barely reaches.
-RANDOM_MODEL_SWEEP = "c15c433f0518abcfa7d01cfc186689aa298a8731ccd4f7f098639d9167fcf3cc"
+RANDOM_MODEL_SWEEP = "9cc1d9cf06064d16c7b556c378fa74625eae4af0f6256eedea8b70dbd2733d7e"
 
 # One hash over the good primes 100 <= p < 400 of the same 100 random models,
 # and 5 <= p < 1000 of the registry models and of d4 twisted by 2, -3, 5,

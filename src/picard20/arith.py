@@ -155,7 +155,8 @@ def prime_flags(bound: int) -> bytearray:
     flags[0] = flags[1] = 0
     for i in range(2, math.isqrt(bound) + 1):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+            # the slice's length, counted rather than read off a copy of it
+            flags[i * i :: i] = bytearray((bound - i * i) // i + 1)
     return flags
 
 

@@ -97,28 +97,42 @@ def split_stream(d_K: int, pmax: int, flags: bytearray | None = None) -> dict[in
     scale 4), looked up in flags = prime_flags(pmax); pass flags to share one
     sieve. Once D' absorbs the extra units, +-pi and +-conj(pi) are the only
     elements of norm p, so each split p has exactly one solution with X, Y > 0.
-    Ramified p are dropped. At a hit the walk holds X^2 and D'Y^2, so it
-    stores a_p = 2(X^2 - D'Y^2)/scale there. Its oracle, which solves each
+    Each X^2 is read from one table of squares, as a stride-2 slice per Y, so
+    at a hit the walk holds X^2 and D'Y^2 and stores a_p = 2(X^2 - D'Y^2)/scale.
+    The walk keeps every prime it meets; the at most two with p <= 3 or p | d_K
+    (2 and 7 for d_K = -7) are deleted after it. Its oracle, which solves each
     prime by Cornacchia's algorithm, lives in tests/oracles.py.
     """
     Dp, scale = norm_form(d_K)
     if flags is None:
         flags = prime_flags(pmax)
     limit = scale * max(pmax, 0)
+    squares = [x * x for x in range(math.isqrt(limit) + 1)]
     stream = {}
-    for y in range(math.isqrt(limit // Dp) + 1):
-        dy = Dp * y * y
-        for x in range(y % 2 if scale == 4 else 1, math.isqrt(limit - dy) + 1, 2):
-            xx = x * x
-            p = (xx + dy) // scale
-            if flags[p] and p > 3 and d_K % p:
-                stream[p] = 2 * (xx - dy) // scale
+    # one loop per scale, so that the inner loop holds no test of it
+    if scale == 1:
+        for y in range(math.isqrt(limit // Dp) + 1):
+            dy = Dp * y * y
+            for xx in squares[1 : math.isqrt(limit - dy) + 1 : 2]:
+                p = xx + dy
+                if flags[p]:
+                    stream[p] = 2 * (xx - dy)
+    else:
+        for y in range(math.isqrt(limit // Dp) + 1):
+            dy = Dp * y * y
+            for xx in squares[y % 2 : math.isqrt(limit - dy) + 1 : 2]:
+                p = (xx + dy) >> 2
+                if flags[p]:
+                    stream[p] = (xx - dy) >> 1
+    for p in range(2, max(3, -d_K) + 1):
+        if p <= 3 or d_K % p == 0:
+            stream.pop(p, None)
     return stream
 
 
 # ap sieves pmax + 1 bytes and walks the norm form once before its first
-# row; cold on 2 cores with bytecode off, --pmax 10^6 takes 0.20-0.35 s at a
-# 35.6 MB peak RSS and --pmax 10^7 1.8-2.0 s at 186.1 MB
+# row; cold on 2 cores with bytecode off, --pmax 10^6 takes a median 0.165 s
+# at a 35.6 MB peak RSS and --pmax 10^7 1.55-1.74 s at 181.6 MB
 _AP_LIMIT = 10**7
 
 

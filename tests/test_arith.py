@@ -35,6 +35,15 @@ def test_primes_up_to_matches_trial_division():
     assert primes_up_to(500) == _sieve(500)
 
 
+def test_prime_flags_match_trial_division_at_every_bound():
+    # each slice's length is counted from the bound, not read off a copy;
+    # a miscount makes the slice assignment raise or resize the flags
+    for bound in range(-2, 501):
+        flags = prime_flags(bound)
+        primes = set(_sieve(bound))
+        assert list(flags) == [int(n in primes) for n in range(max(bound, 1) + 1)], bound
+
+
 def test_prime_lists_match_compress_over_every_n():
     # primes_above_3 reads only the odd n; 2 and 3 come from primes_up_to
     for bound in [*range(2001), 10**6]:

@@ -831,15 +831,17 @@ _PROCESS_EXITS = [
 
 @pytest.mark.parametrize("argv, code", _PROCESS_EXITS, ids=["result", "domain_error", "usage_error"])
 def test_the_process_entry_freezes_the_heap_however_the_run_ends(argv, code, capsys):
-    # the freeze count is read at exit, after the run's own SystemExit
+    # the freeze count and the collector's state are read at exit, after
+    # the run's own SystemExit
     script = "\n".join([
         "import atexit, gc, runpy, sys",
-        "atexit.register(lambda: print(gc.get_freeze_count(), file=sys.stderr))",
+        "atexit.register(lambda: print(gc.get_freeze_count(), gc.isenabled(), file=sys.stderr))",
         f"sys.argv = ['picard20', *{argv!r}]",
         "runpy.run_module('picard20.cli', run_name='__main__')",
     ])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert int(done.stderr.splitlines()[-1]) > 0
+    frozen, enabled = done.stderr.splitlines()[-1].split()
+    assert int(frozen) > 0 and enabled == "False"
     try:
         expected = main(argv)
     except SystemExit as exc:
@@ -849,12 +851,15 @@ def test_the_process_entry_freezes_the_heap_however_the_run_ends(argv, code, cap
 
 
 def test_in_process_runs_never_freeze(capsys):
+    # only the process entry turns the collector off; main leaves it as it was
     before = gc.get_freeze_count()
+    enabled = gc.isenabled()
     assert main(["classify", "--bound", "100"]) == 0
     assert main(["verify", "--model", "nope"]) == 1
     with pytest.raises(SystemExit):
         main(["classify"])
     assert gc.get_freeze_count() == before
+    assert gc.isenabled() == enabled
 
 
 def test_the_script_and_the_module_share_one_process_entry():

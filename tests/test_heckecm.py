@@ -53,6 +53,17 @@ def test_split_stream_against_the_per_prime_oracle(dK):
         assert stream[p] == norm_form_ap(dK, p, cornacchia(Dp, scale * p)) == ap_h1(rule, p), p
 
 
+@pytest.mark.parametrize("dK", H1_FIELDS)
+def test_split_stream_against_the_oracle_at_every_small_bound(dK):
+    # pins the ends of the walk's slices of the squares table and the
+    # p <= 3 and ramified keys deleted after it, at every pmax <= 200
+    Dp, scale = norm_form(dK)
+    split = [p for p in primes_up_to(200) if p > 3 and kronecker(dK, p) == 1]
+    oracle = {p: norm_form_ap(dK, p, cornacchia(Dp, scale * p)) for p in split}
+    for pmax in range(201):
+        assert split_stream(dK, pmax) == {p: ap for p, ap in oracle.items() if p <= pmax}, pmax
+
+
 @pytest.mark.parametrize("pmax", [-5, 0, 1, 2, 4])
 def test_split_stream_below_the_first_split_prime(pmax):
     assert all(split_stream(dK, pmax) == {} for dK in H1_FIELDS)

@@ -1,5 +1,6 @@
 """The scripts under tools/ stay in step with the code they time."""
 
+import gc
 import importlib.util
 from pathlib import Path
 
@@ -22,7 +23,9 @@ def test_ap_stages_times_every_stage_of_the_ap_document(capsys):
     # heckecm.split_stream; a patch that no longer intercepts its call leaves
     # its stage unset, and stages raises KeyError
     ap_stages = _load("ap_stages")
+    assert gc.isenabled()
     out = ap_stages.stages(-4, 1, 1000)
+    assert gc.isenabled()  # off while timed, as in the CLI process, then back on
     assert set(ap_stages.STAGES) <= set(out)
     assert out["render_peak_mb"] > 0
     assert main(["ap", "--dK", "-4", "--pmax", "1000"]) == 0

@@ -13,13 +13,17 @@ tool reads to its end under the timer, so `_ap_rows` then walks a list.
 document, so the stages sum to the whole document; `stdout_bytes` is the
 length of its text. `render_peak_mb` is the tracemalloc peak of
 `cli._render` of the same document, in MiB, taken in a second pass that is
-not timed, since tracing slows every allocation. Prints one JSON line with
-the median seconds of each stage and the median render peak.
+not timed, since tracing slows every allocation. The stages run with the
+cyclic collector off, as the CLI process runs, so that no stage is charged
+the collector's passes over the tool's own heap; it is turned back on
+afterwards when it was on. Prints one JSON line with the median seconds of
+each stage and the median render peak.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -34,7 +38,18 @@ STAGES = ("sieve", "primes", "walk", "rows", "render")
 
 
 def stages(d_K: int, twist: int, pmax: int) -> dict:
-    """Seconds of each stage of one `ap` document, and its length in bytes."""
+    """Seconds of each stage of one `ap` document, and its length in bytes,
+    with the collector off, as in `cli.run`."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _stages(d_K, twist, pmax)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _stages(d_K: int, twist: int, pmax: int) -> dict:
     spent = {}
     # patched where _ap_rows looks them up
     patched = [

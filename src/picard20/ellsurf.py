@@ -197,7 +197,11 @@ class _SectionFields(NamedTuple):
 
 
 class SectionData(_SectionFields):
-    """A point of the generic fiber, coordinates as integer rational functions."""
+    """A point of the generic fiber, coordinates as integer rational functions.
+
+    component_hits names each fiber's place at most once, with the index of
+    the one component of that fiber that the section meets.
+    """
 
     __slots__ = ()
 
@@ -212,6 +216,10 @@ class SectionData(_SectionFields):
         if torsion_order < 0:
             raise VerificationError("PRECONDITION", "negative torsion order")
         hits = tuple((str(pl), int(k)) for pl, k in component_hits)
+        places = [pl for pl, _ in hits]
+        for pl in places:
+            if places.count(pl) > 1:
+                raise VerificationError("PRECONDITION", f"section lists the fiber at {pl} twice")
         return super().__new__(cls, x_num, x_den, y_num, y_den, torsion_order, hits)
 
 
@@ -241,7 +249,6 @@ class _SurfaceFields(NamedTuple):
     d: int  # declared Neron-Severi discriminant
     rank20_over_Q: bool
     sections: tuple
-    expected_config: tuple
     twist_by: int  # accumulated squarefree quadratic twist, 1 = untwisted
 
 
@@ -251,8 +258,7 @@ class SurfaceModel(_SurfaceFields):
     __slots__ = ()
 
     def __new__(
-        cls, name, a1, a2, a3, a4, a6, d, rank20_over_Q=False, sections=(),
-        expected_config=(), twist_by=1,
+        cls, name, a1, a2, a3, a4, a6, d, rank20_over_Q=False, sections=(), twist_by=1,
     ):
         coeffs = [ptrim(tuple(f)) for f in (a1, a2, a3, a4, a6)]
         for (key, bound), f in zip(_DEGREE_BOUND.items(), coeffs):
@@ -266,10 +272,7 @@ class SurfaceModel(_SurfaceFields):
             raise VerificationError("PRECONDITION", "declared discriminant must be a negative integer")
         if not is_squarefree(twist_by):
             raise VerificationError("PRECONDITION", "twist_by must be squarefree and nonzero")
-        config = tuple((str(pl), str(sym)) for pl, sym in expected_config)
-        self = super().__new__(
-            cls, name, *coeffs, d, rank20_over_Q, tuple(sections), config, twist_by
-        )
+        self = super().__new__(cls, name, *coeffs, d, rank20_over_Q, tuple(sections), twist_by)
         if not discriminant(self):
             raise VerificationError("PRECONDITION", "discriminant vanishes identically")
         for s in self.sections:
@@ -792,8 +795,8 @@ def twist_model(model: SurfaceModel, delta: int) -> SurfaceModel:
     """Quadratic twist by squarefree delta: y^2 = x^3 + d a2 x^2 + d^2 a4 x + d^3 a6.
 
     Constant twisting leaves every fiber type in place (c4, c6, Delta scale by
-    units of Q[t]), so the expected configuration carries over.  Only sections
-    with y = 0 survive twisting rationally; the rest are dropped.
+    units of Q[t]).  Only sections with y = 0 survive twisting rationally; the
+    rest are dropped.
     """
     if not is_squarefree(delta):
         raise VerificationError("PRECONDITION", "twist must be a nonzero squarefree integer")

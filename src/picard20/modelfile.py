@@ -2,8 +2,11 @@
 
 model_to_json writes a SurfaceModel as an object of ascending integer
 coefficient lists, and model_from_json reads one back, refusing with
-PRECONDITION any value that does not describe a model.  Only a subcommand
-given a model file imports this module; a registry name never does.
+PRECONDITION any value that does not describe a model.  A key the reader
+does not know is ignored; so is expected_config, which older files carry,
+since classify_fibers derives each fiber's place and type.  Only a
+subcommand given a model file imports this module; a registry name never
+does.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ def model_to_json(model: SurfaceModel) -> dict:
             }
             for s in model.sections
         ],
-        "expected_config": [[pl, sym] for pl, sym in model.expected_config],
     }
     if model.twist_by != 1:
         obj["twist_by"] = model.twist_by
@@ -72,17 +74,15 @@ def _json_ints(obj, key: str, default=()) -> tuple:
     return values
 
 
-def _json_pairs(obj, key: str, kinds: tuple[type, type]) -> tuple:
-    pairs = _json_field(obj, key, list, ())
-    for pair in pairs:
-        if type(pair) is not list or len(pair) != 2 or any(
-            type(v) is not k for v, k in zip(pair, kinds)
-        ):
-            names = " and ".join(_JSON_TYPE[k] for k in kinds)
+def _json_hits(section) -> tuple:
+    hits = _json_field(section, "component_hits", list, ())
+    for hit in hits:
+        if type(hit) is not list or [type(v) for v in hit] != [str, int]:
             raise VerificationError(
-                "PRECONDITION", f"model JSON field {key!r} must hold pairs of {names}"
+                "PRECONDITION",
+                "model JSON field 'component_hits' must hold pairs of a string and an integer",
             )
-    return tuple(tuple(pair) for pair in pairs)
+    return tuple(tuple(hit) for hit in hits)
 
 
 def model_from_json(obj) -> SurfaceModel:
@@ -98,7 +98,7 @@ def model_from_json(obj) -> SurfaceModel:
             y_num=_json_ints(s, "y_num"),
             y_den=_json_ints(s, "y_den", (1,)),
             torsion_order=_json_field(s, "torsion_order", int, 0),
-            component_hits=_json_pairs(s, "component_hits", (str, int)),
+            component_hits=_json_hits(s),
         )
         for s in _json_field(obj, "sections", list, ())
     )
@@ -108,6 +108,5 @@ def model_from_json(obj) -> SurfaceModel:
         d=_json_field(obj, "d", int),
         rank20_over_Q=_json_field(obj, "rank20_over_Q", bool, False),
         sections=sections,
-        expected_config=_json_pairs(obj, "expected_config", (str, str)),
         twist_by=_json_field(obj, "twist_by", int, 1),
     )

@@ -3,13 +3,15 @@
 The registry holds one explicit elliptic fibration per worked discriminant,
 with sections and their fiber component hits.  Component indices at I_m
 fibers follow the convention index = min(n, m - n), which the correction
-terms n(m - n)/m cannot distinguish anyway.
+terms n(m - n)/m cannot distinguish anyway.  A model states no fiber
+configuration: classify_fibers derives each fiber's place and type from
+Delta, c4 and c6.
 """
 
 from __future__ import annotations
 
 from .errors import VerificationError
-from .ellsurf import SectionData, SurfaceModel
+from .ellsurf import SectionData, SurfaceModel, classify_fibers
 
 # y^2 = x^3 + (t^4+t^3+3t^2+1) x^2 + 2(t^3+t^2+2t) x + (t^2+t+1)
 _D19 = SurfaceModel(
@@ -22,10 +24,6 @@ _D19 = SurfaceModel(
     d=-19,
     rank20_over_Q=True,
     sections=(),
-    expected_config=(
-        ("4*t^5+5*t^4+18*t^3+3*t^2+14*t-31=0", "I1"),
-        ("t=oo", "I19"),
-    ),
 )
 
 # y^2 + (1+t-t^2) x y + (t^2-t^3) y = x^3 + (t^2-t^3) x^2, P = (0,0) of order 7
@@ -45,12 +43,6 @@ _D7_TATE = SurfaceModel(
             torsion_order=7,
             component_hits=(("t=0", 2), ("t=1", 1), ("t=oo", 3)),
         ),
-    ),
-    expected_config=(
-        ("t=1", "I7"),
-        ("t=0", "I7"),
-        ("t^3-8*t^2+5*t+1=0", "I1"),
-        ("t=oo", "I7"),
     ),
 )
 
@@ -78,13 +70,6 @@ _D27 = SurfaceModel(
             component_hits=(("t=1", 3), ("t=-1", 3)),
         ),
     ),
-    expected_config=(
-        ("t=1", "I9"),
-        ("t=0", "I2"),
-        ("t=-1", "I9"),
-        ("t^2-t+1=0", "I1"),
-        ("t^2+t+1=0", "I1"),
-    ),
 )
 
 # y^2 = x^3 - t^3 (t-1)^2 x, 2-torsion (0,0)
@@ -105,7 +90,6 @@ _D4 = SurfaceModel(
             component_hits=(("t=0", 1), ("t=1", 1), ("t=oo", 1)),
         ),
     ),
-    expected_config=(("t=1", "I0*"), ("t=0", "III*"), ("t=oo", "III*")),
 )
 
 # y^2 = x^3 - t^5 (t+1)^2
@@ -119,7 +103,6 @@ _D3 = SurfaceModel(
     d=-3,
     rank20_over_Q=True,
     sections=(),
-    expected_config=(("t=0", "II*"), ("t=-1", "IV"), ("t=oo", "II*")),
 )
 
 # y^2 = x^3 + t^2(t^2+3t+1) x^2 + t^4(2t+4) x + t^5(t+1)
@@ -133,11 +116,6 @@ _D11 = SurfaceModel(
     d=-11,
     rank20_over_Q=True,
     sections=(),
-    expected_config=(
-        ("t=0", "II*"),
-        ("4*t^3+17*t^2+14*t-27=0", "I1"),
-        ("t=oo", "I11"),
-    ),
 )
 
 REGISTRY = {
@@ -157,7 +135,11 @@ def get_model(name: str) -> SurfaceModel:
 
 
 def registry_report() -> dict:
-    """The list-models document: one row per built-in model, by name."""
+    """The list-models document: one row per built-in model, by name.
+
+    A row's expected_config is the model's (place, Kodaira type) list as
+    classify_fibers derives it from Delta, c4 and c6; no model declares one.
+    """
     rows = []
     for name in sorted(REGISTRY):
         model = REGISTRY[name]
@@ -167,7 +149,7 @@ def registry_report() -> dict:
                 "d": model.d,
                 "rank20_over_Q": model.rank20_over_Q,
                 "sections": len(model.sections),
-                "expected_config": model.expected_config,
+                "expected_config": [(F.place, F.kodaira_type) for F in classify_fibers(model)],
             }
         )
     return {"models": rows}

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .errors import VerificationError
 from .ellsurf import SectionData, SurfaceModel, classify_fibers, kodaira
-from .ellsurf import rank20_effective, replace, shioda_tate_rank
+from .ellsurf import rank20_effective, shioda_tate_rank
 from .polys import factor_int_poly, pdeg, valuation
 
 
@@ -57,7 +57,6 @@ class _ConfigFields(NamedTuple):
     mw_rank: int
     torsion_order: int
     mw_gram: Optional[tuple]  # row tuples of Fractions, size mw_rank
-    fiber_places: tuple  # ((place label, kodaira symbol), ...) when known
 
 
 class ConfigLattice(_ConfigFields):
@@ -65,16 +64,15 @@ class ConfigLattice(_ConfigFields):
 
     __slots__ = ()
 
-    def __new__(cls, fibers, mw_rank=0, torsion_order=1, mw_gram=None, fiber_places=()):
+    def __new__(cls, fibers, mw_rank=0, torsion_order=1, mw_gram=None):
         fibers = tuple((str(s), int(m)) for s, m in fibers)
-        fiber_places = tuple((str(p), str(s)) for p, s in fiber_places)
         if mw_gram is not None:
             mw_gram = tuple(tuple(Fraction(x) for x in row) for row in mw_gram)
             if len(mw_gram) != mw_rank or any(len(r) != mw_rank for r in mw_gram):
                 raise VerificationError("PRECONDITION", "Gram matrix size != MW rank")
         if torsion_order < 1 or mw_rank < 0:
             raise VerificationError("PRECONDITION", "bad Mordell-Weil data")
-        return super().__new__(cls, fibers, mw_rank, torsion_order, mw_gram, fiber_places)
+        return super().__new__(cls, fibers, mw_rank, torsion_order, mw_gram)
 
     @property
     def root_discs(self) -> tuple:
@@ -142,9 +140,12 @@ def _det(gram: tuple) -> Fraction:
     return det
 
 
-def corrections(section: SectionData, config: ConfigLattice) -> list:
-    """(place, index, correction) for each component the section meets."""
-    types = dict(config.fiber_places)
+def corrections(section: SectionData, model: SurfaceModel) -> list:
+    """(place, index, correction) for each component the section meets.
+
+    The fiber type at each hit's place is read from classify_fibers(model).
+    """
+    types = {F.place: F.kodaira_type for F in classify_fibers(model)}
     out = []
     for place, index in section.component_hits:
         if place not in types:
@@ -155,11 +156,13 @@ def corrections(section: SectionData, config: ConfigLattice) -> list:
     return out
 
 
-def height(section: SectionData, config: ConfigLattice, PO: int) -> Fraction:
-    """h(P) = 4 + 2 PO - sum of corrections at the section's component hits."""
-    if PO < 0:
-        raise VerificationError("PRECONDITION", "P.O must be nonnegative")
-    return Fraction(4 + 2 * PO) - sum(c for _, _, c in corrections(section, config))
+def height(section: SectionData, model: SurfaceModel) -> Fraction:
+    """h(P) = 4 + 2 P.O - sum of corrections at the section's component hits.
+
+    P.O comes from compute_PO, and each correction from corrections.
+    """
+    PO = compute_PO(section, model)
+    return Fraction(4 + 2 * PO) - sum(c for _, _, c in corrections(section, model))
 
 
 def compute_PO(section: SectionData, model: SurfaceModel) -> int:
@@ -190,35 +193,29 @@ def compute_PO(section: SectionData, model: SurfaceModel) -> int:
 
 @functools.lru_cache(maxsize=None)
 def config_from_model(model: SurfaceModel) -> ConfigLattice:
-    """ConfigLattice of a model: fibers from classification, MW data from sections.
+    """ConfigLattice of a model: fibers from classify_fibers, MW data from sections.
 
     ellsurf.rank20_effective decides rank 20 over Q and is asked first, so a
-    false rank-20 claim is refused before any height.  The Gram matrix is the
-    diagonal of section heights; with more than one free section the
-    off-diagonal pairings are not determined by the stored data, so that case
-    is refused.
+    false rank-20 claim is refused before any height.  The Gram matrix is
+    height(P, model) of the one free section P; with more than one free
+    section the off-diagonal pairings are not determined by the stored data,
+    so that case is refused.
     """
     rank20_effective(model)  # refuses a false rank-20 claim
     counts: dict[str, int] = {}
-    places = []
     for F in classify_fibers(model):
         counts[F.kodaira_type] = counts.get(F.kodaira_type, 0) + F.degree
-        places.append((F.place, F.kodaira_type))
     free = [s for s in model.sections if not s.torsion_order]
     if len(free) > 1:
         raise VerificationError(
             "PRECONDITION", "cannot derive a Gram matrix for MW rank > 1 from sections"
         )
-    config = ConfigLattice(
+    return ConfigLattice(
         fibers=tuple(sorted(counts.items())),
         mw_rank=len(free),
         torsion_order=math.lcm(*(s.torsion_order for s in model.sections if s.torsion_order)),
-        fiber_places=tuple(places),
+        mw_gram=((height(free[0], model),),) if free else None,
     )
-    if free:
-        h = height(free[0], config, compute_PO(free[0], model))
-        config = replace(config, mw_gram=((h,),))
-    return config
 
 
 def ns_discriminant(config: ConfigLattice) -> int:
@@ -247,22 +244,25 @@ def ns_discriminant(config: ConfigLattice) -> int:
 
 
 def height_report(model: SurfaceModel, section: int) -> dict:
-    """The height document of the model's stored section of index section."""
+    """The height document of the model's stored section of index section.
+
+    ellsurf.rank20_effective is asked first, so a false rank-20 claim is
+    refused before any height.
+    """
     if not 0 <= section < len(model.sections):
         raise VerificationError(
             "PRECONDITION",
             f"{model.name} has {len(model.sections)} sections, index {section} invalid",
         )
+    rank20_effective(model)  # refuses a false rank-20 claim
     data = model.sections[section]
-    config = config_from_model(model)
-    pole_order = compute_PO(data, model)
     return {
         "model": model.name,
         "section": section,
         "torsion_order": data.torsion_order,
-        "pole_order": pole_order,
-        "corrections": corrections(data, config),
-        "height": height(data, config, pole_order),
+        "pole_order": compute_PO(data, model),
+        "corrections": corrections(data, model),
+        "height": height(data, model),
     }
 
 

@@ -14,10 +14,10 @@ from fractions import Fraction
 
 from picard20.arith import is_prime, is_square, kronecker, primes_up_to
 from picard20.atverify import verify_surface
+from picard20.ellsurf import classify_fibers
 from picard20.heckecm import CMRule
 from picard20.models import REGISTRY, get_model
 from picard20.mwheights import (
-    compute_PO,
     config_from_model,
     contribution,
     height,
@@ -132,7 +132,7 @@ def test_c05_d27_fibers_height_nsdisc(capsys):
     tally = _fiber_tally(model)
     config = config_from_model(model)
     section = model.sections[0]
-    h = height(section, config, compute_PO(section, model))
+    h = height(section, model)
     nd = ns_discriminant(config)
     ok = (
         tally == {"I1": 4, "I2": 1, "I9": 2}
@@ -149,13 +149,12 @@ def test_c05_d27_fibers_height_nsdisc(capsys):
 
 def test_c06_torsion_height_vanishes(capsys):
     model = get_model("d7-tate")
-    config = config_from_model(model)
     section = model.sections[0]
-    places = dict(config.fiber_places)
+    places = {F.place: F.kodaira_type for F in classify_fibers(model)}
     corrections = sorted(
         contribution(places[place], index) for place, index in section.component_hits
     )
-    h = height(section, config, compute_PO(section, model))
+    h = height(section, model)
     ok = (
         section.torsion_order == 7
         and corrections == [Fraction(6, 7), Fraction(10, 7), Fraction(12, 7)]

@@ -301,6 +301,44 @@ class TestHeight:
             "message": "component hit at t=5, which carries no reducible fiber",
         }
 
+    def test_a_fiber_named_twice_is_refused(self, capsys, tmp_path):
+        # summing both corrections gave d27's free section the height -1/2
+        from picard20.modelfile import model_to_json
+        from picard20.models import get_model
+
+        obj = model_to_json(get_model("d27"))
+        obj["sections"][0]["component_hits"].append(["t=1", 3])
+        path = tmp_path / "d27_hit_twice.json"
+        path.write_text(json.dumps(obj))
+        for argv in (["height", "--section", "0"], ["nsdisc"]):
+            code, blob = run_cli(capsys, argv[0], "--model", str(path), *argv[1:])
+            assert code == 1, argv
+            assert blob["error"] == {
+                "code": "PRECONDITION",
+                "message": "section lists the fiber at t=1 twice",
+            }, argv
+
+    def test_two_free_sections_have_heights_but_no_nsdisc(self, capsys, tmp_path):
+        # d27 without its rank-20 claim and with its free section twice: each
+        # height needs only its own section, the Gram matrix needs both
+        from picard20.modelfile import model_to_json
+        from picard20.models import get_model
+
+        obj = model_to_json(get_model("d27"))
+        obj["rank20_over_Q"] = False
+        obj["sections"] = [obj["sections"][0]] * 2
+        path = tmp_path / "d27_two_free.json"
+        path.write_text(json.dumps(obj))
+        for index in ("0", "1"):
+            code, blob = run_cli(capsys, "height", "--model", str(path), "--section", index)
+            assert (code, blob["height"]) == (0, "3/2"), index
+        code, blob = run_cli(capsys, "nsdisc", "--model", str(path))
+        assert code == 1
+        assert blob["error"] == {
+            "code": "PRECONDITION",
+            "message": "cannot derive a Gram matrix for MW rank > 1 from sections",
+        }
+
 
 class TestNsdisc:
     def test_d27(self, capsys):

@@ -13,8 +13,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "picard20"
 
 EXEMPT = {
-    # the console-script entry point, called from outside the package
-    "cli.main",
     # README documents it as the writer of the model-file format that
     # model_from_json reads; no subcommand writes a model file
     "modelfile.model_to_json",

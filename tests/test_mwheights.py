@@ -18,7 +18,7 @@ from picard20.mwheights import (
     ns_discriminant,
     required_gram_determinant,
 )
-from picard20.ellsurf import SectionData, kodaira
+from picard20.ellsurf import SectionData, classify_fibers, kodaira
 
 
 class TestContribution:
@@ -87,32 +87,41 @@ class TestHeights:
     def test_free_section_of_d27(self):
         model = get_model("d27")
         section = model.sections[0]
-        config = config_from_model(model)
         assert compute_PO(section, model) == 0
-        assert height(section, config, 0) == Fraction(3, 2)
+        assert height(section, model) == Fraction(3, 2)
 
     def test_torsion_sections_have_height_zero(self):
         for name, idx in (("d27", 1), ("d7-tate", 0), ("d4", 0)):
             model = get_model(name)
             section = model.sections[idx]
             assert section.torsion_order > 1
-            config = config_from_model(model)
-            po = compute_PO(section, model)
-            assert height(section, config, po) == 0, name
+            assert height(section, model) == 0, name
 
     def test_seven_torsion_corrections(self):
         model = get_model("d7-tate")
         hits = dict(model.sections[0].component_hits)
-        places = dict(config_from_model(model).fiber_places)
+        places = {F.place: F.kodaira_type for F in classify_fibers(model)}
         got = sorted(contribution(places[pl], idx) for pl, idx in hits.items())
         assert got == [Fraction(6, 7), Fraction(10, 7), Fraction(12, 7)]
 
+    def test_a_section_meets_each_fiber_once(self):
+        # summing both hits' corrections gave d27's free section the height -1/2
+        section = get_model("d27").sections[0]
+        with pytest.raises(VerificationError) as err:
+            SectionData(
+                x_num=section.x_num,
+                y_num=section.y_num,
+                component_hits=section.component_hits + (("t=1", 3),),
+            )
+        assert (err.value.code, err.value.message) == (
+            "PRECONDITION", "section lists the fiber at t=1 twice"
+        )
+
     def test_height_rejects_hits_at_unknown_places(self):
         model = get_model("d27")
-        config = config_from_model(model)
         rogue = SectionData(x_num=(0,), y_num=(0,), component_hits=(("t=5", 1),))
         with pytest.raises(VerificationError):
-            height(rogue, config, 0)
+            height(rogue, model)
 
 
 class TestPoleOrder:
